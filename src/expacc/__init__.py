@@ -39,7 +39,7 @@ from .losses import (
     loss_value,
 )
 from .models import LogisticRegression, Mlp, build_model, xavier_init
-from .numerics import Rng, matmul, sigmoid, softmax_rows
+from .numerics import Rng, sigmoid, softmax_rows
 from .optim import Adam, minibatches
 from .stats import ComparisonReport, paired_t_test, render_report, summarize, t_cdf
 
@@ -76,7 +76,6 @@ __all__ = [
     "loss_grad_preact",
     "loss_value",
     "make_folds",
-    "matmul",
     "minibatches",
     "paired_t_test",
     "render_report",

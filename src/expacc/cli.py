@@ -6,11 +6,13 @@ Subcommands:
     expacc curves <out_dir>         write the binary-setting loss-curve CSVs
     expacc gradnorms <config.yaml>  per-epoch gradient-norm CSV on one fold
 
-Configs are YAML with a fixed key schema (see `validate_config`); paths may
-use environment variables and are resolved relative to the config file.
-Every run writes a manifest recording the config hash, the seed, and the
-SHA-256 of each emitted file, so a rerun with the same seed can be checked
-byte-for-byte.
+Configs are YAML with a fixed key schema (see `validate_config`, which also
+builds each loss's `TrainConfig`); paths may use environment variables and
+are resolved relative to the config file.  `run` and `gradnorms` share one
+path: load the config, its data and its fold plan, then `replicate`;
+`gradnorms` stops after the first fold.  Every run writes a manifest
+recording the config hash, the seed, and the SHA-256 of each emitted file,
+so a rerun with the same seed can be checked byte-for-byte.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import yaml
 
 from .data import builtin_schema, load_mnist, load_uci_csv, make_folds, UciSchema
-from .harness import _PLAN_KEY, TrainConfig, replicate, train_run
+from .harness import _PLAN_KEY, TrainConfig, replicate
 from .losses import KINDS, DEFAULT_ALPHA, LossSpec, write_loss_curves
 from .numerics import Rng
 from .stats import render_report, summarize
@@ -54,9 +55,9 @@ class ExperimentConfig:
     dataset: dict
     model_kind: str
     hidden: tuple
-    losses: list
-    train: dict
-    overrides: dict
+    train_cfgs: dict  # loss name -> TrainConfig, in config order
+    lr_grid: list | None
+    dropout_grid: list | None
     scheme: str
     scheme_args: dict
     max_folds: int | None
@@ -149,6 +150,21 @@ def _rate(value, path: str) -> float:
     return float(value)
 
 
+def _build_cfgs(losses, train: dict, overrides: dict) -> dict:
+    """One TrainConfig per loss: `train` without the grids, then the loss's
+    overrides.  A rejected combination names the overrides when the loss
+    has any, else `train`."""
+    base = {k: v for k, v in train.items() if k not in ("lr_grid", "dropout_grid")}
+    cfgs = {}
+    for spec in losses:
+        sub = overrides.get(spec.name, {})
+        try:
+            cfgs[spec.name] = TrainConfig(loss=spec, **{**base, **sub})
+        except ValueError as exc:
+            raise ConfigError(f"overrides.{spec.name}" if sub else "train", str(exc)) from None
+    return cfgs
+
+
 def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfig:
     _check_keys(
         raw,
@@ -229,16 +245,19 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir", "expected a non-empty path")
 
-    if model_kind == "logreg" and (train.get("dropout", 0.0) or train.get("dropout_grid")):
-        raise ConfigError("train.dropout", "dropout requires model.kind = mlp")
+    if model_kind == "logreg":
+        sections = [("train", train), *((f"overrides.{n}", s) for n, s in overrides.items())]
+        for path, section in sections:
+            if section.get("dropout", 0.0) or section.get("dropout_grid"):
+                raise ConfigError(f"{path}.dropout", "dropout requires model.kind = mlp")
 
     return ExperimentConfig(
         dataset=dataset,
         model_kind=model_kind,
         hidden=hidden,
-        losses=losses,
-        train=train,
-        overrides=overrides,
+        train_cfgs=_build_cfgs(losses, train, overrides),
+        lr_grid=train.get("lr_grid"),
+        dropout_grid=train.get("dropout_grid"),
         scheme=scheme,
         scheme_args=scheme_args,
         max_folds=max_folds,
@@ -309,17 +328,6 @@ def load_datasets(cfg: ExperimentConfig):
     return load_uci_csv(_resolve(ds["path"], cfg.source_path), schema), None
 
 
-def _build_cfgs(cfg: ExperimentConfig) -> dict:
-    cfgs = {}
-    for spec in cfg.losses:
-        fields = dict(cfg.train)
-        fields.pop("lr_grid", None)
-        fields.pop("dropout_grid", None)
-        fields.update(cfg.overrides.get(spec.name, {}))
-        cfgs[spec.name] = TrainConfig(loss=spec, noise_p=cfg.noise_p, **fields)
-    return cfgs
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -358,25 +366,37 @@ def _write_manifest(out_dir: str, files, *, seed=None, config_bytes: bytes = b""
     return path
 
 
-def cmd_run(config_path: str, jobs: int = 1, seed_override: int | None = None) -> str:
-    """Execute a replicated experiment; returns the output directory."""
-    cfg = load_config(config_path)
-    seed = cfg.seed if seed_override is None else seed_override
-    pool, test = load_datasets(cfg)
-    plan = make_folds(Rng(seed).child(_PLAN_KEY), pool.n, cfg.scheme, **cfg.scheme_args)
+def _replicate_config(config_path: str, seed_override: int | None, max_folds: int | None = None):
+    """Load a config, its data and its fold plan, then train every (fold, loss)
+    cell; `max_folds`, when given, replaces the config's own.
+
+    Returns (config, seed, pool, outcomes).
+    """
+    experiment = load_config(config_path)
+    seed = experiment.seed if seed_override is None else seed_override
+    pool, test = load_datasets(experiment)
+    plan = make_folds(
+        Rng(seed).child(_PLAN_KEY), pool.n, experiment.scheme, **experiment.scheme_args
+    )
     outcomes = replicate(
-        cfg.model_kind,
+        experiment.model_kind,
         pool,
         plan,
-        _build_cfgs(cfg),
+        experiment.train_cfgs,
         test=test,
         master_seed=seed,
-        lr_grid=cfg.train.get("lr_grid"),
-        dropout_grid=cfg.train.get("dropout_grid"),
-        hidden=cfg.hidden,
-        max_folds=cfg.max_folds,
-        jobs=jobs,
+        noise_p=experiment.noise_p,
+        lr_grid=experiment.lr_grid,
+        dropout_grid=experiment.dropout_grid,
+        hidden=experiment.hidden,
+        max_folds=experiment.max_folds if max_folds is None else max_folds,
     )
+    return experiment, seed, pool, outcomes
+
+
+def cmd_run(config_path: str, seed_override: int | None = None) -> str:
+    """Execute a replicated experiment; returns the output directory."""
+    cfg, seed, pool, outcomes = _replicate_config(config_path, seed_override)
 
     out_dir = cfg.out_dir
     metrics_dir = os.path.join(out_dir, "metrics")
@@ -408,15 +428,15 @@ def cmd_run(config_path: str, jobs: int = 1, seed_override: int | None = None) -
             _write_metrics_csv(path, o.result.records)
             files.append(path)
 
-    loss_names = [s.name for s in cfg.losses]
+    loss_names = list(cfg.train_cfgs)
     by_cell = {(o.loss, o.fold): o for o in outcomes}
-    complete_folds = _complete_folds(outcomes, loss_names)
+    dropped = sorted({o.fold for o in outcomes if not o.ok})
+    complete_folds = sorted({o.fold for o in outcomes} - set(dropped))
     results = {
         name: [by_cell[(name, f)].result.test_error for f in complete_folds]
         for name in loss_names
     }
     report_lines = []
-    dropped = sorted({o.fold for o in outcomes if not o.ok})
     if dropped:
         report_lines.append(f"note: folds {dropped} failed and are excluded from the comparison")
         for o in outcomes:
@@ -450,15 +470,6 @@ def cmd_run(config_path: str, jobs: int = 1, seed_override: int | None = None) -
     return out_dir
 
 
-def _complete_folds(outcomes, loss_names):
-    by_cell = {(o.loss, o.fold): o for o in outcomes}
-    folds = sorted({o.fold for o in outcomes})
-    return [
-        f for f in folds
-        if all(by_cell.get((name, f)) and by_cell[(name, f)].ok for name in loss_names)
-    ]
-
-
 def cmd_curves(out_dir: str, grid_size: int = 1000) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path_a, path_b = write_loss_curves(out_dir, grid_size)
@@ -466,53 +477,27 @@ def cmd_curves(out_dir: str, grid_size: int = 1000) -> str:
     return out_dir
 
 
-GRADNORM_LOSSES = [LossSpec("neglog"), LossSpec("eerr"), LossSpec("leerr")]
+def cmd_gradnorms(config_path: str, seed_override: int | None = None) -> str:
+    """Per-epoch mean gradient norms of the config's losses on the first fold.
 
-
-def cmd_gradnorms(config_path: str, seed_override: int | None = None, jobs: int = 1) -> str:
-    """Per-epoch mean gradient norms for all three losses on the first fold."""
-    cfg = load_config(config_path)
-    seed = cfg.seed if seed_override is None else seed_override
-    pool, test = load_datasets(cfg)
-    plan = make_folds(Rng(seed).child(_PLAN_KEY), pool.n, cfg.scheme, **cfg.scheme_args)
-    train_idx, dev_idx = plan.folds[0]
-    train_ds = pool.subset(train_idx, name=f"{pool.name}-train")
-    dev_ds = pool.subset(dev_idx, name=f"{pool.name}-dev")
-    test_ds = test if test is not None else dev_ds
-
-    def run_loss(item):
-        loss_index, spec = item
-        fields = dict(cfg.train)
-        fields.pop("lr_grid", None)
-        fields.pop("dropout_grid", None)
-        fields.update(cfg.overrides.get(spec.name, {}))
-        run_cfg = TrainConfig(
-            loss=spec,
-            seed=Rng(seed).child(1, 0, loss_index).seed,
-            **fields,
-        )
-        result = train_run(
-            cfg.model_kind, train_ds, dev_ds, test_ds, run_cfg, hidden=cfg.hidden
-        )
-        return spec.name, [r.grad_norm_mean for r in result.records]
-
-    items = list(enumerate(GRADNORM_LOSSES))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            columns = dict(pool_exec.map(run_loss, items))
-    else:
-        columns = dict(map(run_loss, items))
+    The cells are the ones `run` trains on that fold (same noise, grids and
+    seeds); any failed cell is an error.
+    """
+    cfg, seed, _, outcomes = _replicate_config(config_path, seed_override, max_folds=1)
+    failed = [f"fold 0 / {o.loss}: {o.error}" for o in outcomes if not o.ok]
+    if failed:
+        raise RuntimeError("; ".join(failed))
+    columns = {o.loss: [r.grad_norm_mean for r in o.result.records] for o in outcomes}
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "gradnorms.csv")
     n_epochs = max(len(v) for v in columns.values())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "neglog_norm", "eerr_norm", "leerr_norm"])
+        writer.writerow(["epoch", *(f"{name}_norm" for name in columns)])
         for e in range(n_epochs):
             row = [e + 1]
-            for name in ("neglog", "eerr", "leerr"):
-                values = columns[name]
+            for values in columns.values():
                 row.append(_fmt(values[e]) if e < len(values) else "")
             writer.writerow(row)
     _write_manifest(cfg.out_dir, [path], seed=seed, config_bytes=cfg.raw_bytes)
@@ -528,7 +513,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a replicated experiment from a config")
     p_run.add_argument("config")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p_curves = sub.add_parser("curves", help="emit the loss-curve tables")
@@ -536,19 +520,18 @@ def main(argv=None) -> int:
 
     p_grad = sub.add_parser("gradnorms", help="emit per-epoch gradient norms, one fold")
     p_grad.add_argument("config")
-    p_grad.add_argument("--jobs", type=int, default=1, help="parallel loss workers")
     p_grad.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            out_dir = cmd_run(args.config, jobs=args.jobs, seed_override=args.seed)
+            out_dir = cmd_run(args.config, seed_override=args.seed)
             print(f"wrote artifacts to {out_dir}")
         elif args.command == "curves":
             out_dir = cmd_curves(args.out_dir)
             print(f"wrote loss curves to {out_dir}")
         else:
-            path = cmd_gradnorms(args.config, seed_override=args.seed, jobs=args.jobs)
+            path = cmd_gradnorms(args.config, seed_override=args.seed)
             print(f"wrote {path}")
     except ConfigError as exc:
         print(f"config error in {getattr(args, 'config', '?')}: {exc}", file=sys.stderr)

@@ -5,23 +5,23 @@ Adam steps, records train loss/accuracy, dev accuracy, and the mean
 pre-activation gradient norm, then restores the best-dev-accuracy epoch and
 measures test accuracy with argmax predictions.
 
-`replicate` runs every (fold, loss) cell of a cross-validated comparison
-with the pairing guarantees the analysis needs: identical fold indices and
-identical noisy labels across losses within a fold, and an independent
-initialization seed per (master seed, fold, loss).
+`replicate` runs every (fold, loss) cell of a cross-validated comparison,
+one cell after another, with the pairing guarantees the analysis needs:
+identical fold indices and identical noisy labels across losses within a
+fold, and an independent initialization seed per (master seed, fold, loss).
+Both `expacc run` and `expacc gradnorms` train their cells through it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, SplitPlan, inject_label_noise
 from .losses import KINDS, LossSpec, loss_grad_preact
-from .models import build_model, load_params, save_params
+from .models import build_model
 from .numerics import Rng
 from .optim import Adam, minibatches
 
@@ -67,12 +67,7 @@ def should_stop(epoch: int, best_epoch: int, cfg: TrainConfig) -> bool:
 
 @dataclass
 class TrainConfig:
-    """Settings for one training run.
-
-    `noise_p` documents the label-noise level of the data this run is meant
-    to see; injection itself happens in `replicate` (or by the caller) so
-    that paired losses share identical corrupted labels.
-    """
+    """Settings for one training run."""
 
     loss: LossSpec
     lr: float = 1e-4
@@ -82,7 +77,6 @@ class TrainConfig:
     patience: int | None = None
     dropout: float = 0.0
     seed: int = 0
-    noise_p: float = 0.0
 
     def __post_init__(self):
         if self.lr < 0:
@@ -103,8 +97,6 @@ class TrainConfig:
             raise ValueError("need a stopping rule: set patience and/or max_epochs")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if not 0.0 <= self.noise_p <= 1.0:
-            raise ValueError(f"noise_p must lie in [0, 1], got {self.noise_p}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -143,17 +135,13 @@ def train_run(
     test: Dataset,
     cfg: TrainConfig,
     hidden=(300, 200, 100),
-    checkpoint_path: str | None = None,
-    return_model: bool = False,
-):
+) -> RunResult:
     """Train one model and evaluate its best early-stopping epoch on test.
 
     Stopping: always at `max_epochs` when set; additionally once at least
     `min_epochs` have run and `patience` epochs have passed without a dev
     improvement (the patience window starts counting at `min_epochs`).
-    Ties in dev accuracy keep the earliest epoch.  With `checkpoint_path`
-    the best parameters are restored from the checkpoint file instead of
-    from memory.
+    Ties in dev accuracy keep the earliest epoch.
     """
     for part, ds in (("train", train), ("dev", dev), ("test", test)):
         if ds.n == 0:
@@ -209,24 +197,19 @@ def train_run(
             best_dev = dev_acc
             best_epoch = epoch
             best_params = [p.copy() for p in model.params()]
-            if checkpoint_path is not None:
-                save_params(checkpoint_path, best_params)
 
         if should_stop(epoch, best_epoch, cfg):
             break
 
-    if checkpoint_path is not None:
-        best_params = load_params(checkpoint_path)
     for p, best in zip(model.params(), best_params):
         p[...] = best
     test_acc = accuracy(model, test)
-    result = RunResult(
+    return RunResult(
         records=records,
         best_epoch=best_epoch,
         test_error=1.0 - test_acc,
         test_acc=test_acc,
     )
-    return (result, model) if return_model else result
 
 
 def grad_norm_probe(model, x: np.ndarray, labels, losses) -> dict:
@@ -238,7 +221,7 @@ def grad_norm_probe(model, x: np.ndarray, labels, losses) -> dict:
     preact, _ = model.forward(np.asarray(x, dtype=np.float64), "eval")
     labels = np.asarray(labels)
     return {
-        spec.name: loss_grad_preact(spec, preact, labels).grad_norm_mean
+        spec.name: float(loss_grad_preact(spec, preact, labels).per_instance_norms.mean())
         for spec in losses
     }
 
@@ -277,12 +260,13 @@ def _run_cell(
     cfg,
     test,
     master_seed,
+    noise_p,
     grid,
     hidden,
 ):
     train_idx, dev_idx = plan.folds[fold_index]
     noisy = inject_label_noise(
-        Rng(master_seed).child(_NOISE_KEY, fold_index), pool, cfg.noise_p
+        Rng(master_seed).child(_NOISE_KEY, fold_index), pool, noise_p
     )
     train_ds = noisy.subset(train_idx, name=f"{pool.name}-train")
     dev_ds = noisy.subset(dev_idx, name=f"{pool.name}-dev")
@@ -309,19 +293,20 @@ def replicate(
     *,
     test: Dataset | None = None,
     master_seed: int = 0,
+    noise_p: float = 0.0,
     lr_grid=None,
     dropout_grid=None,
     hidden=(300, 200, 100),
     max_folds: int | None = None,
-    jobs: int = 1,
 ):
-    """Run every fold of `plan` for every loss in `cfgs`.
+    """Run every fold of `plan` for every loss in `cfgs`, fold by fold.
 
     `cfgs` maps loss name -> TrainConfig (whose `loss` must match the key).
-    All configs must agree on `noise_p`, because corrupted labels are drawn
-    once per fold and shared across losses.  Hyperparameter grids, when
-    given, are searched per (fold, loss) by dev accuracy with ties going to
-    the earliest grid point.  Failed runs are reported as `FoldOutcome`s
+    `noise_p` is the label-noise level of the training/development pool:
+    the corrupted labels are drawn per fold from the master seed, so every
+    loss of a fold sees the same ones.  Hyperparameter grids, when given,
+    are searched per (fold, loss) by dev accuracy with ties going to the
+    earliest grid point.  Failed runs are reported as `FoldOutcome`s
     carrying the error; remaining cells still run.
     """
     if not cfgs:
@@ -329,12 +314,11 @@ def replicate(
     for name, cfg in cfgs.items():
         if cfg.loss.name != name:
             raise ValueError(f"config key {name!r} does not match loss {cfg.loss.name!r}")
-    noise_levels = {cfg.noise_p for cfg in cfgs.values()}
-    if len(noise_levels) != 1:
-        raise ValueError(f"noise_p must agree across losses, got {sorted(noise_levels)}")
+    if not 0.0 <= noise_p <= 1.0:
+        raise ValueError(f"noise_p must lie in [0, 1], got {noise_p}")
 
     n_folds = len(plan.folds) if max_folds is None else min(max_folds, len(plan.folds))
-    tasks = []
+    outcomes = []
     for fold_index in range(n_folds):
         for name, cfg in cfgs.items():
             grid = [
@@ -342,21 +326,12 @@ def replicate(
                 for lr in (lr_grid or [cfg.lr])
                 for dropout in (dropout_grid or [cfg.dropout])
             ]
-            tasks.append((fold_index, name, cfg, grid))
-
-    def run_task(task):
-        fold_index, name, cfg, grid = task
-        try:
-            return _run_cell(
-                model_kind, pool, plan, fold_index, cfg, test,
-                master_seed, grid, hidden,
-            )
-        except Exception as exc:  # propagate per-run failures as data
-            return FoldOutcome(name, fold_index, cfg.lr, cfg.dropout, None, error=str(exc))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            outcomes = list(pool_exec.map(run_task, tasks))
-    else:
-        outcomes = [run_task(t) for t in tasks]
+            try:
+                outcome = _run_cell(
+                    model_kind, pool, plan, fold_index, cfg, test,
+                    master_seed, noise_p, grid, hidden,
+                )
+            except Exception as exc:  # propagate per-run failures as data
+                outcome = FoldOutcome(name, fold_index, cfg.lr, cfg.dropout, None, error=str(exc))
+            outcomes.append(outcome)
     return outcomes

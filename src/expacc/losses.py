@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,15 +77,14 @@ class LossBatchResult:
     """Mean loss, pre-activation gradient of it, and a gradient diagnostic.
 
     `grad_preact` is the gradient of the batch-mean loss (it carries the 1/N).
-    `grad_norm_mean` is the mean over instances of the 2-norm of each
-    instance's own loss gradient w.r.t. its pre-activation row, without the
-    1/N factor, so the diagnostic is batch-size invariant.
+    `per_instance_norms` holds the 2-norm of each instance's own loss
+    gradient w.r.t. its pre-activation row, without the 1/N factor, so their
+    mean is a batch-size-invariant diagnostic.
     """
 
     mean_loss: float
     grad_preact: np.ndarray
-    grad_norm_mean: float
-    per_instance_norms: np.ndarray = field(repr=False, default=None)  # set by loss_grad_preact
+    per_instance_norms: np.ndarray
 
 
 def validate_distribution(probs) -> np.ndarray:
@@ -147,12 +146,10 @@ def loss_grad_preact(spec: LossSpec, preact_batch: np.ndarray, true_classes) -> 
     grad[rows, r] -= 1.0
     grad *= coeff[:, None]
 
-    norms = np.linalg.norm(grad, axis=1)
     return LossBatchResult(
         mean_loss=float(values.mean()),
         grad_preact=grad / n,
-        grad_norm_mean=float(norms.mean()),
-        per_instance_norms=norms,
+        per_instance_norms=np.linalg.norm(grad, axis=1),
     )
 
 

@@ -5,9 +5,6 @@ with dropout on the input and on every hidden layer.  Both expose the same
 surface: `params()` (flat list of arrays, optimizer order), `forward`
 returning pre-activations plus a backprop trace, and `backward` turning a
 pre-activation gradient into parameter gradients.
-
-Models are mutable while training and owned by a single trainer; parallel
-folds must use independent instances.
 """
 
 from __future__ import annotations
@@ -17,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, matmul
+from .numerics import Rng
 
 __all__ = [
     "ForwardTrace",
     "LogisticRegression",
     "Mlp",
     "build_model",
-    "load_params",
-    "save_params",
     "xavier_init",
 ]
 
@@ -48,7 +43,6 @@ class ForwardTrace:
     boolean mask of hidden layer i.
     """
 
-    mode: str
     layer_inputs: list
     relu_masks: list
     drop_mults: list
@@ -57,10 +51,7 @@ class ForwardTrace:
 class LogisticRegression:
     """Linear map to class pre-activations: a = x W + b."""
 
-    kind = "logreg"
-
     def __init__(self, rng: Rng, n_features: int, n_classes: int):
-        self.n_features = n_features
         self.n_classes = n_classes
         self.W = xavier_init(rng, n_features, n_classes)
         self.b = np.zeros(n_classes)
@@ -71,8 +62,8 @@ class LogisticRegression:
     def forward(self, x: np.ndarray, mode: str = "eval", rng: Rng | None = None):
         _check_mode(mode)
         x = np.asarray(x, dtype=np.float64)
-        preact = matmul(x, self.W) + self.b
-        return preact, ForwardTrace(mode, [x], [], [None])
+        preact = x @ self.W + self.b
+        return preact, ForwardTrace([x], [], [None])
 
     def backward(self, trace: ForwardTrace, grad_preact: np.ndarray):
         x = trace.layer_inputs[0]
@@ -90,8 +81,6 @@ class Mlp:
     hidden unit is dropped with its layer's probability and survivors are
     scaled by 1/(1-p), so eval mode is a plain forward pass.
     """
-
-    kind = "mlp"
 
     def __init__(
         self,
@@ -145,7 +134,7 @@ class Mlp:
 
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             layer_inputs.append(h)
-            z = matmul(h, w) + b
+            z = h @ w + b
             mask = z > 0
             relu_masks.append(mask)
             act = z * mask
@@ -154,8 +143,8 @@ class Mlp:
             h = act if mult is None else act * mult
 
         layer_inputs.append(h)
-        preact = matmul(h, self.weights[-1]) + self.biases[-1]
-        return preact, ForwardTrace(mode, layer_inputs, relu_masks, drop_mults)
+        preact = h @ self.weights[-1] + self.biases[-1]
+        return preact, ForwardTrace(layer_inputs, relu_masks, drop_mults)
 
     def backward(self, trace: ForwardTrace, grad_preact: np.ndarray):
         if len(trace.layer_inputs) != len(self.weights):
@@ -194,13 +183,3 @@ def build_model(kind: str, rng: Rng, n_features: int, n_classes: int, **kwargs):
     if kind == "mlp":
         return Mlp(rng, n_features, n_classes, **kwargs)
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def save_params(path: str, params) -> None:
-    """Checkpoint parameters as a numpy .npz archive (arr_0, arr_1, ...)."""
-    np.savez(path, *params)
-
-
-def load_params(path: str):
-    with np.load(path) as archive:
-        return [archive[f"arr_{i}"] for i in range(len(archive.files))]

@@ -1,10 +1,7 @@
-"""Dense float64 linear algebra, stable activations, and seeded randomness.
+"""Stable activations and seeded randomness.
 
 All numeric data lives in row-major (C-order) float64 numpy arrays; batches
-put one instance per row.  Arrays returned by these functions are treated as
-immutable and may be shared freely across threads.  `Rng` instances are
-single-owner: parallel work must derive child generators via `Rng.child`
-rather than share one stream.
+put one instance per row.
 """
 
 from __future__ import annotations
@@ -13,32 +10,9 @@ import numpy as np
 
 __all__ = [
     "Rng",
-    "as_matrix",
-    "matmul",
     "sigmoid",
     "softmax_rows",
 ]
-
-
-def as_matrix(a, name: str = "array") -> np.ndarray:
-    """Coerce to a 2-D C-order float64 array, rejecting non-finite entries."""
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:

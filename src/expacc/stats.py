@@ -75,7 +75,6 @@ class LossSummary:
     loss: str
     mean: float
     std: float
-    t_vs_best: float | None
     p_vs_best: float | None
     not_worse_than_best: bool
 
@@ -110,10 +109,10 @@ def summarize(results: dict, alpha: float = ALPHA) -> ComparisonReport:
         values = np.asarray(values, dtype=np.float64)
         std = float(values.std(ddof=1)) if n > 1 else 0.0
         if name == best:
-            entries.append(LossSummary(name, means[name], std, None, None, True))
+            entries.append(LossSummary(name, means[name], std, None, True))
         else:
-            t, _, p = paired_t_test(values, np.asarray(results[best], dtype=np.float64))
-            entries.append(LossSummary(name, means[name], std, t, p, p >= alpha))
+            _, _, p = paired_t_test(values, np.asarray(results[best], dtype=np.float64))
+            entries.append(LossSummary(name, means[name], std, p, p >= alpha))
     return ComparisonReport(best=best, n_replicates=n, entries=entries)
 
 

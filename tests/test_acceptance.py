@@ -172,13 +172,13 @@ def _mnist_mlp_means(pool, test, noise_p, master_seed=21):
             loss=spec, lr=1e-3, batch_size=64, patience=30,
             # desk-scale cap; the patience rule stops runs well before this
             max_epochs=150,
-            dropout=0.2, noise_p=noise_p,
+            dropout=0.2,
         )
         for spec in (NEGLOG, LEERR)
     }
     outcomes = replicate(
         "mlp", pool, plan, cfgs, test=test,
-        master_seed=master_seed, max_folds=3,
+        master_seed=master_seed, noise_p=noise_p, max_folds=3,
     )
     assert all(o.ok for o in outcomes), [o.error for o in outcomes if not o.ok]
     return {

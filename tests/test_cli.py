@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import expacc.harness
 from expacc.cli import (
     ConfigError,
     cmd_curves,
@@ -102,6 +103,32 @@ def test_config_domain_checks_name_fields():
         validate_config(bad_dropout)
 
 
+CONFIG_BASE = {
+    "dataset": {"name": "x", "path": "x.csv"},
+    "losses": ["neglog", "eerr"],
+    "train": {"max_epochs": 5},
+    "replication": {"scheme": "five_by_two"},
+    "out_dir": "out",
+}
+
+
+def test_config_without_stopping_rule_names_train():
+    with pytest.raises(ConfigError, match=r"^train: need a stopping rule"):
+        validate_config(dict(CONFIG_BASE, train={"lr": 0.1}))
+
+
+def test_config_override_conflicting_with_train_names_the_override():
+    raw = dict(CONFIG_BASE, overrides={"eerr": {"min_epochs": 9}})
+    with pytest.raises(ConfigError, match=r"^overrides\.eerr: min_epochs 9 exceeds"):
+        validate_config(raw)
+
+
+def test_config_logreg_dropout_override_is_rejected():
+    raw = dict(CONFIG_BASE, model={"kind": "logreg"}, overrides={"eerr": {"dropout": 0.5}})
+    with pytest.raises(ConfigError, match=r"overrides\.eerr\.dropout"):
+        validate_config(raw)
+
+
 def test_yaml_syntax_error_reports_location(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("dataset: {name: x\nlosses: [neglog]\n")
@@ -155,14 +182,6 @@ def test_run_seed_override_changes_results(tmp_path):
     assert manifest["seed"] == 123
 
 
-def test_run_with_jobs_matches_single_worker(tmp_path):
-    config_a = write_synthetic_experiment(tmp_path / "a")
-    config_b = write_synthetic_experiment(tmp_path / "b")
-    out_a = Path(cmd_run(str(config_a), jobs=1))
-    out_b = Path(cmd_run(str(config_b), jobs=4))
-    assert (out_a / "runs.csv").read_bytes() == (out_b / "runs.csv").read_bytes()
-
-
 def test_run_fixed_scheme_single_fold(tmp_path):
     config = write_synthetic_experiment(
         tmp_path,
@@ -205,6 +224,33 @@ def test_gradnorms_header_and_lr_zero_constancy(tmp_path):
     assert float(rows[1][2]) < float(rows[1][1])
 
 
+def test_gradnorms_matches_the_first_fold_of_run(tmp_path):
+    # gradnorms trains the cells run trains on fold 0: the config's own
+    # losses (a custom leerr alpha included), noise and lr grid
+    config = write_synthetic_experiment(
+        tmp_path,
+        losses=[{"kind": "leerr", "alpha": 0.3}, "neglog"],
+        train={"lr_grid": [0.01, 0.2], "batch_size": 32, "max_epochs": 4},
+        noise={"p": 0.2},
+    )
+    rows = read_rows(cmd_gradnorms(str(config)))
+    assert rows[0] == ["epoch", "leerr_norm", "neglog_norm"]
+    out = Path(cmd_run(str(config)))
+    for col, loss in enumerate(["leerr", "neglog"], start=1):
+        metrics = read_rows(out / "metrics" / f"{loss}_fold00.csv")
+        assert [r[col] for r in rows[1:]] == [r[4] for r in metrics[1:]]
+
+
+def test_gradnorms_fails_when_a_cell_fails(tmp_path, monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise expacc.harness.TrainingDiverged("eerr: non-finite loss at epoch 1, batch 0")
+
+    monkeypatch.setattr(expacc.harness, "train_run", diverge)
+    config = write_synthetic_experiment(tmp_path)
+    assert main(["gradnorms", str(config)]) == 1
+    assert "non-finite loss" in capsys.readouterr().err
+
+
 def test_main_exit_codes(tmp_path, capsys):
     config = write_synthetic_experiment(tmp_path)
     assert main(["curves", str(tmp_path / "c")]) == 0
@@ -214,3 +260,6 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     capsys.readouterr()
     assert main(["run", str(tmp_path / "missing.yaml")]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(config), "--jobs", "2"])
+    assert exc.value.code == 2

@@ -7,7 +7,6 @@ from expacc.harness import (
     FoldOutcome,
     TrainConfig,
     TrainingDiverged,
-    accuracy,
     grad_norm_probe,
     replicate,
     should_stop,
@@ -37,8 +36,6 @@ def test_config_validation():
         TrainConfig(loss=NEGLOG, patience=0)
     with pytest.raises(ValueError, match="dropout"):
         TrainConfig(loss=NEGLOG, max_epochs=1, dropout=1.0)
-    with pytest.raises(ValueError, match="noise_p"):
-        TrainConfig(loss=NEGLOG, max_epochs=1, noise_p=1.5)
 
 
 def test_stopping_rule_examples():
@@ -96,25 +93,17 @@ def test_same_seed_reproduces_run_exactly():
 
 
 def test_best_epoch_attains_max_dev_accuracy_and_model_reproduces_it():
-    train, dev, test = small_splits(3)
+    train, dev, _ = small_splits(3)
     cfg = TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32, max_epochs=25, seed=4)
-    result, model = train_run("logreg", train, dev, test, cfg, return_model=True)
+    # dev doubles as test, so the test measurement is the restored model's
+    # dev accuracy
+    result = train_run("logreg", train, dev, dev, cfg)
     dev_curve = [r.dev_acc for r in result.records]
     assert result.records[result.best_epoch - 1].dev_acc == max(dev_curve)
     # ties break to the earliest epoch
     assert dev_curve.index(max(dev_curve)) + 1 == result.best_epoch
-    assert accuracy(model, dev) == result.best_dev_acc
+    assert result.test_acc == result.best_dev_acc
     assert result.test_error == pytest.approx(1.0 - result.test_acc, abs=1e-15)
-
-
-def test_checkpoint_file_restores_best_epoch(tmp_path):
-    train, dev, test = small_splits(4)
-    cfg = TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32, max_epochs=15, seed=5)
-    direct = train_run("logreg", train, dev, test, cfg)
-    via_file = train_run(
-        "logreg", train, dev, test, cfg, checkpoint_path=str(tmp_path / "best.npz")
-    )
-    assert direct.test_acc == via_file.test_acc
 
 
 def test_divergence_aborts_with_location():
@@ -158,7 +147,7 @@ def test_grad_norms_vanish_when_perfectly_classified():
     preact = np.zeros((ds.n, ds.k))
     preact[np.arange(ds.n), ds.labels] = 500.0
     for spec in (NEGLOG, EERR, LEERR):
-        assert loss_grad_preact(spec, preact, ds.labels).grad_norm_mean < 1e-12
+        assert loss_grad_preact(spec, preact, ds.labels).per_instance_norms.mean() < 1e-12
 
 
 def test_replicate_pairing_and_order_independence():
@@ -166,32 +155,21 @@ def test_replicate_pairing_and_order_independence():
     plan = make_folds(Rng(21), ds.n, "five_by_two")
 
     def cfg(spec):
-        return TrainConfig(loss=spec, lr=1e-2, batch_size=32, max_epochs=10, noise_p=0.1)
+        return TrainConfig(loss=spec, lr=1e-2, batch_size=32, max_epochs=10)
 
     forward = replicate(
-        "logreg", ds, plan, {"neglog": cfg(NEGLOG), "eerr": cfg(EERR)}, master_seed=5
+        "logreg", ds, plan, {"neglog": cfg(NEGLOG), "eerr": cfg(EERR)}, master_seed=5,
+        noise_p=0.1,
     )
     backward = replicate(
-        "logreg", ds, plan, {"eerr": cfg(EERR), "neglog": cfg(NEGLOG)}, master_seed=5
+        "logreg", ds, plan, {"eerr": cfg(EERR), "neglog": cfg(NEGLOG)}, master_seed=5,
+        noise_p=0.1,
     )
     key = lambda o: (o.loss, o.fold)
     fw = {key(o): o.result.test_error for o in forward}
     bw = {key(o): o.result.test_error for o in backward}
     assert fw == bw
     assert len(fw) == 20
-
-
-def test_replicate_threaded_matches_serial():
-    ds = two_gaussians(22, 150, 3, delta=1.5)
-    plan = make_folds(Rng(23), ds.n, "kfold", k=4)
-    cfgs = {
-        "neglog": TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=32, max_epochs=8),
-        "leerr": TrainConfig(loss=LEERR, lr=1e-2, batch_size=32, max_epochs=8),
-    }
-    serial = replicate("logreg", ds, plan, cfgs, master_seed=1, jobs=1)
-    threaded = replicate("logreg", ds, plan, cfgs, master_seed=1, jobs=4)
-    for a, b in zip(serial, threaded):
-        assert (a.loss, a.fold, a.result.test_error) == (b.loss, b.fold, b.result.test_error)
 
 
 def test_replicate_tuning_grid_selects_by_dev_accuracy():
@@ -219,15 +197,14 @@ def test_replicate_continues_past_failing_fold():
     assert bad.fold == 1 and bad.result is None and bad.error
 
 
-def test_replicate_rejects_mismatched_noise():
+def test_replicate_rejects_noise_level_outside_unit_interval():
+    # a noise level outside [0, 1] raises before any cell runs, instead of
+    # becoming a failed-fold row
     ds = two_gaussians(28, 60, 3, delta=1.0)
     plan = make_folds(Rng(29), ds.n, "kfold", k=2)
-    cfgs = {
-        "neglog": TrainConfig(loss=NEGLOG, max_epochs=1, noise_p=0.0),
-        "eerr": TrainConfig(loss=EERR, max_epochs=1, noise_p=0.1),
-    }
+    cfgs = {"neglog": TrainConfig(loss=NEGLOG, max_epochs=1)}
     with pytest.raises(ValueError, match="noise_p"):
-        replicate("logreg", ds, plan, cfgs)
+        replicate("logreg", ds, plan, cfgs, noise_p=1.5)
 
 
 def test_replicate_noise_keeps_test_labels_clean():
@@ -235,9 +212,8 @@ def test_replicate_noise_keeps_test_labels_clean():
     # a run at noise_p=1 still evaluates against the original dev labels
     ds = two_gaussians(30, 100, 3, delta=3.0)
     plan = make_folds(Rng(31), ds.n, "five_by_two")
-    cfgs = {"neglog": TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32,
-                                  max_epochs=10, noise_p=1.0)}
-    out = replicate("logreg", ds, plan, cfgs, master_seed=4, max_folds=2)
+    cfgs = {"neglog": TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32, max_epochs=10)}
+    out = replicate("logreg", ds, plan, cfgs, master_seed=4, noise_p=1.0, max_folds=2)
     # pure-noise training performs near chance on clean labels, but the
     # errors are measured against clean labels, not the redrawn ones;
     # mostly we assert the runs completed and produced sane fractions

@@ -65,12 +65,12 @@ def test_mlp_noise_robustness_direction_on_synthetic_blobs():
         cfgs = {
             spec.name: TrainConfig(
                 loss=spec, lr=5e-3, batch_size=32, patience=8, max_epochs=60,
-                dropout=0.1, noise_p=noise_p,
+                dropout=0.1,
             )
             for spec in (NEGLOG, LEERR)
         }
         outcomes = replicate(
-            "mlp", pool, plan, cfgs, master_seed=52, hidden=(16, 12, 8)
+            "mlp", pool, plan, cfgs, master_seed=52, noise_p=noise_p, hidden=(16, 12, 8)
         )
         assert all(o.ok for o in outcomes)
         return {

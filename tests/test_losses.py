@@ -110,8 +110,8 @@ def test_batch_reduction_is_the_mean():
     assert full.mean_loss == pytest.approx(np.mean([s.mean_loss for s in singles]), abs=1e-14)
     stacked = np.vstack([s.grad_preact for s in singles]) / 3.0
     assert np.allclose(full.grad_preact, stacked, atol=1e-15)
-    assert full.grad_norm_mean == pytest.approx(
-        np.mean([s.grad_norm_mean for s in singles]), abs=1e-14
+    assert full.per_instance_norms.mean() == pytest.approx(
+        np.mean([s.per_instance_norms.mean() for s in singles]), abs=1e-14
     )
 
 

@@ -8,8 +8,6 @@ from expacc.models import (
     LogisticRegression,
     Mlp,
     build_model,
-    load_params,
-    save_params,
     xavier_init,
 )
 from expacc.numerics import Rng
@@ -139,15 +137,6 @@ def test_end_to_end_gradients_match_finite_differences(kind, kw):
             numeric = fd_param_grads(model, x, y, spec)
             for a, b in zip(analytic, numeric):
                 assert rel_err(a, b) < 1e-5
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    model = Mlp(Rng(30), 5, 3, hidden=(4, 3))
-    path = tmp_path / "params.npz"
-    save_params(path, model.params())
-    loaded = load_params(path)
-    for a, b in zip(model.params(), loaded):
-        assert np.array_equal(a, b)
 
 
 def test_build_model_rejects_unknown_kind():

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from expacc.numerics import Rng, matmul, sigmoid, softmax_rows
+from expacc.models import LogisticRegression
+from expacc.numerics import Rng, sigmoid, softmax_rows
 
 finite_rows = arrays(
     np.float64,
@@ -13,24 +14,11 @@ finite_rows = arrays(
 )
 
 
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), m), m)
-
-
-def test_matmul_dot_product():
-    out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 11.0
-
-
-def test_matmul_zeros():
-    assert np.array_equal(matmul(np.zeros((2, 3)), np.ones((3, 2))), np.zeros((2, 2)))
-
-
 def test_matmul_dimension_mismatch():
+    # the model's plain `@` rejects a wrong feature count by itself
+    model = LogisticRegression(Rng(0), 3, 2)
     with pytest.raises(ValueError, match="mismatch"):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
+        model.forward(np.ones((2, 4)))
 
 
 def test_softmax_symmetry():
