@@ -12,8 +12,8 @@ Run:  python demos/01_loss_curves.py [out_dir]
 
 import sys
 
-
-from expacc.losses import emit_loss_curves, write_loss_curves
+from expacc.cli import cmd_curves
+from expacc.losses import emit_loss_curves
 
 
 def show(header, table, picks):
@@ -40,8 +40,7 @@ def main():
     print("the leak is what keeps saturated instances trainable.\n")
 
     if len(sys.argv) > 1:
-        paths = write_loss_curves(sys.argv[1], grid_size=1000)
-        print("wrote", *paths)
+        print("wrote loss curves to", cmd_curves(sys.argv[1]))
 
 
 if __name__ == "__main__":

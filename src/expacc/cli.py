@@ -12,7 +12,8 @@ are resolved relative to the config file.  `run` and `gradnorms` share one
 path: load the config, its data and its fold plan, then `replicate`;
 `gradnorms` stops after the first fold.  Every run writes a manifest
 recording the config hash, the seed, and the SHA-256 of each emitted file,
-so a rerun with the same seed can be checked byte-for-byte.
+so a rerun with the same seed can be checked byte-for-byte.  A new run
+first deletes the files that an earlier manifest in its directory lists.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import yaml
 
 from .data import builtin_schema, load_mnist, load_uci_csv, make_folds, UciSchema
 from .harness import _PLAN_KEY, TrainConfig, replicate
-from .losses import KINDS, DEFAULT_ALPHA, LossSpec, write_loss_curves
+from .losses import KINDS, DEFAULT_ALPHA, LossSpec, emit_loss_curves
 from .numerics import Rng
 from .stats import render_report, summarize
 
@@ -332,15 +333,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_metrics_csv(path: str, records) -> None:
+def _write_csv(path: str, header, rows) -> str:
+    """Write one CSV artifact; callers format floats with `_fmt`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "train_acc", "dev_acc", "grad_norm_mean"])
-        for r in records:
-            writer.writerow(
-                [r.epoch, _fmt(r.train_loss), _fmt(r.train_acc), _fmt(r.dev_acc),
-                 _fmt(r.grad_norm_mean)]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def _sha256(path: str) -> str:
@@ -349,6 +348,20 @@ def _sha256(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _clear_previous_run(out_dir: str) -> None:
+    """Delete the files inside `out_dir` that a manifest already there lists."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            listed = json.load(fh)["files"]
+    except FileNotFoundError:
+        return
+    root = os.path.realpath(out_dir)
+    for rel in listed:
+        path = os.path.realpath(os.path.join(root, rel))
+        if os.path.commonpath([root, path]) == root and os.path.isfile(path):
+            os.remove(path)
 
 
 def _write_manifest(out_dir: str, files, *, seed=None, config_bytes: bytes = b"") -> str:
@@ -401,32 +414,32 @@ def cmd_run(config_path: str, seed_override: int | None = None) -> str:
     out_dir = cfg.out_dir
     metrics_dir = os.path.join(out_dir, "metrics")
     os.makedirs(metrics_dir, exist_ok=True)
-    files = []
+    _clear_previous_run(out_dir)
 
-    runs_path = os.path.join(out_dir, "runs.csv")
-    with open(runs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["loss", "fold", "lr", "dropout", "best_epoch", "epochs",
-             "dev_acc", "test_acc", "test_error", "error"]
-        )
-        for o in outcomes:
-            if o.ok:
-                writer.writerow(
-                    [o.loss, o.fold, _fmt(o.lr), _fmt(o.dropout), o.result.best_epoch,
-                     len(o.result.records), _fmt(o.result.best_dev_acc),
-                     _fmt(o.result.test_acc), _fmt(o.result.test_error), ""]
-                )
-            else:
-                writer.writerow([o.loss, o.fold, _fmt(o.lr), _fmt(o.dropout),
-                                 "", "", "", "", "", o.error])
-    files.append(runs_path)
+    runs = []
+    for o in outcomes:
+        cell = [o.loss, o.fold, _fmt(o.lr), _fmt(o.dropout)]
+        if o.ok:
+            r = o.result
+            runs.append([*cell, r.best_epoch, len(r.records), _fmt(r.best_dev_acc),
+                         _fmt(r.test_acc), _fmt(r.test_error), ""])
+        else:
+            runs.append([*cell, "", "", "", "", "", o.error])
+    files = [_write_csv(
+        os.path.join(out_dir, "runs.csv"),
+        ["loss", "fold", "lr", "dropout", "best_epoch", "epochs",
+         "dev_acc", "test_acc", "test_error", "error"],
+        runs,
+    )]
 
     for o in outcomes:
         if o.ok:
-            path = os.path.join(metrics_dir, f"{o.loss}_fold{o.fold:02d}.csv")
-            _write_metrics_csv(path, o.result.records)
-            files.append(path)
+            files.append(_write_csv(
+                os.path.join(metrics_dir, f"{o.loss}_fold{o.fold:02d}.csv"),
+                ["epoch", "train_loss", "train_acc", "dev_acc", "grad_norm_mean"],
+                ([r.epoch, _fmt(r.train_loss), _fmt(r.train_acc), _fmt(r.dev_acc),
+                  _fmt(r.grad_norm_mean)] for r in o.result.records),
+            ))
 
     loss_names = list(cfg.train_cfgs)
     by_cell = {(o.loss, o.fold): o for o in outcomes}
@@ -444,17 +457,13 @@ def cmd_run(config_path: str, seed_override: int | None = None) -> str:
                 report_lines.append(f"  fold {o.fold} / {o.loss}: {o.error}")
     if len(complete_folds) >= 2:
         report = summarize(results)
-        summary_path = os.path.join(out_dir, "summary.csv")
-        with open(summary_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["loss", "mean", "std", "p_vs_best", "flag"])
-            for e in report.entries:
-                writer.writerow(
-                    [e.loss, _fmt(e.mean), _fmt(e.std),
-                     "" if e.p_vs_best is None else _fmt(e.p_vs_best),
-                     int(e.not_worse_than_best)]
-                )
-        files.append(summary_path)
+        files.append(_write_csv(
+            os.path.join(out_dir, "summary.csv"),
+            ["loss", "mean", "std", "p_vs_best", "flag"],
+            ([e.loss, _fmt(e.mean), _fmt(e.std),
+              "" if e.p_vs_best is None else _fmt(e.p_vs_best),
+              int(e.not_worse_than_best)] for e in report.entries),
+        ))
         report_lines.append(render_report(report, title=f"{pool.name} / {cfg.model_kind}"))
     else:
         report_lines.append("too few complete folds for a comparison")
@@ -471,9 +480,18 @@ def cmd_run(config_path: str, seed_override: int | None = None) -> str:
 
 
 def cmd_curves(out_dir: str, grid_size: int = 1000) -> str:
+    """Write both loss-curve tables of `emit_loss_curves` as CSV."""
+    header_a, table_a, header_b, table_b = emit_loss_curves(grid_size)
     os.makedirs(out_dir, exist_ok=True)
-    path_a, path_b = write_loss_curves(out_dir, grid_size)
-    _write_manifest(out_dir, [path_a, path_b])
+    _clear_previous_run(out_dir)
+    paths = [
+        _write_csv(os.path.join(out_dir, name), header, ([_fmt(v) for v in row] for row in table))
+        for name, header, table in (
+            ("loss_curves_prob.csv", header_a, table_a),
+            ("loss_curves_preact.csv", header_b, table_b),
+        )
+    ]
+    _write_manifest(out_dir, paths)
     return out_dir
 
 
@@ -490,16 +508,14 @@ def cmd_gradnorms(config_path: str, seed_override: int | None = None) -> str:
     columns = {o.loss: [r.grad_norm_mean for r in o.result.records] for o in outcomes}
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "gradnorms.csv")
+    _clear_previous_run(cfg.out_dir)
     n_epochs = max(len(v) for v in columns.values())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", *(f"{name}_norm" for name in columns)])
-        for e in range(n_epochs):
-            row = [e + 1]
-            for values in columns.values():
-                row.append(_fmt(values[e]) if e < len(values) else "")
-            writer.writerow(row)
+    path = _write_csv(
+        os.path.join(cfg.out_dir, "gradnorms.csv"),
+        ["epoch", *(f"{name}_norm" for name in columns)],
+        ([e + 1, *(_fmt(v[e]) if e < len(v) else "" for v in columns.values())]
+         for e in range(n_epochs)),
+    )
     _write_manifest(cfg.out_dir, [path], seed=seed, config_bytes=cfg.raw_bytes)
     return path
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, SplitPlan, inject_label_noise
+from .data import DataError, Dataset, EmptyDataError, SplitPlan, inject_label_noise
 from .losses import KINDS, LossSpec, loss_grad_preact
 from .models import build_model
 from .numerics import Rng
@@ -123,8 +123,8 @@ class RunResult:
 
 
 def accuracy(model, ds: Dataset) -> float:
-    """Argmax accuracy of an eval-mode forward pass."""
-    preact, _ = model.forward(ds.x, "eval")
+    """Argmax accuracy of a forward pass without dropout."""
+    preact, _ = model.forward(ds.x)
     return float((preact.argmax(axis=1) == ds.labels).mean())
 
 
@@ -145,16 +145,9 @@ def train_run(
     """
     for part, ds in (("train", train), ("dev", dev), ("test", test)):
         if ds.n == 0:
-            raise ValueError(f"{part} split is empty")
+            raise EmptyDataError(f"{part} split is empty")
     root = Rng(cfg.seed)
-    model_kwargs = {}
-    if model_kind == "mlp":
-        model_kwargs = dict(
-            hidden=hidden, input_dropout=cfg.dropout, hidden_dropout=cfg.dropout
-        )
-    elif cfg.dropout != 0.0:
-        raise ValueError(f"dropout is only meaningful for mlp, not {model_kind}")
-    model = build_model(model_kind, root.child(_INIT), train.d, train.k, **model_kwargs)
+    model = build_model(model_kind, root.child(_INIT), train.d, train.k, hidden, cfg.dropout)
     batch_rng = root.child(_BATCH)
     dropout_rng = root.child(_DROPOUT)
     opt = Adam(cfg.lr)
@@ -172,7 +165,7 @@ def train_run(
         for batch_no, idx in enumerate(minibatches(batch_rng, train.n, cfg.batch_size)):
             xb = train.x[idx]
             yb = train.labels[idx]
-            preact, trace = model.forward(xb, "train", dropout_rng)
+            preact, trace = model.forward(xb, dropout_rng)
             batch = loss_grad_preact(cfg.loss, preact, yb)
             if not math.isfinite(batch.mean_loss):
                 raise TrainingDiverged(
@@ -215,11 +208,10 @@ def train_run(
 def grad_norm_probe(model, x: np.ndarray, labels, losses) -> dict:
     """Mean per-instance pre-activation gradient norm at current parameters.
 
-    All losses see the same eval-mode forward pass, so the comparison is
-    between losses, not between parameter states.
+    All losses see the same forward pass without dropout, so the comparison
+    is between losses, not between parameter states.
     """
-    preact, _ = model.forward(np.asarray(x, dtype=np.float64), "eval")
-    labels = np.asarray(labels)
+    preact, _ = model.forward(x)
     return {
         spec.name: float(loss_grad_preact(spec, preact, labels).per_instance_norms.mean())
         for spec in losses
@@ -306,8 +298,9 @@ def replicate(
     the corrupted labels are drawn per fold from the master seed, so every
     loss of a fold sees the same ones.  Hyperparameter grids, when given,
     are searched per (fold, loss) by dev accuracy with ties going to the
-    earliest grid point.  Failed runs are reported as `FoldOutcome`s
-    carrying the error; remaining cells still run.
+    earliest grid point.  A cell that diverges or meets bad data is reported
+    as a `FoldOutcome` carrying the error and the remaining cells still run;
+    any other exception is a bug and propagates.
     """
     if not cfgs:
         raise ValueError("need at least one loss config")
@@ -331,7 +324,7 @@ def replicate(
                     model_kind, pool, plan, fold_index, cfg, test,
                     master_seed, noise_p, grid, hidden,
                 )
-            except Exception as exc:  # propagate per-run failures as data
+            except (TrainingDiverged, DataError) as exc:  # expected failures are data
                 outcome = FoldOutcome(name, fold_index, cfg.lr, cfg.dropout, None, error=str(exc))
             outcomes.append(outcome)
     return outcomes

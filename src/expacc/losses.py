@@ -1,4 +1,4 @@
-"""The three classification losses: values, fused softmax gradients, curves.
+"""The three classification losses: values, fused softmax gradients, curve tables.
 
 Per instance, with p the predicted class distribution and r the true class:
 
@@ -6,9 +6,11 @@ Per instance, with p the predicted class distribution and r the true class:
     eerr:    -p_r                     (negated expected accuracy)
     leerr:   -(p_r + alpha * log p_r) (leaky expected error)
 
-Batch values are means over instances.  `loss_grad_preact` fuses the loss
-with softmax and returns the gradient with respect to the pre-activation
-scores; with e_r the one-hot vector of r the per-instance closed forms are
+`_losses_of` holds these formulas once; `loss_value`, `bayes_optimal` and
+the fused path all call it.  Batch values are means over instances.
+`loss_grad_preact` fuses the loss with softmax and returns the gradient with
+respect to the pre-activation scores; with e_r the one-hot vector of r the
+per-instance closed forms are
 
     neglog:  p - e_r
     eerr:    p_r * (p - e_r)
@@ -19,9 +21,7 @@ All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +37,12 @@ __all__ = [
     "loss_grad_preact",
     "loss_value",
     "validate_distribution",
-    "write_loss_curves",
 ]
 
 KINDS = ("neglog", "eerr", "leerr")
 
-# Floor for probabilities inside logs.  Only the standalone value path needs
-# it (the fused gradient never divides by p); keeps loss_value total.
+# Floor for probabilities inside logs.  Only loss values need it (the fused
+# gradient never divides by p); keeps loss_value total.
 _P_FLOOR = 1e-12
 
 DEFAULT_ALPHA = 0.1
@@ -98,14 +97,14 @@ def validate_distribution(probs) -> np.ndarray:
     return probs
 
 
-def _per_class_losses(spec: LossSpec, probs: np.ndarray) -> np.ndarray:
-    """Loss as a function of the true class, for one distribution."""
-    p = np.maximum(probs, _P_FLOOR)
-    if spec.kind == "neglog":
-        return -np.log(p)
+def _losses_of(spec: LossSpec, p_true: np.ndarray) -> np.ndarray:
+    """Loss of each probability assigned to the true class, elementwise."""
     if spec.kind == "eerr":
-        return -probs
-    return -(probs + spec.alpha * np.log(p))
+        return -p_true
+    log_p = np.log(np.maximum(p_true, _P_FLOOR))
+    if spec.kind == "neglog":
+        return -log_p
+    return -(p_true + spec.alpha * log_p)
 
 
 def loss_value(spec: LossSpec, probs, true_class: int) -> float:
@@ -113,7 +112,7 @@ def loss_value(spec: LossSpec, probs, true_class: int) -> float:
     probs = validate_distribution(probs)
     if not 0 <= true_class < probs.size:
         raise ValueError(f"true_class {true_class} out of range for k={probs.size}")
-    return float(_per_class_losses(spec, probs)[true_class])
+    return float(_losses_of(spec, probs[true_class]))
 
 
 def loss_grad_preact(spec: LossSpec, preact_batch: np.ndarray, true_classes) -> LossBatchResult:
@@ -134,20 +133,17 @@ def loss_grad_preact(spec: LossSpec, preact_batch: np.ndarray, true_classes) -> 
 
     if spec.kind == "neglog":
         coeff = np.ones(n)
-        values = -np.log(np.maximum(p_true, _P_FLOOR))
     elif spec.kind == "eerr":
         coeff = p_true
-        values = -p_true
     else:
         coeff = p_true + spec.alpha
-        values = -(p_true + spec.alpha * np.log(np.maximum(p_true, _P_FLOOR)))
 
     grad = p.copy()
     grad[rows, r] -= 1.0
     grad *= coeff[:, None]
 
     return LossBatchResult(
-        mean_loss=float(values.mean()),
+        mean_loss=float(_losses_of(spec, p_true).mean()),
         grad_preact=grad / n,
         per_instance_norms=np.linalg.norm(grad, axis=1),
     )
@@ -191,24 +187,6 @@ def emit_loss_curves(grid_size: int, alpha: float = DEFAULT_ALPHA):
     return header_a, table_a, header_b, table_b
 
 
-def _write_csv(path: str, header, table: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in table:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def write_loss_curves(out_dir: str, grid_size: int = 1000, alpha: float = DEFAULT_ALPHA):
-    """Write both curve tables as CSV; returns the two file paths."""
-    header_a, table_a, header_b, table_b = emit_loss_curves(grid_size, alpha)
-    path_a = os.path.join(out_dir, "loss_curves_prob.csv")
-    path_b = os.path.join(out_dir, "loss_curves_preact.csv")
-    _write_csv(path_a, header_a, table_a)
-    _write_csv(path_b, header_b, table_b)
-    return path_a, path_b
-
-
 def _simplex_grid(k: int, steps: int):
     """All distributions over k classes with entries i/steps, lexicographic."""
     if k == 2:
@@ -239,7 +217,7 @@ def bayes_optimal(spec: LossSpec, true_conditional, grid_step: float) -> np.ndar
     best_q = None
     best_risk = math.inf
     for q in _simplex_grid(k, steps):
-        risk = float(true_conditional @ _per_class_losses(spec, q))
+        risk = float(true_conditional @ _losses_of(spec, q))
         if risk < best_risk:
             best_risk = risk
             best_q = q

@@ -1,10 +1,11 @@
 """Differentiable classifiers mapping feature batches to pre-activations.
 
-Two model families: plain logistic regression and a ReLU feedforward network
-with dropout on the input and on every hidden layer.  Both expose the same
-surface: `params()` (flat list of arrays, optimizer order), `forward`
-returning pre-activations plus a backprop trace, and `backward` turning a
-pre-activation gradient into parameter gradients.
+One network class, `Mlp`: a ReLU feedforward network with inverted dropout
+on the input and on every hidden layer.  Logistic regression is that network
+with no hidden layers (`LogisticRegression`).  The surface: `params()` (flat
+list of arrays, optimizer order), `forward` returning pre-activations plus a
+backprop trace, and `backward` turning a pre-activation gradient into
+parameter gradients.
 """
 
 from __future__ import annotations
@@ -48,38 +49,13 @@ class ForwardTrace:
     drop_mults: list
 
 
-class LogisticRegression:
-    """Linear map to class pre-activations: a = x W + b."""
-
-    def __init__(self, rng: Rng, n_features: int, n_classes: int):
-        self.n_classes = n_classes
-        self.W = xavier_init(rng, n_features, n_classes)
-        self.b = np.zeros(n_classes)
-
-    def params(self):
-        return [self.W, self.b]
-
-    def forward(self, x: np.ndarray, mode: str = "eval", rng: Rng | None = None):
-        _check_mode(mode)
-        x = np.asarray(x, dtype=np.float64)
-        preact = x @ self.W + self.b
-        return preact, ForwardTrace([x], [], [None])
-
-    def backward(self, trace: ForwardTrace, grad_preact: np.ndarray):
-        x = trace.layer_inputs[0]
-        if grad_preact.shape != (x.shape[0], self.n_classes):
-            raise ValueError(
-                f"grad_preact shape {grad_preact.shape} does not match trace batch"
-            )
-        return [x.T @ grad_preact, grad_preact.sum(axis=0)]
-
-
 class Mlp:
     """ReLU feedforward classifier with inverted dropout.
 
-    Hidden layout defaults to (300, 200, 100).  In train mode each input and
-    hidden unit is dropped with its layer's probability and survivors are
-    scaled by 1/(1-p), so eval mode is a plain forward pass.
+    Hidden layout defaults to (300, 200, 100); `hidden=()` is the linear map
+    a = x W + b.  When `forward` is given an `Rng`, each input and hidden
+    unit is dropped with probability `dropout` and survivors are scaled by
+    1/(1-p); without one it is a plain forward pass.
     """
 
     def __init__(
@@ -88,98 +64,76 @@ class Mlp:
         n_features: int,
         n_classes: int,
         hidden=(300, 200, 100),
-        input_dropout: float = 0.0,
-        hidden_dropout: float = 0.0,
+        dropout: float = 0.0,
     ):
-        if not 0.0 <= input_dropout < 1.0 or not 0.0 <= hidden_dropout < 1.0:
-            raise ValueError("dropout probabilities must lie in [0, 1)")
-        if not hidden:
-            raise ValueError("mlp needs at least one hidden layer")
-        self.n_features = n_features
-        self.n_classes = n_classes
-        self.hidden = tuple(int(h) for h in hidden)
-        self.input_dropout = input_dropout
-        self.hidden_dropout = hidden_dropout
-        sizes = [n_features, *self.hidden, n_classes]
-        self.weights = [
-            xavier_init(rng, sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)
-        ]
-        self.biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+        if not 0.0 <= dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
+        self.dropout = dropout
+        sizes = [n_features, *hidden, n_classes]
+        self.weights = [xavier_init(rng, m, n) for m, n in zip(sizes, sizes[1:])]
+        self.biases = [np.zeros(n) for n in sizes[1:]]
 
     def params(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     @staticmethod
-    def _drop_mult(shape, p: float, mode: str, rng: Rng | None):
-        if mode == "eval" or p == 0.0:
+    def _drop_mult(shape, p: float, rng: Rng | None):
+        if rng is None or p == 0.0:
             return None
-        if rng is None:
-            raise ValueError("train-mode dropout needs an Rng")
         keep = 1.0 - p
         return (rng.uniform(0.0, 1.0, size=shape) < keep) / keep
 
-    def forward(self, x: np.ndarray, mode: str = "eval", rng: Rng | None = None):
-        _check_mode(mode)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(f"expected (N, {self.n_features}) input, got {x.shape}")
+    def forward(self, x: np.ndarray, rng: Rng | None = None):
+        h = np.asarray(x, dtype=np.float64)
         layer_inputs, relu_masks, drop_mults = [], [], []
-
-        mult = self._drop_mult(x.shape, self.input_dropout, mode, rng)
-        drop_mults.append(mult)
-        h = x if mult is None else x * mult
-
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            layer_inputs.append(h)
-            z = h @ w + b
-            mask = z > 0
-            relu_masks.append(mask)
-            act = z * mask
-            mult = self._drop_mult(act.shape, self.hidden_dropout, mode, rng)
+        # Each layer: ReLU on the previous layer's output (not on x), dropout, linear map.
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if i > 0:
+                mask = h > 0
+                relu_masks.append(mask)
+                h = h * mask
+            mult = self._drop_mult(h.shape, self.dropout, rng)
             drop_mults.append(mult)
-            h = act if mult is None else act * mult
-
-        layer_inputs.append(h)
-        preact = h @ self.weights[-1] + self.biases[-1]
-        return preact, ForwardTrace(layer_inputs, relu_masks, drop_mults)
+            if mult is not None:
+                h = h * mult
+            layer_inputs.append(h)
+            h = h @ w + b
+        return h, ForwardTrace(layer_inputs, relu_masks, drop_mults)
 
     def backward(self, trace: ForwardTrace, grad_preact: np.ndarray):
-        if len(trace.layer_inputs) != len(self.weights):
-            raise ValueError("trace does not match this model's depth")
-        if grad_preact.shape != (trace.layer_inputs[0].shape[0], self.n_classes):
-            raise ValueError(
-                f"grad_preact shape {grad_preact.shape} does not match trace batch"
-            )
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        grads = [None] * (2 * len(self.weights))  # params() order: W0, b0, W1, ...
         g = grad_preact
         for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = trace.layer_inputs[i].T @ g
-            grads_b[i] = g.sum(axis=0)
+            grads[2 * i] = trace.layer_inputs[i].T @ g
+            grads[2 * i + 1] = g.sum(axis=0)
             if i > 0:
                 g = g @ self.weights[i].T
                 if trace.drop_mults[i] is not None:
                     g = g * trace.drop_mults[i]
                 g = g * trace.relu_masks[i - 1]
-        out = []
-        for w, b in zip(grads_w, grads_b):
-            out.extend((w, b))
-        return out
+        return grads
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+class LogisticRegression(Mlp):
+    """Linear map to class pre-activations, a = x W + b: no hidden layers."""
+
+    def __init__(self, rng: Rng, n_features: int, n_classes: int):
+        super().__init__(rng, n_features, n_classes, hidden=())
 
 
-def build_model(kind: str, rng: Rng, n_features: int, n_classes: int, **kwargs):
+def build_model(
+    kind: str,
+    rng: Rng,
+    n_features: int,
+    n_classes: int,
+    hidden=(300, 200, 100),
+    dropout: float = 0.0,
+):
+    """The network of a model kind; `logreg` ignores `hidden`."""
     if kind == "logreg":
-        if any(kwargs.values()):
-            raise ValueError("logreg takes no hidden sizes or dropout")
+        if dropout:
+            raise ValueError("dropout is only meaningful for mlp, not logreg")
         return LogisticRegression(rng, n_features, n_classes)
     if kind == "mlp":
-        return Mlp(rng, n_features, n_classes, **kwargs)
+        return Mlp(rng, n_features, n_classes, hidden, dropout)
     raise ValueError(f"unknown model kind {kind!r}")

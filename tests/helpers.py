@@ -76,7 +76,7 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def fd_param_grads(model, x, y, spec, h: float = 1e-5):
     """Finite differences of the batch-mean loss over every model parameter."""
     def batch_loss():
-        preact, _ = model.forward(x, "eval")
+        preact, _ = model.forward(x)
         return loss_grad_preact(spec, preact, y).mean_loss
 
     grads = []

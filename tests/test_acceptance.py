@@ -43,7 +43,7 @@ def test_criterion_01_gradient_check_suite():
                 break
             # keep hidden pre-activations away from the ReLU kink, where
             # central differences are invalid
-            _, trace = model.forward(x, "eval")
+            _, trace = model.forward(x)
             margins = [
                 np.min(np.abs(inp @ w + b))
                 for inp, w, b in zip(
@@ -52,7 +52,7 @@ def test_criterion_01_gradient_check_suite():
             ]
             if min(margins) > 1e-4:
                 break
-        preact, trace = model.forward(x, "eval")
+        preact, trace = model.forward(x)
         analytic = model.backward(trace, loss_grad_preact(spec, preact, y).grad_preact)
         numeric = fd_param_grads(model, x, y, spec)
         for a, b in zip(analytic, numeric):

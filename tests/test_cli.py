@@ -171,6 +171,29 @@ def test_run_is_byte_identical_across_repeats(tmp_path):
         assert path.read_bytes() == content, f"{path} changed across reruns"
 
 
+def test_rerun_into_same_out_dir_leaves_only_the_new_run(tmp_path):
+    # a smaller rerun removes what the first run's manifest lists, and only that
+    first = write_synthetic_experiment(
+        tmp_path, replication={"scheme": "five_by_two", "max_folds": 4}
+    )
+    out = Path(cmd_run(str(first)))
+    (out / "notes.txt").write_text("not written by expacc\n")
+    (tmp_path / "outside.txt").write_text("not inside out_dir\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["files"]["../outside.txt"] = ""
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+    second = write_synthetic_experiment(
+        tmp_path, replication={"scheme": "five_by_two", "max_folds": 1}
+    )
+    cmd_run(str(second))
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert on_disk == set(manifest["files"]) | {"manifest.json", "notes.txt"}
+    assert "summary.csv" not in on_disk
+    assert (tmp_path / "outside.txt").exists()
+
+
 def test_run_seed_override_changes_results(tmp_path):
     config = write_synthetic_experiment(tmp_path)
     out_default = Path(cmd_run(str(config)))

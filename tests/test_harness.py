@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import expacc.harness
 from expacc.data import make_folds
 from expacc.harness import (
     FoldOutcome,
@@ -195,6 +196,19 @@ def test_replicate_continues_past_failing_fold():
     assert sum(o.ok for o in out) == 3
     bad = next(o for o in out if not o.ok)
     assert bad.fold == 1 and bad.result is None and bad.error
+
+
+def test_replicate_reraises_programming_errors(monkeypatch):
+    # only divergence and bad data become failed-fold rows; a bug propagates
+    def broken(*args, **kwargs):
+        raise TypeError("bug in train_run")
+
+    monkeypatch.setattr(expacc.harness, "train_run", broken)
+    ds = two_gaussians(26, 80, 3, delta=1.0)
+    plan = make_folds(Rng(27), ds.n, "kfold", k=4)
+    cfgs = {"neglog": TrainConfig(loss=NEGLOG, max_epochs=1)}
+    with pytest.raises(TypeError, match="bug in train_run"):
+        replicate("logreg", ds, plan, cfgs)
 
 
 def test_replicate_rejects_noise_level_outside_unit_interval():

@@ -38,7 +38,7 @@ def test_xavier_sample_mean_near_zero():
 
 def test_logreg_zero_parameters_give_uniform_scores():
     model = LogisticRegression(Rng(0), 4, 3)
-    model.W[...] = 0.0
+    model.weights[0][...] = 0.0
     preact, _ = model.forward(np.ones((2, 4)))
     assert np.array_equal(preact, np.zeros((2, 3)))
 
@@ -74,19 +74,43 @@ def test_mlp_dead_relu_blocks_incoming_weight_gradient():
     assert np.all(grads[0][:, dead] == 0.0)
 
 
+def test_mlp_without_hidden_layers_is_logistic_regression():
+    mlp = Mlp(Rng(18), 5, 3, hidden=())
+    logreg = LogisticRegression(Rng(18), 5, 3)
+    for a, b in zip(mlp.params(), logreg.params(), strict=True):
+        assert np.array_equal(a, b)
+    x = Rng(19).normal(size=(4, 5))
+    preact_m, trace_m = mlp.forward(x, Rng(20))
+    preact_l, trace_l = logreg.forward(x)
+    assert np.array_equal(preact_m, preact_l)
+    g = Rng(21).normal(size=(4, 3))
+    for a, b in zip(mlp.backward(trace_m, g), logreg.backward(trace_l, g), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_dropout_masks_are_drawn_only_with_an_rng():
+    model = Mlp(Rng(22), 6, 3, hidden=(8, 6, 4), dropout=0.5)
+    x = Rng(23).normal(size=(3, 6))
+    _, trace = model.forward(x)
+    assert trace.drop_mults == [None] * 4
+    _, trace = model.forward(x, Rng(24))
+    assert len(trace.drop_mults) == 4
+    assert all(m is not None for m in trace.drop_mults)
+
+
 def test_mlp_eval_mode_is_deterministic_despite_dropout():
-    model = Mlp(Rng(9), 6, 3, hidden=(8, 6, 4), input_dropout=0.9, hidden_dropout=0.9)
+    model = Mlp(Rng(9), 6, 3, hidden=(8, 6, 4), dropout=0.9)
     x = Rng(10).normal(size=(3, 6))
-    a, _ = model.forward(x, "eval")
-    b, _ = model.forward(x, "eval")
+    a, _ = model.forward(x)
+    b, _ = model.forward(x)
     assert np.array_equal(a, b)
 
 
 def test_mlp_train_mode_without_dropout_equals_eval():
     model = Mlp(Rng(11), 6, 3, hidden=(8, 6, 4))
     x = Rng(12).normal(size=(3, 6))
-    train_out, _ = model.forward(x, "train", Rng(13))
-    eval_out, _ = model.forward(x, "eval")
+    train_out, _ = model.forward(x, Rng(13))
+    eval_out, _ = model.forward(x)
     assert np.array_equal(train_out, eval_out)
 
 
@@ -98,24 +122,10 @@ def test_dropout_mean_matches_identity():
     trials = 10_000
     acc = np.zeros_like(h)
     for _ in range(trials):
-        acc += Mlp._drop_mult(h.shape, p, "train", rng) * h
+        acc += Mlp._drop_mult(h.shape, p, rng) * h
     mean = acc / trials
     se = np.abs(h) * math.sqrt(p / (1.0 - p)) / math.sqrt(trials)
     assert np.all(np.abs(mean - h) <= 3.0 * se + 1e-12)
-
-
-def test_dropout_requires_rng_in_train_mode():
-    model = Mlp(Rng(16), 4, 2, hidden=(3,), hidden_dropout=0.5)
-    with pytest.raises(ValueError, match="Rng"):
-        model.forward(np.zeros((1, 4)), "train")
-
-
-def test_forward_rejects_bad_mode_and_shape():
-    model = LogisticRegression(Rng(17), 4, 2)
-    with pytest.raises(ValueError, match="mode"):
-        model.forward(np.zeros((1, 4)), "predict")
-    with pytest.raises(ValueError):
-        model.forward(np.zeros((1, 5)))
 
 
 @pytest.mark.parametrize("kind,kw", [("logreg", {}), ("mlp", {"hidden": (8, 6, 4)})])
@@ -130,7 +140,7 @@ def test_end_to_end_gradients_match_finite_differences(kind, kw):
         x = rng.normal(size=(n, d))
         y = rng.integers(0, k, n)
         for spec in specs:
-            preact, trace = model.forward(x, "eval")
+            preact, trace = model.forward(x)
             analytic = model.backward(
                 trace, loss_grad_preact(spec, preact, y).grad_preact
             )
@@ -143,4 +153,4 @@ def test_build_model_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown model kind"):
         build_model("cnn", Rng(0), 3, 2)
     with pytest.raises(ValueError, match="logreg"):
-        build_model("logreg", Rng(0), 3, 2, hidden=(4,))
+        build_model("logreg", Rng(0), 3, 2, dropout=0.5)
