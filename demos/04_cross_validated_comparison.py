@@ -36,13 +36,15 @@ def main():
           f"Bayes error {ndtr(-delta / 2):.3f}\n")
 
     plan = make_folds(Rng(43), pool.n, "five_by_two")
+    # one candidate per learning rate; each fold keeps the best on dev
     cfgs = {
-        spec.name: TrainConfig(loss=spec, batch_size=64, min_epochs=30, patience=10)
+        spec.name: [
+            TrainConfig(loss=spec, lr=lr, batch_size=64, min_epochs=30, patience=10)
+            for lr in (1e-3, 1e-2, 1e-1)
+        ]
         for spec in LOSSES
     }
-    outcomes = replicate(
-        "logreg", pool, plan, cfgs, master_seed=44, lr_grid=[1e-3, 1e-2, 1e-1]
-    )
+    outcomes = replicate("logreg", pool, plan, cfgs, master_seed=44)
 
     print("per-fold test errors (tuned lr in parentheses):")
     for name in cfgs:

@@ -29,10 +29,10 @@ def clustered(seed, n, d, k, spread):
 
 def mean_errors(pool, plan, noise_p):
     cfgs = {
-        spec.name: TrainConfig(
+        spec.name: [TrainConfig(
             loss=spec, lr=5e-3, batch_size=32, patience=8, max_epochs=60,
             dropout=0.1,
-        )
+        )]
         for spec in LOSSES
     }
     outcomes = replicate(

@@ -7,13 +7,15 @@ Subcommands:
     expacc gradnorms <config.yaml>  per-epoch gradient-norm CSV on one fold
 
 Configs are YAML with a fixed key schema (see `validate_config`, which also
-builds each loss's `TrainConfig`); paths may use environment variables and
-are resolved relative to the config file.  `run` and `gradnorms` share one
-path: load the config, its data and its fold plan, then `replicate`;
-`gradnorms` stops after the first fold.  Every run writes a manifest
-recording the config hash, the seed, and the SHA-256 of each emitted file,
-so a rerun with the same seed can be checked byte-for-byte.  A new run
-first deletes the files that an earlier manifest in its directory lists.
+expands the `train` grids into each loss's candidate `TrainConfig`s, so every
+setting is checked before any data loads); paths may use environment
+variables and are resolved relative to the config file.  `run` and
+`gradnorms` share one path: load the config, its data and its fold plan,
+then `replicate`; `gradnorms` stops after the first fold.  Every run writes
+a manifest recording the config hash, the seed, and the SHA-256 of each
+emitted file, so a rerun with the same seed can be checked byte-for-byte.
+A new run first deletes the files that an earlier manifest in its
+directory lists.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import yaml
 
@@ -45,6 +47,8 @@ class ConfigError(Exception):
         super().__init__(f"{field_path}: {message}")
 
 
+# The grid keys of a `train` section and the single value each replaces.
+_GRIDS = {"lr_grid": "lr", "dropout_grid": "dropout"}
 _TRAIN_KEYS = {
     "lr", "batch_size", "max_epochs", "min_epochs", "patience", "dropout",
     "lr_grid", "dropout_grid",
@@ -56,9 +60,7 @@ class ExperimentConfig:
     dataset: dict
     model_kind: str
     hidden: tuple
-    train_cfgs: dict  # loss name -> TrainConfig, in config order
-    lr_grid: list | None
-    dropout_grid: list | None
+    train_cfgs: dict  # loss name -> candidate TrainConfigs, in config order
     scheme: str
     scheme_args: dict
     max_folds: int | None
@@ -94,6 +96,12 @@ def _prob(value, path: str) -> float:
     return float(value)
 
 
+def _rate(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
+        raise ConfigError(path, f"expected a non-negative number, got {value!r}")
+    return float(value)
+
+
 def _count(value, path: str, minimum: int = 1) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(path, f"expected an integer >= {minimum}, got {value!r}")
@@ -121,10 +129,7 @@ def _parse_train(raw: dict, path: str) -> dict:
     _check_keys(raw, _TRAIN_KEYS, path)
     out = {}
     if "lr" in raw:
-        lr = raw["lr"]
-        if not isinstance(lr, (int, float)) or isinstance(lr, bool) or lr < 0:
-            raise ConfigError(f"{path}.lr", f"expected a non-negative number, got {lr!r}")
-        out["lr"] = float(lr)
+        out["lr"] = _rate(raw["lr"], f"{path}.lr")
     if "batch_size" in raw:
         out["batch_size"] = _count(raw["batch_size"], f"{path}.batch_size")
     if "max_epochs" in raw and raw["max_epochs"] is not None:
@@ -135,34 +140,46 @@ def _parse_train(raw: dict, path: str) -> dict:
         out["patience"] = _count(raw["patience"], f"{path}.patience")
     if "dropout" in raw:
         out["dropout"] = _prob(raw["dropout"], f"{path}.dropout")
-    for grid_key in ("lr_grid", "dropout_grid"):
+    for grid_key, key in _GRIDS.items():
         if grid_key in raw and raw[grid_key] is not None:
             values = raw[grid_key]
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"{path}.{grid_key}", "expected a non-empty list")
-            checker = _prob if grid_key == "dropout_grid" else _rate
+            checker = _rate if key == "lr" else _prob
             out[grid_key] = [checker(v, f"{path}.{grid_key}[{i}]") for i, v in enumerate(values)]
     return out
 
 
-def _rate(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-        raise ConfigError(path, f"expected a non-negative number, got {value!r}")
-    return float(value)
+def _config_error(path: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, reporting its ValueError as a ConfigError at `path`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _build_cfgs(losses, train: dict, overrides: dict) -> dict:
-    """One TrainConfig per loss: `train` without the grids, then the loss's
-    overrides.  A rejected combination names the overrides when the loss
-    has any, else `train`."""
-    base = {k: v for k, v in train.items() if k not in ("lr_grid", "dropout_grid")}
+    """Each loss's candidate TrainConfigs, all built (so checked) before any
+    data loads.  `train` without the grids, then the loss's overrides, make
+    one config; a rejected combination names the overrides when the loss
+    has any, else `train`.  Each grid then sets its field to every listed
+    value, lr-major, so ties in dev accuracy go to the earliest point; a
+    rejected value names its grid entry."""
+    base = {k: v for k, v in train.items() if k not in _GRIDS}
     cfgs = {}
     for spec in losses:
         sub = overrides.get(spec.name, {})
-        try:
-            cfgs[spec.name] = TrainConfig(loss=spec, **{**base, **sub})
-        except ValueError as exc:
-            raise ConfigError(f"overrides.{spec.name}" if sub else "train", str(exc)) from None
+        where = f"overrides.{spec.name}" if sub else "train"
+        candidates = [_config_error(where, TrainConfig, loss=spec, **{**base, **sub})]
+        for grid, key in _GRIDS.items():
+            if grid not in train:
+                continue
+            candidates = [
+                _config_error(f"train.{grid}[{i}]", replace, cfg, **{key: value})
+                for cfg in candidates
+                for i, value in enumerate(train[grid])
+            ]
+        cfgs[spec.name] = candidates
     return cfgs
 
 
@@ -205,11 +222,7 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
     for name, sub in (raw.get("overrides") or {}).items():
         if name not in names:
             raise ConfigError(f"overrides.{name}", "does not match any configured loss")
-        sub_parsed = _parse_train(sub, f"overrides.{name}")
-        for bad in ("lr_grid", "dropout_grid"):
-            if bad in sub_parsed:
-                raise ConfigError(f"overrides.{name}.{bad}", "grids are experiment-wide")
-        overrides[name] = sub_parsed
+        overrides[name] = _parse_train(sub, f"overrides.{name}")
 
     replication = _need(raw, "replication", "")
     _check_keys(
@@ -246,19 +259,23 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir", "expected a non-empty path")
 
-    if model_kind == "logreg":
-        sections = [("train", train), *((f"overrides.{n}", s) for n, s in overrides.items())]
-        for path, section in sections:
-            if section.get("dropout", 0.0) or section.get("dropout_grid"):
-                raise ConfigError(f"{path}.dropout", "dropout requires model.kind = mlp")
+    sections = [("train", train), *((f"overrides.{n}", s) for n, s in overrides.items())]
+    for path, section in sections:
+        for grid, key in _GRIDS.items():
+            if grid in section and path != "train":
+                raise ConfigError(f"{path}.{grid}", "grids are experiment-wide")
+            if key in section and grid in train:
+                raise ConfigError(
+                    f"{path}.{key}", f"ignored: train.{grid} replaces it; set one or the other"
+                )
+        if model_kind == "logreg" and (section.get("dropout") or section.get("dropout_grid")):
+            raise ConfigError(f"{path}.dropout", "dropout requires model.kind = mlp")
 
     return ExperimentConfig(
         dataset=dataset,
         model_kind=model_kind,
         hidden=hidden,
         train_cfgs=_build_cfgs(losses, train, overrides),
-        lr_grid=train.get("lr_grid"),
-        dropout_grid=train.get("dropout_grid"),
         scheme=scheme,
         scheme_args=scheme_args,
         max_folds=max_folds,
@@ -290,29 +307,23 @@ def _resolve(path_value: str, config_path: str) -> str:
     return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(config_path)), expanded))
 
 
+def _load_idx_pair(cfg: ExperimentConfig, part: str, name: str):
+    keys = (f"{part}_images", f"{part}_labels")
+    for key in keys:
+        if key not in cfg.dataset:
+            raise ConfigError(f"dataset.{key}", "missing for an IDX dataset")
+    return load_mnist(*(_resolve(cfg.dataset[key], cfg.source_path) for key in keys), name=name)
+
+
 def load_datasets(cfg: ExperimentConfig):
     """Materialize (pool, test) datasets named by the config."""
     ds = cfg.dataset
     name = ds["name"]
     if "train_images" in ds:
-        for key in ("train_images", "train_labels"):
-            if key not in ds:
-                raise ConfigError(f"dataset.{key}", "missing for an IDX dataset")
-        pool = load_mnist(
-            _resolve(ds["train_images"], cfg.source_path),
-            _resolve(ds["train_labels"], cfg.source_path),
-            name=name,
-        )
+        pool = _load_idx_pair(cfg, "train", name)
         test = None
         if "test_images" in ds or "test_labels" in ds:
-            for key in ("test_images", "test_labels"):
-                if key not in ds:
-                    raise ConfigError(f"dataset.{key}", "missing for an IDX dataset")
-            test = load_mnist(
-                _resolve(ds["test_images"], cfg.source_path),
-                _resolve(ds["test_labels"], cfg.source_path),
-                name=f"{name}-test",
-            )
+            test = _load_idx_pair(cfg, "test", f"{name}-test")
         return pool, test
     if "path" not in ds:
         raise ConfigError("dataset.path", "missing (non-IDX datasets need a file path)")
@@ -399,8 +410,6 @@ def _replicate_config(config_path: str, seed_override: int | None, max_folds: in
         test=test,
         master_seed=seed,
         noise_p=experiment.noise_p,
-        lr_grid=experiment.lr_grid,
-        dropout_grid=experiment.dropout_grid,
         hidden=experiment.hidden,
         max_folds=experiment.max_folds if max_folds is None else max_folds,
     )

@@ -6,10 +6,12 @@ pre-activation gradient norm, then restores the best-dev-accuracy epoch and
 measures test accuracy with argmax predictions.
 
 `replicate` runs every (fold, loss) cell of a cross-validated comparison,
-one cell after another, with the pairing guarantees the analysis needs:
-identical fold indices and identical noisy labels across losses within a
-fold, and an independent initialization seed per (master seed, fold, loss).
-Both `expacc run` and `expacc gradnorms` train their cells through it.
+fold by fold, with the pairing guarantees the analysis needs: each fold's
+noisy train/dev data is built once and shared by every loss and every
+candidate config, and every candidate of a cell trains from one
+initialization seed per (master seed, fold, loss).  Only one fold's data is
+alive at a time.  Both `expacc run` and `expacc gradnorms` train their cells
+through it.
 """
 
 from __future__ import annotations
@@ -234,47 +236,36 @@ class FoldOutcome:
         return self.error is None
 
 
-def _fold_test_dataset(pool: Dataset, plan: SplitPlan, test, dev_idx) -> Dataset:
-    if test is not None:
-        return test
-    if plan.test is not None:
-        return pool.subset(plan.test, name=f"{pool.name}-test")
-    # 2-fold convention: the held-out half is both dev and test, with its
-    # original (clean) labels for the test measurement.
-    return pool.subset(dev_idx, name=f"{pool.name}-dev")
-
-
-def _run_cell(
-    model_kind,
-    pool,
-    plan,
-    fold_index,
-    cfg,
-    test,
-    master_seed,
-    noise_p,
-    grid,
-    hidden,
-):
+def _fold_outcomes(model_kind, pool, plan, fold_index, cfgs, test, master_seed, noise_p, hidden):
+    """Train every loss's candidates on one fold's data, built once for them all."""
     train_idx, dev_idx = plan.folds[fold_index]
-    noisy = inject_label_noise(
-        Rng(master_seed).child(_NOISE_KEY, fold_index), pool, noise_p
-    )
+    noisy = inject_label_noise(Rng(master_seed).child(_NOISE_KEY, fold_index), pool, noise_p)
     train_ds = noisy.subset(train_idx, name=f"{pool.name}-train")
     dev_ds = noisy.subset(dev_idx, name=f"{pool.name}-dev")
-    test_ds = _fold_test_dataset(pool, plan, test, dev_idx)
-    # Seed keyed by the loss's canonical index, not dict position, so
-    # reordering cfgs cannot change any run.
-    seed = Rng(master_seed).child(_RUN_KEY, fold_index, KINDS.index(cfg.loss.kind)).seed
-
-    chosen = None
-    for lr, dropout in grid:
-        run_cfg = replace(cfg, lr=lr, dropout=dropout, seed=seed)
-        result = train_run(model_kind, train_ds, dev_ds, test_ds, run_cfg, hidden=hidden)
-        if chosen is None or result.best_dev_acc > chosen[2].best_dev_acc:
-            chosen = (lr, dropout, result)
-    lr, dropout, result = chosen
-    return FoldOutcome(cfg.loss.name, fold_index, lr, dropout, result)
+    if test is None:
+        # No test set given: test on the plan's test part, or, in the 2-fold
+        # convention, on the held-out half, which is both dev and test, with
+        # its original (clean) labels.
+        part, idx = ("dev", dev_idx) if plan.test is None else ("test", plan.test)
+        test = pool.subset(idx, name=f"{pool.name}-{part}")
+    outcomes = []
+    for name, candidates in cfgs.items():
+        # Seed keyed by the loss's canonical index, not dict position, so
+        # reordering cfgs cannot change any run.
+        kind = KINDS.index(candidates[0].loss.kind)
+        seed = Rng(master_seed).child(_RUN_KEY, fold_index, kind).seed
+        best = None
+        for cfg in candidates:
+            run_cfg = replace(cfg, seed=seed)
+            try:
+                result = train_run(model_kind, train_ds, dev_ds, test, run_cfg, hidden=hidden)
+            except (TrainingDiverged, DataError) as exc:  # expected failures are data
+                best = FoldOutcome(name, fold_index, cfg.lr, cfg.dropout, None, error=str(exc))
+                break
+            if best is None or result.best_dev_acc > best.result.best_dev_acc:
+                best = FoldOutcome(name, fold_index, cfg.lr, cfg.dropout, result)
+        outcomes.append(best)
+    return outcomes
 
 
 def replicate(
@@ -286,45 +277,37 @@ def replicate(
     test: Dataset | None = None,
     master_seed: int = 0,
     noise_p: float = 0.0,
-    lr_grid=None,
-    dropout_grid=None,
     hidden=(300, 200, 100),
     max_folds: int | None = None,
 ):
     """Run every fold of `plan` for every loss in `cfgs`, fold by fold.
 
-    `cfgs` maps loss name -> TrainConfig (whose `loss` must match the key).
+    `cfgs` maps loss name -> the non-empty list of candidate TrainConfigs
+    for that loss (each one's `loss` must match the key).  Every candidate
+    of a (fold, loss) cell trains from the same run seed, and the cell keeps
+    the one with the best dev accuracy, ties going to the earliest.
     `noise_p` is the label-noise level of the training/development pool:
     the corrupted labels are drawn per fold from the master seed, so every
-    loss of a fold sees the same ones.  Hyperparameter grids, when given,
-    are searched per (fold, loss) by dev accuracy with ties going to the
-    earliest grid point.  A cell that diverges or meets bad data is reported
-    as a `FoldOutcome` carrying the error and the remaining cells still run;
+    loss of a fold sees the same ones.  A candidate that diverges or meets
+    bad data fails its whole cell, reported as a `FoldOutcome` carrying that
+    candidate's settings and the error, and the remaining cells still run;
     any other exception is a bug and propagates.
     """
     if not cfgs:
         raise ValueError("need at least one loss config")
-    for name, cfg in cfgs.items():
-        if cfg.loss.name != name:
-            raise ValueError(f"config key {name!r} does not match loss {cfg.loss.name!r}")
+    for name, candidates in cfgs.items():
+        if not candidates:
+            raise ValueError(f"no candidate config for loss {name!r}")
+        for cfg in candidates:
+            if cfg.loss.name != name:
+                raise ValueError(f"config key {name!r} does not match loss {cfg.loss.name!r}")
     if not 0.0 <= noise_p <= 1.0:
         raise ValueError(f"noise_p must lie in [0, 1], got {noise_p}")
 
     n_folds = len(plan.folds) if max_folds is None else min(max_folds, len(plan.folds))
     outcomes = []
     for fold_index in range(n_folds):
-        for name, cfg in cfgs.items():
-            grid = [
-                (lr, dropout)
-                for lr in (lr_grid or [cfg.lr])
-                for dropout in (dropout_grid or [cfg.dropout])
-            ]
-            try:
-                outcome = _run_cell(
-                    model_kind, pool, plan, fold_index, cfg, test,
-                    master_seed, noise_p, grid, hidden,
-                )
-            except (TrainingDiverged, DataError) as exc:  # expected failures are data
-                outcome = FoldOutcome(name, fold_index, cfg.lr, cfg.dropout, None, error=str(exc))
-            outcomes.append(outcome)
+        outcomes += _fold_outcomes(
+            model_kind, pool, plan, fold_index, cfgs, test, master_seed, noise_p, hidden
+        )
     return outcomes

@@ -9,25 +9,20 @@ from .numerics import Rng
 __all__ = ["Adam", "minibatches"]
 
 
+# Moment decay rates and denominator guard of the reference formulation
+# (Kingma & Ba, arXiv:1412.6980); only the learning rate is
+# experiment-specific.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Adam with bias correction.
+    """Adam with bias correction.  One instance owns one training run's
+    moment state."""
 
-    Defaults follow the reference formulation (beta1=0.9, beta2=0.999,
-    eps=1e-8); only the learning rate is experiment-specific.  One instance
-    owns one training run's moment state.
-    """
-
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         if lr < 0:
             raise ValueError(f"lr must be >= 0, got {lr}")
-        if not (0 < beta1 < 1 and 0 < beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if eps <= 0:
-            raise ValueError(f"eps must be > 0, got {eps}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = None
         self.v = None
@@ -40,16 +35,16 @@ class Adam:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
             if p.shape != g.shape:
                 raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 def minibatches(rng: Rng, n: int, batch_size: int):

@@ -7,18 +7,24 @@ instructions otherwise.  The two MLP replications are marked `slow`
 (roughly an hour together) and are deselected by default.
 """
 
+import csv
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from expacc.cli import main
 from expacc.data import builtin_schema, load_mnist, load_uci_csv, make_folds
 from expacc.harness import TrainConfig, grad_norm_probe, replicate
 from expacc.losses import LossSpec, bayes_optimal, emit_loss_curves, loss_grad_preact
 from expacc.models import build_model
 from expacc.numerics import Rng
 from expacc.stats import paired_t_test, t_cdf
-from helpers import fd_param_grads, rel_err, require_mnist, require_uci
+from helpers import DATA_ENV, fd_param_grads, rel_err, require_mnist, require_uci, write_idx_pair
 
 NEGLOG, EERR, LEERR = LossSpec("neglog"), LossSpec("eerr"), LossSpec("leerr")
 
@@ -114,20 +120,101 @@ def test_criterion_04_gradient_norm_ratio_on_mnist():
     print(f"\nPASS criterion 4: grad-norm ratio neglog/eerr = {ratio:.1f} >= 10")
 
 
+# CI-tier stand-ins for criteria 4-6: synthetic files with the real files'
+# shapes, under a stand-in $EXPACC_DATA_DIR, driven through the bundled
+# configs and the CLI end to end.  They check the pipeline (loaders, config,
+# replication, artifacts), not the published numbers.
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _bundled_config(tmp_path, monkeypatch, name, train=None, replication=None):
+    """The bundled config `name` with its `train` / `replication` keys
+    updated, writing into `tmp_path`, which stands in for $EXPACC_DATA_DIR."""
+    monkeypatch.setenv(DATA_ENV, str(tmp_path))
+    raw = yaml.safe_load((CONFIGS / name).read_text())
+    raw["train"].update(train or {})
+    raw["replication"].update(replication or {})
+    raw["out_dir"] = str(tmp_path / "out")
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(raw))
+    return path, raw
+
+
+def _assert_manifest_matches(out_dir):
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["files"]
+    for rel, digest in manifest["files"].items():
+        assert hashlib.sha256((out_dir / rel).read_bytes()).hexdigest() == digest, rel
+
+
+def test_criterion_04_stand_in_gradnorms_on_mnist_shaped_idx(tmp_path, monkeypatch):
+    """`expacc gradnorms` on the bundled MNIST config with 28x28 IDX files."""
+    rng = np.random.default_rng(4)
+    mnist = tmp_path / "mnist"
+    mnist.mkdir()
+    for prefix, n in (("train-", 600), ("t10k-", 100)):
+        labels = rng.integers(0, 10, n)
+        pixels = rng.integers(0, 64, (n, 28, 28)) + 16 * labels[:, None, None]
+        write_idx_pair(mnist, pixels, labels.tolist(), prefix=prefix)
+    config, _ = _bundled_config(
+        tmp_path, monkeypatch, "mnist_gradnorms.yaml", train={"max_epochs": 3}
+    )
+    assert main(["gradnorms", str(config)]) == 0
+    out = tmp_path / "out"
+    with open(out / "gradnorms.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["epoch", "neglog_norm", "eerr_norm", "leerr_norm"]
+    assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
+    assert float(rows[1][2]) < float(rows[1][1])
+    _assert_manifest_matches(out)
+    print("\nPASS criterion 4 stand-in: gradnorms on MNIST-shaped IDX files")
+
+
+@pytest.mark.parametrize(
+    "name, n, d, labels",
+    [("pima", 768, 8, ("0", "1")), ("magic", 19_020, 10, ("g", "h"))],
+    ids=["pima", "magic"],
+)
+def test_criterion_05_06_stand_in_run_on_uci_shaped_csv(tmp_path, monkeypatch, name, n, d, labels):
+    """`expacc run` on the bundled UCI config with a schema-shaped CSV."""
+    rng = np.random.default_rng(5)
+    y = rng.integers(0, 2, n)
+    x = rng.normal(size=(n, d)) + 0.8 * y[:, None]
+    (tmp_path / "uci").mkdir()
+    (tmp_path / "uci" / f"{name}.csv").write_text(
+        "".join(",".join(f"{v:.4f}" for v in row) + f",{labels[c]}\n" for row, c in zip(x, y))
+    )
+    config, raw = _bundled_config(
+        tmp_path, monkeypatch, f"{name}_logreg.yaml",
+        train={"min_epochs": 1, "patience": 1, "max_epochs": 3},
+        replication={"max_folds": 2},
+    )
+    assert main(["run", str(config)]) == 0
+    out = tmp_path / "out"
+    with open(out / "runs.csv", newline="") as fh:
+        runs = list(csv.DictReader(fh))
+    assert len(runs) == 2 * len(raw["losses"])
+    for row in runs:
+        assert row["error"] == ""
+        assert float(row["lr"]) in raw["train"]["lr_grid"]
+    assert (out / "summary.csv").is_file()
+    _assert_manifest_matches(out)
+    print(f"\nPASS criterion 5/6 stand-in: run on a {n}x{d} {name}-shaped CSV")
+
+
 def _uci_replicates(name, losses, master_seed=11):
     path = require_uci(name)
     pool = load_uci_csv(path, builtin_schema(name))
     plan = make_folds(Rng(master_seed).child(2), pool.n, "five_by_two")
     cfgs = {
-        spec.name: TrainConfig(
-            loss=spec, batch_size=64, min_epochs=100, patience=15
-        )
+        spec.name: [
+            TrainConfig(loss=spec, lr=lr, batch_size=64, min_epochs=100, patience=15)
+            for lr in (1e-4, 1e-3, 1e-2)
+        ]
         for spec in losses
     }
-    outcomes = replicate(
-        "logreg", pool, plan, cfgs,
-        master_seed=master_seed, lr_grid=[1e-4, 1e-3, 1e-2],
-    )
+    outcomes = replicate("logreg", pool, plan, cfgs, master_seed=master_seed)
     assert all(o.ok for o in outcomes), [o.error for o in outcomes if not o.ok]
     return {
         spec.name: 100.0 * np.mean(
@@ -168,12 +255,12 @@ def mnist_pool_and_test():
 def _mnist_mlp_means(pool, test, noise_p, master_seed=21):
     plan = make_folds(Rng(master_seed).child(2), pool.n, "kfold", k=10)
     cfgs = {
-        spec.name: TrainConfig(
+        spec.name: [TrainConfig(
             loss=spec, lr=1e-3, batch_size=64, patience=30,
             # desk-scale cap; the patience rule stops runs well before this
             max_epochs=150,
             dropout=0.2,
-        )
+        )]
         for spec in (NEGLOG, LEERR)
     }
     outcomes = replicate(

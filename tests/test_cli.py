@@ -129,6 +129,67 @@ def test_config_logreg_dropout_override_is_rejected():
         validate_config(raw)
 
 
+def test_config_rejected_grid_value_names_its_entry_before_data_loads(tmp_path, monkeypatch):
+    # dropout 1.0 passes the [0, 1] probability check but no TrainConfig
+    # accepts it; it must fail config validation, not a later grid point
+    loaded = []
+    monkeypatch.setattr(expacc.cli, "load_datasets", lambda cfg: loaded.append(cfg))
+    config = write_synthetic_experiment(
+        tmp_path,
+        model={"kind": "mlp", "hidden": [4]},
+        train={"dropout_grid": [0.0, 1.0], "batch_size": 32, "max_epochs": 2},
+    )
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(config))
+    assert exc.value.field == "train.dropout_grid[1]"
+    assert main(["run", str(config)]) == 2
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "model, train, overrides, field, message",
+    [
+        ("logreg", {"lr": 0.1, "lr_grid": [0.01, 0.1]}, {}, "train.lr", "replaces it"),
+        ("logreg", {"lr_grid": [0.01, 0.1]}, {"eerr": {"lr": 0.5}}, "overrides.eerr.lr",
+         "replaces it"),
+        ("mlp", {"dropout": 0.2, "dropout_grid": [0.0, 0.5]}, {}, "train.dropout",
+         "replaces it"),
+        ("mlp", {"dropout_grid": [0.0, 0.5]}, {"eerr": {"dropout": 0.1}},
+         "overrides.eerr.dropout", "replaces it"),
+        ("logreg", {}, {"eerr": {"lr_grid": [0.1]}}, "overrides.eerr.lr_grid",
+         "experiment-wide"),
+    ],
+)
+def test_config_grid_conflicts_name_the_key(model, train, overrides, field, message):
+    # a value a grid would ignore is an error, not silently dropped
+    raw = dict(
+        CONFIG_BASE,
+        model={"kind": model},
+        train={**train, "max_epochs": 5},
+        overrides=overrides,
+    )
+    with pytest.raises(ConfigError, match=message) as exc:
+        validate_config(raw)
+    assert exc.value.field == field
+
+
+def test_config_grids_expand_lr_major_into_candidates():
+    raw = dict(
+        CONFIG_BASE,
+        model={"kind": "mlp"},
+        train={"lr_grid": [0.01, 0.1], "dropout_grid": [0.0, 0.5], "max_epochs": 5},
+        overrides={"eerr": {"batch_size": 8}},
+    )
+    cfgs = validate_config(raw).train_cfgs
+    assert list(cfgs) == ["neglog", "eerr"]
+    for name, candidates in cfgs.items():
+        assert [(c.lr, c.dropout) for c in candidates] == [
+            (0.01, 0.0), (0.01, 0.5), (0.1, 0.0), (0.1, 0.5)
+        ]
+        assert {c.loss.name for c in candidates} == {name}
+    assert {c.batch_size for c in cfgs["eerr"]} == {8}
+
+
 def test_yaml_syntax_error_reports_location(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("dataset: {name: x\nlosses: [neglog]\n")
@@ -272,6 +333,31 @@ def test_gradnorms_fails_when_a_cell_fails(tmp_path, monkeypatch, capsys):
     config = write_synthetic_experiment(tmp_path)
     assert main(["gradnorms", str(config)]) == 1
     assert "non-finite loss" in capsys.readouterr().err
+
+
+def test_failed_cell_row_reports_the_candidate_that_failed(tmp_path, monkeypatch):
+    # one diverged grid point fails the whole cell, and the row names it,
+    # not the TrainConfig default lr that no candidate trained with
+    train_run = expacc.harness.train_run
+
+    def diverge_at_second_lr(model_kind, train, dev, test, cfg, hidden):
+        if cfg.lr == 0.2:
+            raise expacc.harness.TrainingDiverged("non-finite loss at epoch 1, batch 0")
+        return train_run(model_kind, train, dev, test, cfg, hidden)
+
+    monkeypatch.setattr(expacc.harness, "train_run", diverge_at_second_lr)
+    config = write_synthetic_experiment(
+        tmp_path,
+        model={"kind": "mlp", "hidden": [4]},
+        train={"lr_grid": [0.01, 0.2, 0.3], "dropout_grid": [0.0, 0.25],
+               "batch_size": 32, "max_epochs": 2},
+        replication={"scheme": "fixed", "train_size": 90, "dev_size": 40},
+    )
+    rows = read_rows(Path(cmd_run(str(config))) / "runs.csv")[1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert (row[2], row[3]) == ("0.2", "0.0")
+        assert "non-finite loss" in row[-1]
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -156,7 +156,7 @@ def test_replicate_pairing_and_order_independence():
     plan = make_folds(Rng(21), ds.n, "five_by_two")
 
     def cfg(spec):
-        return TrainConfig(loss=spec, lr=1e-2, batch_size=32, max_epochs=10)
+        return [TrainConfig(loss=spec, lr=1e-2, batch_size=32, max_epochs=10)]
 
     forward = replicate(
         "logreg", ds, plan, {"neglog": cfg(NEGLOG), "eerr": cfg(EERR)}, master_seed=5,
@@ -176,21 +176,54 @@ def test_replicate_pairing_and_order_independence():
 def test_replicate_tuning_grid_selects_by_dev_accuracy():
     ds = two_gaussians(24, 240, 4, delta=2.0)
     plan = make_folds(Rng(25), ds.n, "fixed", train_size=150, dev_size=60)
-    cfgs = {"neglog": TrainConfig(loss=NEGLOG, lr=1e-9, batch_size=32, max_epochs=15)}
-    out = replicate(
-        "logreg", ds, plan, cfgs, master_seed=2, lr_grid=[1e-9, 5e-2]
-    )
+    cfgs = {
+        "neglog": [
+            TrainConfig(loss=NEGLOG, lr=lr, batch_size=32, max_epochs=15) for lr in (1e-9, 5e-2)
+        ]
+    }
+    out = replicate("logreg", ds, plan, cfgs, master_seed=2)
     assert len(out) == 1
     # the tiny lr leaves the model at its random initialization; the grid
     # search must pick the useful one
     assert out[0].lr == 5e-2
 
 
+def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatch):
+    noise_calls = []
+    inject = expacc.harness.inject_label_noise
+
+    def counting_inject(rng, ds, p):
+        noise_calls.append(p)
+        return inject(rng, ds, p)
+
+    monkeypatch.setattr(expacc.harness, "inject_label_noise", counting_inject)
+    ds = two_gaussians(22, 120, 3, delta=2.0)
+    plan = make_folds(Rng(23), ds.n, "kfold", k=3)
+    cfgs = {
+        spec.name: [TrainConfig(loss=spec, lr=lr, max_epochs=2) for lr in (1e-2, 1e-1)]
+        for spec in (NEGLOG, EERR)
+    }
+    out = replicate("logreg", ds, plan, cfgs, noise_p=0.1, max_folds=2)
+    assert [(o.fold, o.loss) for o in out] == [
+        (0, "neglog"), (0, "eerr"), (1, "neglog"), (1, "eerr")
+    ]
+    assert noise_calls == [0.1, 0.1]
+
+
+def test_replicate_rejects_malformed_candidate_lists():
+    ds = two_gaussians(28, 60, 3, delta=1.0)
+    plan = make_folds(Rng(29), ds.n, "kfold", k=2)
+    with pytest.raises(ValueError, match="no candidate"):
+        replicate("logreg", ds, plan, {"neglog": []})
+    with pytest.raises(ValueError, match="does not match"):
+        replicate("logreg", ds, plan, {"neglog": [TrainConfig(loss=EERR, max_epochs=1)]})
+
+
 def test_replicate_continues_past_failing_fold():
     ds = two_gaussians(26, 80, 3, delta=1.0)
     plan = make_folds(Rng(27), ds.n, "kfold", k=4)
     plan.folds[1] = (plan.folds[1][0], np.array([], dtype=int))  # breaks one fold
-    cfgs = {"neglog": TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=3)}
+    cfgs = {"neglog": [TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=3)]}
     out = replicate("logreg", ds, plan, cfgs, master_seed=3)
     assert sum(not o.ok for o in out) == 1
     assert sum(o.ok for o in out) == 3
@@ -206,7 +239,7 @@ def test_replicate_reraises_programming_errors(monkeypatch):
     monkeypatch.setattr(expacc.harness, "train_run", broken)
     ds = two_gaussians(26, 80, 3, delta=1.0)
     plan = make_folds(Rng(27), ds.n, "kfold", k=4)
-    cfgs = {"neglog": TrainConfig(loss=NEGLOG, max_epochs=1)}
+    cfgs = {"neglog": [TrainConfig(loss=NEGLOG, max_epochs=1)]}
     with pytest.raises(TypeError, match="bug in train_run"):
         replicate("logreg", ds, plan, cfgs)
 
@@ -216,7 +249,7 @@ def test_replicate_rejects_noise_level_outside_unit_interval():
     # becoming a failed-fold row
     ds = two_gaussians(28, 60, 3, delta=1.0)
     plan = make_folds(Rng(29), ds.n, "kfold", k=2)
-    cfgs = {"neglog": TrainConfig(loss=NEGLOG, max_epochs=1)}
+    cfgs = {"neglog": [TrainConfig(loss=NEGLOG, max_epochs=1)]}
     with pytest.raises(ValueError, match="noise_p"):
         replicate("logreg", ds, plan, cfgs, noise_p=1.5)
 
@@ -226,7 +259,7 @@ def test_replicate_noise_keeps_test_labels_clean():
     # a run at noise_p=1 still evaluates against the original dev labels
     ds = two_gaussians(30, 100, 3, delta=3.0)
     plan = make_folds(Rng(31), ds.n, "five_by_two")
-    cfgs = {"neglog": TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32, max_epochs=10)}
+    cfgs = {"neglog": [TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32, max_epochs=10)]}
     out = replicate("logreg", ds, plan, cfgs, master_seed=4, noise_p=1.0, max_folds=2)
     # pure-noise training performs near chance on clean labels, but the
     # errors are measured against clean labels, not the redrawn ones;

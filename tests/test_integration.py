@@ -32,12 +32,13 @@ def test_five_by_two_replication_recovers_bayes_error():
     pool = two_gaussians(42, 1200, d=6, delta=delta)
     plan = make_folds(Rng(43), pool.n, "five_by_two")
     cfgs = {
-        spec.name: TrainConfig(loss=spec, batch_size=64, min_epochs=30, patience=10)
+        spec.name: [
+            TrainConfig(loss=spec, lr=lr, batch_size=64, min_epochs=30, patience=10)
+            for lr in (1e-3, 1e-2, 1e-1)
+        ]
         for spec in (NEGLOG, EERR, LEERR)
     }
-    outcomes = replicate(
-        "logreg", pool, plan, cfgs, master_seed=44, lr_grid=[1e-3, 1e-2, 1e-1]
-    )
+    outcomes = replicate("logreg", pool, plan, cfgs, master_seed=44)
     assert all(o.ok for o in outcomes)
     results = {
         name: [o.result.test_error for o in outcomes if o.loss == name]
@@ -63,10 +64,10 @@ def test_mlp_noise_robustness_direction_on_synthetic_blobs():
 
     def run(noise_p):
         cfgs = {
-            spec.name: TrainConfig(
+            spec.name: [TrainConfig(
                 loss=spec, lr=5e-3, batch_size=32, patience=8, max_epochs=60,
                 dropout=0.1,
-            )
+            )]
             for spec in (NEGLOG, LEERR)
         }
         outcomes = replicate(
