@@ -7,15 +7,16 @@ Subcommands:
     expacc gradnorms <config.yaml>  per-epoch gradient-norm CSV on one fold
 
 Configs are YAML with a fixed key schema (see `validate_config`, which also
-expands the `train` grids into each loss's candidate `TrainConfig`s, so every
-setting is checked before any data loads); paths may use environment
-variables and are resolved relative to the config file.  `run` and
-`gradnorms` share one path: load the config, its data and its fold plan,
-then `replicate`; `gradnorms` stops after the first fold.  Every run writes
+expands the `train` grids into one list of candidate `TrainConfig`s that
+every loss trains, so the comparison is paired and every setting is checked
+before any data loads); paths may use environment variables and are
+resolved relative to the config file.  `run` and `gradnorms` share one
+path: load the config, its data and its fold plan, then `replicate`;
+`gradnorms` stops after the first fold.  Each subcommand renders all of its
+artifacts in memory, then `_publish` replaces the previous run in the
+output directory (the files an earlier manifest there lists) with them and
 a manifest recording the config hash, the seed, and the SHA-256 of each
 emitted file, so a rerun with the same seed can be checked byte-for-byte.
-A new run first deletes the files that an earlier manifest in its
-directory lists.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -33,6 +35,7 @@ import yaml
 from .data import builtin_schema, load_mnist, load_uci_csv, make_folds, UciSchema
 from .harness import _PLAN_KEY, TrainConfig, replicate
 from .losses import KINDS, DEFAULT_ALPHA, LossSpec, emit_loss_curves
+from .models import DEFAULT_HIDDEN
 from .numerics import Rng
 from .stats import render_report, summarize
 
@@ -47,12 +50,8 @@ class ConfigError(Exception):
         super().__init__(f"{field_path}: {message}")
 
 
-# The grid keys of a `train` section and the single value each replaces.
+# The grid keys of the `train` section and the single value each replaces.
 _GRIDS = {"lr_grid": "lr", "dropout_grid": "dropout"}
-_TRAIN_KEYS = {
-    "lr", "batch_size", "max_epochs", "min_epochs", "patience", "dropout",
-    "lr_grid", "dropout_grid",
-}
 
 
 @dataclass
@@ -60,7 +59,7 @@ class ExperimentConfig:
     dataset: dict
     model_kind: str
     hidden: tuple
-    train_cfgs: dict  # loss name -> candidate TrainConfigs, in config order
+    train_cfgs: dict  # loss name -> the shared candidate TrainConfigs, in config order
     scheme: str
     scheme_args: dict
     max_folds: int | None
@@ -125,28 +124,33 @@ def _parse_loss(entry, path: str) -> LossSpec:
         raise ConfigError(f"{path}.alpha", str(exc)) from None
 
 
-def _parse_train(raw: dict, path: str) -> dict:
-    _check_keys(raw, _TRAIN_KEYS, path)
+def _parse_train(raw: dict) -> dict:
+    _check_keys(raw, {"lr", "batch_size", "max_epochs", "min_epochs", "patience",
+                      "dropout", *_GRIDS}, "train")
     out = {}
     if "lr" in raw:
-        out["lr"] = _rate(raw["lr"], f"{path}.lr")
+        out["lr"] = _rate(raw["lr"], "train.lr")
     if "batch_size" in raw:
-        out["batch_size"] = _count(raw["batch_size"], f"{path}.batch_size")
+        out["batch_size"] = _count(raw["batch_size"], "train.batch_size")
     if "max_epochs" in raw and raw["max_epochs"] is not None:
-        out["max_epochs"] = _count(raw["max_epochs"], f"{path}.max_epochs")
+        out["max_epochs"] = _count(raw["max_epochs"], "train.max_epochs")
     if "min_epochs" in raw:
-        out["min_epochs"] = _count(raw["min_epochs"], f"{path}.min_epochs", minimum=0)
+        out["min_epochs"] = _count(raw["min_epochs"], "train.min_epochs", minimum=0)
     if "patience" in raw and raw["patience"] is not None:
-        out["patience"] = _count(raw["patience"], f"{path}.patience")
+        out["patience"] = _count(raw["patience"], "train.patience")
     if "dropout" in raw:
-        out["dropout"] = _prob(raw["dropout"], f"{path}.dropout")
-    for grid_key, key in _GRIDS.items():
-        if grid_key in raw and raw[grid_key] is not None:
-            values = raw[grid_key]
+        out["dropout"] = _prob(raw["dropout"], "train.dropout")
+    for grid, key in _GRIDS.items():
+        if grid in raw and raw[grid] is not None:
+            if key in out:
+                raise ConfigError(
+                    f"train.{key}", f"ignored: train.{grid} replaces it; set one or the other"
+                )
+            values = raw[grid]
             if not isinstance(values, list) or not values:
-                raise ConfigError(f"{path}.{grid_key}", "expected a non-empty list")
+                raise ConfigError(f"train.{grid}", "expected a non-empty list")
             checker = _rate if key == "lr" else _prob
-            out[grid_key] = [checker(v, f"{path}.{grid_key}[{i}]") for i, v in enumerate(values)]
+            out[grid] = [checker(v, f"train.{grid}[{i}]") for i, v in enumerate(values)]
     return out
 
 
@@ -158,36 +162,30 @@ def _config_error(path: str, build, *args, **kwargs):
         raise ConfigError(path, str(exc)) from None
 
 
-def _build_cfgs(losses, train: dict, overrides: dict) -> dict:
-    """Each loss's candidate TrainConfigs, all built (so checked) before any
-    data loads.  `train` without the grids, then the loss's overrides, make
-    one config; a rejected combination names the overrides when the loss
-    has any, else `train`.  Each grid then sets its field to every listed
-    value, lr-major, so ties in dev accuracy go to the earliest point; a
-    rejected value names its grid entry."""
+def _build_cfgs(losses, train: dict) -> dict:
+    """Every loss's candidate TrainConfigs, all built (so checked) before any
+    data loads.  One candidate list comes from `train`: its values without
+    the grids make one config (a rejected combination names `train`), then
+    each grid sets its field to every listed value, lr-major, so ties in dev
+    accuracy go to the earliest point; a rejected value names its grid
+    entry.  Every loss trains the same candidates, so the comparison is
+    paired."""
     base = {k: v for k, v in train.items() if k not in _GRIDS}
-    cfgs = {}
-    for spec in losses:
-        sub = overrides.get(spec.name, {})
-        where = f"overrides.{spec.name}" if sub else "train"
-        candidates = [_config_error(where, TrainConfig, loss=spec, **{**base, **sub})]
-        for grid, key in _GRIDS.items():
-            if grid not in train:
-                continue
+    candidates = [_config_error("train", TrainConfig, loss=losses[0], **base)]
+    for grid, key in _GRIDS.items():
+        if grid in train:
             candidates = [
                 _config_error(f"train.{grid}[{i}]", replace, cfg, **{key: value})
                 for cfg in candidates
                 for i, value in enumerate(train[grid])
             ]
-        cfgs[spec.name] = candidates
-    return cfgs
+    return {spec.name: [replace(c, loss=spec) for c in candidates] for spec in losses}
 
 
 def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfig:
     _check_keys(
         raw,
-        {"dataset", "model", "losses", "train", "overrides", "replication",
-         "noise", "seed", "out_dir"},
+        {"dataset", "model", "losses", "train", "replication", "noise", "seed", "out_dir"},
         "",
     )
     dataset = _need(raw, "dataset", "")
@@ -204,7 +202,7 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
     model_kind = model.get("kind", "logreg")
     if model_kind not in ("logreg", "mlp"):
         raise ConfigError("model.kind", f"expected 'logreg' or 'mlp', got {model_kind!r}")
-    hidden = tuple(model.get("hidden", (300, 200, 100)))
+    hidden = tuple(model.get("hidden", DEFAULT_HIDDEN))
     for i, h in enumerate(hidden):
         _count(h, f"model.hidden[{i}]")
 
@@ -216,13 +214,7 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
     if len(set(names)) != len(names):
         raise ConfigError("losses", f"duplicate loss names in {names}")
 
-    train = _parse_train(raw.get("train") or {}, "train")
-
-    overrides = {}
-    for name, sub in (raw.get("overrides") or {}).items():
-        if name not in names:
-            raise ConfigError(f"overrides.{name}", "does not match any configured loss")
-        overrides[name] = _parse_train(sub, f"overrides.{name}")
+    train = _parse_train(raw.get("train") or {})
 
     replication = _need(raw, "replication", "")
     _check_keys(
@@ -259,23 +251,16 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir", "expected a non-empty path")
 
-    sections = [("train", train), *((f"overrides.{n}", s) for n, s in overrides.items())]
-    for path, section in sections:
-        for grid, key in _GRIDS.items():
-            if grid in section and path != "train":
-                raise ConfigError(f"{path}.{grid}", "grids are experiment-wide")
-            if key in section and grid in train:
-                raise ConfigError(
-                    f"{path}.{key}", f"ignored: train.{grid} replaces it; set one or the other"
-                )
-        if model_kind == "logreg" and (section.get("dropout") or section.get("dropout_grid")):
-            raise ConfigError(f"{path}.dropout", "dropout requires model.kind = mlp")
+    train_cfgs = _build_cfgs(losses, train)
+    if model_kind == "logreg" and any(c.dropout for c in train_cfgs[names[0]]):
+        key = "dropout_grid" if "dropout_grid" in train else "dropout"
+        raise ConfigError(f"train.{key}", "dropout requires model.kind = mlp")
 
     return ExperimentConfig(
         dataset=dataset,
         model_kind=model_kind,
         hidden=hidden,
-        train_cfgs=_build_cfgs(losses, train, overrides),
+        train_cfgs=train_cfgs,
         scheme=scheme,
         scheme_args=scheme_args,
         max_folds=max_folds,
@@ -344,21 +329,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, header, rows) -> str:
-    """Write one CSV artifact; callers format floats with `_fmt`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _csv(header, rows) -> str:
+    """One CSV artifact's text; callers format floats with `_fmt`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _clear_previous_run(out_dir: str) -> None:
@@ -375,19 +352,31 @@ def _clear_previous_run(out_dir: str) -> None:
             os.remove(path)
 
 
-def _write_manifest(out_dir: str, files, *, seed=None, config_bytes: bytes = b"") -> str:
+def _publish(out_dir: str, files: dict, *, seed=None, config_bytes: bytes = b"") -> None:
+    """Replace the run in `out_dir` with `files` ({path relative to out_dir:
+    text}) and a manifest of the seed, the config's hash and each file's.
+
+    Callers render every artifact first, so a run that fails before this
+    leaves the previous one untouched.  Each text is written as UTF-8 and
+    those same bytes are hashed.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    _clear_previous_run(out_dir)
+    digests = {}
+    for rel, text in files.items():
+        data = text.encode("utf-8")
+        path = os.path.join(out_dir, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        digests[rel] = hashlib.sha256(data).hexdigest()
     manifest = {
         "config_sha256": hashlib.sha256(config_bytes).hexdigest() if config_bytes else None,
         "seed": seed,
-        "files": {
-            os.path.relpath(f, out_dir): _sha256(f) for f in sorted(files)
-        },
+        "files": digests,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _replicate_config(config_path: str, seed_override: int | None, max_folds: int | None = None):
@@ -420,11 +409,6 @@ def cmd_run(config_path: str, seed_override: int | None = None) -> str:
     """Execute a replicated experiment; returns the output directory."""
     cfg, seed, pool, outcomes = _replicate_config(config_path, seed_override)
 
-    out_dir = cfg.out_dir
-    metrics_dir = os.path.join(out_dir, "metrics")
-    os.makedirs(metrics_dir, exist_ok=True)
-    _clear_previous_run(out_dir)
-
     runs = []
     for o in outcomes:
         cell = [o.loss, o.fold, _fmt(o.lr), _fmt(o.dropout)]
@@ -434,29 +418,26 @@ def cmd_run(config_path: str, seed_override: int | None = None) -> str:
                          _fmt(r.test_acc), _fmt(r.test_error), ""])
         else:
             runs.append([*cell, "", "", "", "", "", o.error])
-    files = [_write_csv(
-        os.path.join(out_dir, "runs.csv"),
+    files = {"runs.csv": _csv(
         ["loss", "fold", "lr", "dropout", "best_epoch", "epochs",
          "dev_acc", "test_acc", "test_error", "error"],
         runs,
-    )]
+    )}
 
     for o in outcomes:
         if o.ok:
-            files.append(_write_csv(
-                os.path.join(metrics_dir, f"{o.loss}_fold{o.fold:02d}.csv"),
+            files[f"metrics/{o.loss}_fold{o.fold:02d}.csv"] = _csv(
                 ["epoch", "train_loss", "train_acc", "dev_acc", "grad_norm_mean"],
                 ([r.epoch, _fmt(r.train_loss), _fmt(r.train_acc), _fmt(r.dev_acc),
                   _fmt(r.grad_norm_mean)] for r in o.result.records),
-            ))
+            )
 
-    loss_names = list(cfg.train_cfgs)
     by_cell = {(o.loss, o.fold): o for o in outcomes}
     dropped = sorted({o.fold for o in outcomes if not o.ok})
     complete_folds = sorted({o.fold for o in outcomes} - set(dropped))
     results = {
         name: [by_cell[(name, f)].result.test_error for f in complete_folds]
-        for name in loss_names
+        for name in cfg.train_cfgs
     }
     report_lines = []
     if dropped:
@@ -466,41 +447,32 @@ def cmd_run(config_path: str, seed_override: int | None = None) -> str:
                 report_lines.append(f"  fold {o.fold} / {o.loss}: {o.error}")
     if len(complete_folds) >= 2:
         report = summarize(results)
-        files.append(_write_csv(
-            os.path.join(out_dir, "summary.csv"),
+        files["summary.csv"] = _csv(
             ["loss", "mean", "std", "p_vs_best", "flag"],
             ([e.loss, _fmt(e.mean), _fmt(e.std),
               "" if e.p_vs_best is None else _fmt(e.p_vs_best),
               int(e.not_worse_than_best)] for e in report.entries),
-        ))
+        )
         report_lines.append(render_report(report, title=f"{pool.name} / {cfg.model_kind}"))
     else:
         report_lines.append("too few complete folds for a comparison")
+    report_text = "\n".join(report_lines)
+    files["report.txt"] = report_text if report_text.endswith("\n") else report_text + "\n"
 
-    report_path = os.path.join(out_dir, "report.txt")
-    with open(report_path, "w") as fh:
-        fh.write("\n".join(report_lines))
-        if not report_lines[-1].endswith("\n"):
-            fh.write("\n")
-    files.append(report_path)
-
-    files.append(_write_manifest(out_dir, files, seed=seed, config_bytes=cfg.raw_bytes))
-    return out_dir
+    _publish(cfg.out_dir, files, seed=seed, config_bytes=cfg.raw_bytes)
+    return cfg.out_dir
 
 
-def cmd_curves(out_dir: str, grid_size: int = 1000) -> str:
-    """Write both loss-curve tables of `emit_loss_curves` as CSV."""
-    header_a, table_a, header_b, table_b = emit_loss_curves(grid_size)
-    os.makedirs(out_dir, exist_ok=True)
-    _clear_previous_run(out_dir)
-    paths = [
-        _write_csv(os.path.join(out_dir, name), header, ([_fmt(v) for v in row] for row in table))
+def cmd_curves(out_dir: str) -> str:
+    """Write both 1000-point loss-curve tables of `emit_loss_curves` as CSV."""
+    header_a, table_a, header_b, table_b = emit_loss_curves(1000)
+    _publish(out_dir, {
+        name: _csv(header, ([_fmt(v) for v in row] for row in table))
         for name, header, table in (
             ("loss_curves_prob.csv", header_a, table_a),
             ("loss_curves_preact.csv", header_b, table_b),
         )
-    ]
-    _write_manifest(out_dir, paths)
+    })
     return out_dir
 
 
@@ -516,17 +488,14 @@ def cmd_gradnorms(config_path: str, seed_override: int | None = None) -> str:
         raise RuntimeError("; ".join(failed))
     columns = {o.loss: [r.grad_norm_mean for r in o.result.records] for o in outcomes}
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _clear_previous_run(cfg.out_dir)
     n_epochs = max(len(v) for v in columns.values())
-    path = _write_csv(
-        os.path.join(cfg.out_dir, "gradnorms.csv"),
+    table = _csv(
         ["epoch", *(f"{name}_norm" for name in columns)],
         ([e + 1, *(_fmt(v[e]) if e < len(v) else "" for v in columns.values())]
          for e in range(n_epochs)),
     )
-    _write_manifest(cfg.out_dir, [path], seed=seed, config_bytes=cfg.raw_bytes)
-    return path
+    _publish(cfg.out_dir, {"gradnorms.csv": table}, seed=seed, config_bytes=cfg.raw_bytes)
+    return os.path.join(cfg.out_dir, "gradnorms.csv")
 
 
 def main(argv=None) -> int:

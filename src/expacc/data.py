@@ -215,19 +215,12 @@ def builtin_schema(name: str) -> UciSchema:
     return UciSchema.from_dict(yaml.safe_load(ref.read_text()), source=str(ref))
 
 
-def zscore(x: np.ndarray, mean: np.ndarray | None = None, std: np.ndarray | None = None):
-    """Standardize columns; constant columns map to 0.
-
-    When `mean`/`std` are omitted they are fitted on `x` itself (population
-    variance).  Returns (standardized, mean, std) so fitted statistics can be
-    reapplied to other splits without refitting.
-    """
+def zscore(x: np.ndarray) -> np.ndarray:
+    """Standardize columns against their own mean and population standard
+    deviation; constant columns map to 0."""
     x = np.asarray(x, dtype=np.float64)
-    if mean is None:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-    safe = np.where(std > 0, std, 1.0)
-    return (x - mean) / safe, mean, std
+    std = x.std(axis=0)
+    return (x - x.mean(axis=0)) / np.where(std > 0, std, 1.0)
 
 
 def _split_row(line: str, delimiter: str):
@@ -279,7 +272,7 @@ def load_uci_csv(path: str, schema: UciSchema) -> Dataset:
             f"{path}: label {exc.args[0]!r} not in vocabulary {list(vocab)}"
         ) from None
 
-    x, _, _ = zscore(np.array(rows, dtype=np.float64))
+    x = zscore(np.array(rows, dtype=np.float64))
     ds = Dataset(x, labels, k=len(vocab), name=schema.name)
     _check_expected(ds, schema, path)
     return ds

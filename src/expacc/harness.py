@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import DataError, Dataset, EmptyDataError, SplitPlan, inject_label_noise
 from .losses import KINDS, LossSpec, loss_grad_preact
-from .models import build_model
+from .models import DEFAULT_HIDDEN, build_model
 from .numerics import Rng
 from .optim import Adam, minibatches
 
@@ -136,7 +136,7 @@ def train_run(
     dev: Dataset,
     test: Dataset,
     cfg: TrainConfig,
-    hidden=(300, 200, 100),
+    hidden=DEFAULT_HIDDEN,
 ) -> RunResult:
     """Train one model and evaluate its best early-stopping epoch on test.
 
@@ -277,7 +277,7 @@ def replicate(
     test: Dataset | None = None,
     master_seed: int = 0,
     noise_p: float = 0.0,
-    hidden=(300, 200, 100),
+    hidden=DEFAULT_HIDDEN,
     max_folds: int | None = None,
 ):
     """Run every fold of `plan` for every loss in `cfgs`, fold by fold.

@@ -149,7 +149,7 @@ def loss_grad_preact(spec: LossSpec, preact_batch: np.ndarray, true_classes) -> 
     )
 
 
-def emit_loss_curves(grid_size: int, alpha: float = DEFAULT_ALPHA):
+def emit_loss_curves(grid_size: int):
     """Plot-ready tables of the losses in the binary setting.
 
     Table A tabulates the losses against the probability assigned to the
@@ -157,7 +157,7 @@ def emit_loss_curves(grid_size: int, alpha: float = DEFAULT_ALPHA):
     translated to error-rate form (1 - p) so all curves share the 0-1-loss
     convention.  Table B tabulates the sigmoid compositions on a uniform
     grid over pre-activations in [-10, 10] together with their analytic
-    derivatives.
+    derivatives.  The leerr columns use `DEFAULT_ALPHA`.
 
     Returns (header_a, table_a, header_b, table_b) where the tables are
     (grid_size x ncols) arrays matching the headers.
@@ -166,7 +166,7 @@ def emit_loss_curves(grid_size: int, alpha: float = DEFAULT_ALPHA):
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
 
     p = (np.arange(grid_size) + 0.5) / grid_size
-    table_a = np.column_stack([p, -np.log(p), 1.0 - p, 1.0 - p - alpha * np.log(p)])
+    table_a = np.column_stack([p, -np.log(p), 1.0 - p, 1.0 - p - DEFAULT_ALPHA * np.log(p)])
     header_a = ("p", "neglog", "eerr", "leerr")
 
     a = np.linspace(-10.0, 10.0, grid_size)
@@ -177,10 +177,10 @@ def emit_loss_curves(grid_size: int, alpha: float = DEFAULT_ALPHA):
             a,
             -log_s,
             1.0 - s,
-            1.0 - s - alpha * log_s,
+            1.0 - s - DEFAULT_ALPHA * log_s,
             s - 1.0,
             -s * (1.0 - s),
-            -(s + alpha) * (1.0 - s),
+            -(s + DEFAULT_ALPHA) * (1.0 - s),
         ]
     )
     header_b = ("a", "neglog_sig", "eerr_sig", "leerr_sig", "d_neglog", "d_eerr", "d_leerr")

@@ -18,12 +18,17 @@ import numpy as np
 from .numerics import Rng
 
 __all__ = [
+    "DEFAULT_HIDDEN",
     "ForwardTrace",
     "LogisticRegression",
     "Mlp",
     "build_model",
     "xavier_init",
 ]
+
+
+# Hidden-layer sizes of an `mlp` when none are given.
+DEFAULT_HIDDEN = (300, 200, 100)
 
 
 def xavier_init(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -52,7 +57,7 @@ class ForwardTrace:
 class Mlp:
     """ReLU feedforward classifier with inverted dropout.
 
-    Hidden layout defaults to (300, 200, 100); `hidden=()` is the linear map
+    Hidden layout defaults to `DEFAULT_HIDDEN`; `hidden=()` is the linear map
     a = x W + b.  When `forward` is given an `Rng`, each input and hidden
     unit is dropped with probability `dropout` and survivors are scaled by
     1/(1-p); without one it is a plain forward pass.
@@ -63,7 +68,7 @@ class Mlp:
         rng: Rng,
         n_features: int,
         n_classes: int,
-        hidden=(300, 200, 100),
+        hidden=DEFAULT_HIDDEN,
         dropout: float = 0.0,
     ):
         if not 0.0 <= dropout < 1.0:
@@ -126,7 +131,7 @@ def build_model(
     rng: Rng,
     n_features: int,
     n_classes: int,
-    hidden=(300, 200, 100),
+    hidden=DEFAULT_HIDDEN,
     dropout: float = 0.0,
 ):
     """The network of a model kind; `logreg` ignores `hidden`."""

@@ -86,13 +86,13 @@ class ComparisonReport:
     entries: list
 
 
-def summarize(results: dict, alpha: float = ALPHA) -> ComparisonReport:
+def summarize(results: dict) -> ComparisonReport:
     """Compare per-loss replicate vectors of test error.
 
     `results` maps loss name -> equal-length sequence of test errors, paired
     by fold.  The loss with the lowest mean is the reference; every other
     loss is tested against it with the paired t-test and flagged when it is
-    not significantly worse (p >= alpha).  The best loss is always flagged.
+    not significantly worse (p >= ALPHA).  The best loss is always flagged.
     """
     if not results:
         raise ValueError("no results to summarize")
@@ -112,7 +112,7 @@ def summarize(results: dict, alpha: float = ALPHA) -> ComparisonReport:
             entries.append(LossSummary(name, means[name], std, None, True))
         else:
             _, _, p = paired_t_test(values, np.asarray(results[best], dtype=np.float64))
-            entries.append(LossSummary(name, means[name], std, p, p >= alpha))
+            entries.append(LossSummary(name, means[name], std, p, p >= ALPHA))
     return ComparisonReport(best=best, n_replicates=n, entries=entries)
 
 

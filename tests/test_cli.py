@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -117,16 +118,37 @@ def test_config_without_stopping_rule_names_train():
         validate_config(dict(CONFIG_BASE, train={"lr": 0.1}))
 
 
-def test_config_override_conflicting_with_train_names_the_override():
-    raw = dict(CONFIG_BASE, overrides={"eerr": {"min_epochs": 9}})
-    with pytest.raises(ConfigError, match=r"^overrides\.eerr: min_epochs 9 exceeds"):
+def test_config_min_epochs_above_max_epochs_names_train():
+    raw = dict(CONFIG_BASE, train={"min_epochs": 9, "max_epochs": 5})
+    with pytest.raises(ConfigError, match=r"^train: min_epochs 9 exceeds"):
         validate_config(raw)
 
 
-def test_config_logreg_dropout_override_is_rejected():
-    raw = dict(CONFIG_BASE, model={"kind": "logreg"}, overrides={"eerr": {"dropout": 0.5}})
-    with pytest.raises(ConfigError, match=r"overrides\.eerr\.dropout"):
+@pytest.mark.parametrize(
+    "train, field",
+    [
+        ({"dropout": 0.0}, None),
+        ({"dropout": 0.5}, "train.dropout"),
+        ({"dropout_grid": [0.0]}, None),
+        ({"dropout_grid": [0.0, 0.5]}, "train.dropout_grid"),
+    ],
+)
+def test_config_logreg_dropout_names_the_train_key(train, field):
+    # a zero rate is no dropout, so logreg accepts it as a value or a grid
+    raw = dict(CONFIG_BASE, model={"kind": "logreg"}, train={**train, "max_epochs": 5})
+    if field is None:
+        assert {c.dropout for c in validate_config(raw).train_cfgs["eerr"]} == {0.0}
+        return
+    with pytest.raises(ConfigError, match="dropout requires model.kind = mlp") as exc:
         validate_config(raw)
+    assert exc.value.field == field
+
+
+def test_config_with_overrides_section_exits_2_naming_it(tmp_path, capsys):
+    # every loss trains the same candidates; there is no per-loss section
+    config = write_synthetic_experiment(tmp_path, overrides={"eerr": {"lr": 0.5}})
+    assert main(["run", str(config)]) == 2
+    assert "overrides: unknown key" in capsys.readouterr().err
 
 
 def test_config_rejected_grid_value_names_its_entry_before_data_loads(tmp_path, monkeypatch):
@@ -147,28 +169,16 @@ def test_config_rejected_grid_value_names_its_entry_before_data_loads(tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "model, train, overrides, field, message",
+    "model, train, field",
     [
-        ("logreg", {"lr": 0.1, "lr_grid": [0.01, 0.1]}, {}, "train.lr", "replaces it"),
-        ("logreg", {"lr_grid": [0.01, 0.1]}, {"eerr": {"lr": 0.5}}, "overrides.eerr.lr",
-         "replaces it"),
-        ("mlp", {"dropout": 0.2, "dropout_grid": [0.0, 0.5]}, {}, "train.dropout",
-         "replaces it"),
-        ("mlp", {"dropout_grid": [0.0, 0.5]}, {"eerr": {"dropout": 0.1}},
-         "overrides.eerr.dropout", "replaces it"),
-        ("logreg", {}, {"eerr": {"lr_grid": [0.1]}}, "overrides.eerr.lr_grid",
-         "experiment-wide"),
+        ("logreg", {"lr": 0.1, "lr_grid": [0.01, 0.1]}, "train.lr"),
+        ("mlp", {"dropout": 0.2, "dropout_grid": [0.0, 0.5]}, "train.dropout"),
     ],
 )
-def test_config_grid_conflicts_name_the_key(model, train, overrides, field, message):
+def test_config_grid_conflicts_name_the_key(model, train, field):
     # a value a grid would ignore is an error, not silently dropped
-    raw = dict(
-        CONFIG_BASE,
-        model={"kind": model},
-        train={**train, "max_epochs": 5},
-        overrides=overrides,
-    )
-    with pytest.raises(ConfigError, match=message) as exc:
+    raw = dict(CONFIG_BASE, model={"kind": model}, train={**train, "max_epochs": 5})
+    with pytest.raises(ConfigError, match="replaces it") as exc:
         validate_config(raw)
     assert exc.value.field == field
 
@@ -177,16 +187,20 @@ def test_config_grids_expand_lr_major_into_candidates():
     raw = dict(
         CONFIG_BASE,
         model={"kind": "mlp"},
-        train={"lr_grid": [0.01, 0.1], "dropout_grid": [0.0, 0.5], "max_epochs": 5},
-        overrides={"eerr": {"batch_size": 8}},
+        train={"lr_grid": [0.01, 0.1], "dropout_grid": [0.0, 0.5], "batch_size": 8,
+               "max_epochs": 5},
     )
     cfgs = validate_config(raw).train_cfgs
     assert list(cfgs) == ["neglog", "eerr"]
+    assert [(c.lr, c.dropout) for c in cfgs["neglog"]] == [
+        (0.01, 0.0), (0.01, 0.5), (0.1, 0.0), (0.1, 0.5)
+    ]
+    # every loss trains the same candidates: they differ only in `loss`
     for name, candidates in cfgs.items():
-        assert [(c.lr, c.dropout) for c in candidates] == [
-            (0.01, 0.0), (0.01, 0.5), (0.1, 0.0), (0.1, 0.5)
-        ]
         assert {c.loss.name for c in candidates} == {name}
+        assert [replace(c, loss=None) for c in candidates] == [
+            replace(c, loss=None) for c in cfgs["neglog"]
+        ]
     assert {c.batch_size for c in cfgs["eerr"]} == {8}
 
 
@@ -255,6 +269,20 @@ def test_rerun_into_same_out_dir_leaves_only_the_new_run(tmp_path):
     assert (tmp_path / "outside.txt").exists()
 
 
+def test_failed_rerun_leaves_the_previous_run_untouched(tmp_path, monkeypatch):
+    # every artifact is rendered before any file of the previous run is deleted
+    config = write_synthetic_experiment(tmp_path)
+    out = Path(cmd_run(str(config)))
+    first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def fail(results):
+        raise RuntimeError("summary failed")
+
+    monkeypatch.setattr(expacc.cli, "summarize", fail)
+    assert main(["run", str(config), "--seed", "123"]) == 1
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+
+
 def test_run_seed_override_changes_results(tmp_path):
     config = write_synthetic_experiment(tmp_path)
     out_default = Path(cmd_run(str(config)))
@@ -278,19 +306,6 @@ def test_run_fixed_scheme_single_fold(tmp_path):
     # a single replicate cannot support a paired test
     assert not (out / "summary.csv").exists()
     assert "too few complete folds" in (out / "report.txt").read_text()
-
-
-def test_run_applies_per_loss_overrides(tmp_path):
-    config = write_synthetic_experiment(
-        tmp_path,
-        losses=["neglog", "eerr"],
-        overrides={"eerr": {"lr": 0.5}},
-        replication={"scheme": "fixed", "train_size": 90, "dev_size": 40},
-    )
-    out = Path(cmd_run(str(config)))
-    rows = read_rows(out / "runs.csv")[1:]
-    by_loss = {r[0]: float(r[2]) for r in rows}
-    assert by_loss == {"neglog": 0.05, "eerr": 0.5}
 
 
 def test_gradnorms_header_and_lr_zero_constancy(tmp_path):

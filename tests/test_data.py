@@ -19,7 +19,6 @@ from expacc.data import (
     load_mnist,
     load_uci_csv,
     make_folds,
-    zscore,
 )
 from expacc.numerics import Rng
 from helpers import write_idx_pair
@@ -87,15 +86,6 @@ def test_uci_zscore_pool_statistics(tmp_path):
     ds = load_uci_csv(path, UciSchema(name="gen"))
     assert np.max(np.abs(ds.x.mean(axis=0))) < 1e-9
     assert np.max(np.abs(ds.x.var(axis=0) - 1.0)) < 1e-6
-
-
-def test_zscore_reapplies_pool_statistics():
-    pool = np.array([[0.0, 10.0], [2.0, 10.0], [4.0, 10.0]])
-    other = np.array([[2.0, 11.0]])
-    z_pool, mean, std = zscore(pool)
-    z_other, _, _ = zscore(other, mean, std)
-    assert np.allclose(z_pool.mean(axis=0), 0.0)
-    assert np.allclose(z_other[0], [0.0, 1.0])  # constant column stays raw offset
 
 
 def test_uci_schema_drop_and_filter(tmp_path):
