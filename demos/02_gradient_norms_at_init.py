@@ -12,7 +12,7 @@ Run:  python demos/02_gradient_norms_at_init.py
 
 import numpy as np
 
-from expacc.data import Dataset, make_folds
+from expacc.data import Dataset, Rows, make_folds
 from expacc.harness import TrainConfig, grad_norm_probe, train_run
 from expacc.losses import LossSpec
 from expacc.models import build_model
@@ -47,7 +47,7 @@ def main():
     for spec in LOSSES:
         cfg = TrainConfig(loss=spec, lr=1e-4, batch_size=64, max_epochs=8, seed=3)
         result = train_run(
-            "logreg", ds.subset(train_idx), ds.subset(dev_idx), ds.subset(dev_idx), cfg
+            "logreg", Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(dev_idx), cfg
         )
         columns[spec.name] = [r.grad_norm_mean for r in result.records]
     for e in range(8):

@@ -8,6 +8,7 @@ injection, gradient-norm diagnostics, and paired significance tests.
 
 from .data import (
     Dataset,
+    Rows,
     SplitPlan,
     UciSchema,
     builtin_schema,
@@ -60,6 +61,7 @@ __all__ = [
     "NEGLOG",
     "Rng",
     "RunResult",
+    "Rows",
     "SplitPlan",
     "TrainConfig",
     "TrainingDiverged",

@@ -1,7 +1,10 @@
 """Dataset ingestion, normalization, label-noise injection, and fold plans.
 
 Datasets are immutable after loading and safe to share across threads; noise
-injection returns a fresh dataset rather than mutating.
+injection returns a fresh dataset rather than mutating.  A `Rows` names some
+rows of a dataset by an index array without copying them: a training split
+is the fold's pool plus its train indices, and `Dataset.subset` copies only
+the small splits (dev, test) that are evaluated whole.
 
 File formats accepted:
 
@@ -18,6 +21,7 @@ File formats accepted:
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 from importlib import resources
@@ -35,6 +39,7 @@ __all__ = [
     "EmptyDataError",
     "IdxMagicError",
     "IdxTruncatedError",
+    "Rows",
     "SplitPlan",
     "UciSchema",
     "UnknownLabelError",
@@ -114,10 +119,42 @@ class Dataset:
         return Dataset(self.x[idx], self.labels[idx], self.k, name or self.name)
 
 
+@dataclass
+class Rows:
+    """The rows `index` of `ds`, in that order, without a copy of them."""
+
+    ds: Dataset
+    index: np.ndarray
+
+    def __post_init__(self):
+        self.index = np.asarray(self.index)
+        if self.index.ndim != 1 or self.index.dtype.kind not in "iu":
+            raise ValueError(
+                f"row index must be a 1-D integer array, got {self.index.dtype} "
+                f"of shape {self.index.shape}"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.index.size
+
+    @property
+    def d(self) -> int:
+        return self.ds.d
+
+    @property
+    def k(self) -> int:
+        return self.ds.k
+
+
 # --- MNIST IDX ---------------------------------------------------------------
 
 
-def _read_idx_header(raw: bytes, path: str, expected_magic: int, ndim: int):
+def _read_idx(path: str, expected_magic: int, ndim: int, what: str):
+    """The dimensions of an IDX file and its payload as a read-only uint8 view
+    of the file's bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < 4:
         raise IdxTruncatedError(f"{path}: header truncated ({len(raw)} bytes)")
     magic = struct.unpack(">i", raw[:4])[0]
@@ -125,36 +162,28 @@ def _read_idx_header(raw: bytes, path: str, expected_magic: int, ndim: int):
         raise IdxMagicError(
             f"{path}: magic number 0x{magic:08x}, expected 0x{expected_magic:08x}"
         )
-    if len(raw) < 4 * (1 + ndim):
+    header = 4 * (1 + ndim)
+    if len(raw) < header:
         raise IdxTruncatedError(f"{path}: header truncated ({len(raw)} bytes)")
-    dims = struct.unpack(f">{ndim}i", raw[4 : 4 * (1 + ndim)])
-    return dims, raw[4 * (1 + ndim) :]
+    dims = struct.unpack(f">{ndim}i", raw[4:header])
+    size = math.prod(dims)
+    if len(raw) - header != size:
+        raise IdxTruncatedError(
+            f"{path}: expected {size} {what} bytes, found {len(raw) - header}"
+        )
+    return dims, np.frombuffer(raw, dtype=np.uint8, offset=header)
 
 
 def load_mnist(images_path: str, labels_path: str, name: str = "mnist") -> Dataset:
     """Parse an IDX image/label file pair into a flat [0, 1]-scaled dataset."""
-    with open(images_path, "rb") as fh:
-        raw = fh.read()
-    (count, rows, cols), body = _read_idx_header(raw, images_path, IDX_IMAGE_MAGIC, 3)
-    if len(body) != count * rows * cols:
-        raise IdxTruncatedError(
-            f"{images_path}: expected {count * rows * cols} pixel bytes, found {len(body)}"
-        )
-    x = np.frombuffer(body, dtype=np.uint8).reshape(count, rows * cols)
-
-    with open(labels_path, "rb") as fh:
-        raw = fh.read()
-    (label_count,), body = _read_idx_header(raw, labels_path, IDX_LABEL_MAGIC, 1)
-    if len(body) != label_count:
-        raise IdxTruncatedError(
-            f"{labels_path}: expected {label_count} label bytes, found {len(body)}"
-        )
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3, "pixel")
+    (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1, "label")
     if label_count != count:
         raise CountMismatchError(
             f"{images_path} has {count} images but {labels_path} has {label_count} labels"
         )
-    labels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
-    return Dataset(x.astype(np.float64) / 255.0, labels, k=10, name=name)
+    x = pixels.reshape(count, rows * cols)
+    return Dataset(x.astype(np.float64) / 255.0, labels.astype(np.int64), k=10, name=name)
 
 
 # --- UCI delimited text -------------------------------------------------------

@@ -9,9 +9,10 @@ measures test accuracy with argmax predictions.
 fold by fold, with the pairing guarantees the analysis needs: each fold's
 noisy train/dev data is built once and shared by every loss and every
 candidate config, and every candidate of a cell trains from one
-initialization seed per (master seed, fold, loss).  Only one fold's data is
-alive at a time.  Both `expacc run` and `expacc gradnorms` train their cells
-through it.
+initialization seed per (master seed, fold, loss).  Train rows index the
+pool, whose features every fold shares; only the dev and test splits are
+copied, and only one fold's copies are alive at a time.  Both `expacc run`
+and `expacc gradnorms` train their cells through it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, EmptyDataError, SplitPlan, inject_label_noise
+from .data import DataError, Dataset, EmptyDataError, Rows, SplitPlan, inject_label_noise
 from .losses import KINDS, LossSpec, loss_grad_preact
 from .models import DEFAULT_HIDDEN, build_model
 from .numerics import Rng
@@ -132,13 +133,17 @@ def accuracy(model, ds: Dataset) -> float:
 
 def train_run(
     model_kind: str,
-    train: Dataset,
+    train: Rows,
     dev: Dataset,
     test: Dataset,
     cfg: TrainConfig,
     hidden=DEFAULT_HIDDEN,
 ) -> RunResult:
     """Train one model and evaluate its best early-stopping epoch on test.
+
+    Each minibatch gathers its rows of `train.ds` through `train.index`
+    (`take`, the same rows and bits as fancy indexing, with less overhead
+    per call), so the training split is never copied whole.
 
     Stopping: always at `max_epochs` when set; additionally once at least
     `min_epochs` have run and `patience` epochs have passed without a dev
@@ -153,6 +158,7 @@ def train_run(
     batch_rng = root.child(_BATCH)
     dropout_rng = root.child(_DROPOUT)
     opt = Adam(cfg.lr)
+    x, labels, index = train.ds.x, train.ds.labels, train.index
 
     records = []
     best_epoch = 0
@@ -165,8 +171,9 @@ def train_run(
         hit_sum = 0.0
         norm_sum = 0.0
         for batch_no, idx in enumerate(minibatches(batch_rng, train.n, cfg.batch_size)):
-            xb = train.x[idx]
-            yb = train.labels[idx]
+            rows = index.take(idx)
+            xb = x.take(rows, axis=0)
+            yb = labels.take(rows)
             preact, trace = model.forward(xb, dropout_rng)
             batch = loss_grad_preact(cfg.loss, preact, yb)
             if not math.isfinite(batch.mean_loss):
@@ -237,10 +244,13 @@ class FoldOutcome:
 
 
 def _fold_outcomes(model_kind, pool, plan, fold_index, cfgs, test, master_seed, noise_p, hidden):
-    """Train every loss's candidates on one fold's data, built once for them all."""
+    """Train every loss's candidates on one fold's data, built once for them all.
+
+    Train rows index the (noisy) pool; only dev/test are copied.
+    """
     train_idx, dev_idx = plan.folds[fold_index]
     noisy = inject_label_noise(Rng(master_seed).child(_NOISE_KEY, fold_index), pool, noise_p)
-    train_ds = noisy.subset(train_idx, name=f"{pool.name}-train")
+    train = Rows(noisy, train_idx)
     dev_ds = noisy.subset(dev_idx, name=f"{pool.name}-dev")
     if test is None:
         # No test set given: test on the plan's test part, or, in the 2-fold
@@ -258,7 +268,7 @@ def _fold_outcomes(model_kind, pool, plan, fold_index, cfgs, test, master_seed, 
         for cfg in candidates:
             run_cfg = replace(cfg, seed=seed)
             try:
-                result = train_run(model_kind, train_ds, dev_ds, test, run_cfg, hidden=hidden)
+                result = train_run(model_kind, train, dev_ds, test, run_cfg, hidden=hidden)
             except (TrainingDiverged, DataError) as exc:  # expected failures are data
                 best = FoldOutcome(name, fold_index, cfg.lr, cfg.dropout, None, error=str(exc))
                 break

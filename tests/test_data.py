@@ -12,6 +12,7 @@ from expacc.data import (
     EmptyDataError,
     IdxMagicError,
     IdxTruncatedError,
+    Rows,
     UciSchema,
     UnknownLabelError,
     builtin_schema,
@@ -53,6 +54,18 @@ def test_idx_truncated_file(tmp_path):
     img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
     img.write_bytes(img.read_bytes()[:-3])
     with pytest.raises(IdxTruncatedError, match="pixel bytes"):
+        load_mnist(img, lbl)
+
+
+def test_idx_header_and_label_truncation(tmp_path):
+    img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
+    whole = img.read_bytes()
+    img.write_bytes(whole[:10])  # cut inside the dimensions
+    with pytest.raises(IdxTruncatedError, match="header truncated"):
+        load_mnist(img, lbl)
+    img.write_bytes(whole)
+    lbl.write_bytes(lbl.read_bytes() + b"\x00")  # a payload longer than its count
+    with pytest.raises(IdxTruncatedError, match="expected 2 label bytes, found 3"):
         load_mnist(img, lbl)
 
 
@@ -235,3 +248,14 @@ def test_kfold_disjoint_coverage_property(n, k, seed):
     for train, dev in plan.folds:
         assert not set(train.tolist()) & set(dev.tolist())
         assert len(train) + len(dev) == n
+
+
+def test_rows_name_pool_rows_without_copying_them():
+    ds = Dataset(np.arange(12.0).reshape(6, 2), [0, 1, 2, 0, 1, 2], 3, "pool")
+    rows = Rows(ds, np.array([4, 0, 2]))
+    assert (rows.n, rows.d, rows.k) == (3, 2, 3)
+    assert rows.ds is ds
+    assert np.array_equal(ds.x[rows.index], ds.subset([4, 0, 2]).x)
+    for bad in (np.array([True, False] * 3), np.zeros((2, 2), dtype=int), np.array([0.5])):
+        with pytest.raises(ValueError, match="1-D integer"):
+            Rows(ds, bad)

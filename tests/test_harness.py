@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import expacc.harness
-from expacc.data import make_folds
+from expacc.data import Rows, make_folds
 from expacc.harness import (
     FoldOutcome,
     TrainConfig,
@@ -25,7 +25,7 @@ def small_splits(seed=0, n=120, d=4):
     ds = two_gaussians(seed, n, d, delta=2.0)
     plan = make_folds(Rng(seed + 1), n, "fixed", train_size=60, dev_size=30)
     train_idx, dev_idx = plan.folds[0]
-    return ds.subset(train_idx), ds.subset(dev_idx), ds.subset(plan.test)
+    return Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test)
 
 
 def test_config_validation():
@@ -109,7 +109,7 @@ def test_best_epoch_attains_max_dev_accuracy_and_model_reproduces_it():
 
 def test_divergence_aborts_with_location():
     train, dev, test = small_splits(5)
-    train.x[0, 0] = 1e308  # overflows the pre-activations once lr moves weights
+    train.ds.x[train.index[0], 0] = 1e308  # overflows the pre-activations once lr moves weights
     cfg = TrainConfig(loss=NEGLOG, lr=10.0, batch_size=8, max_epochs=50, seed=1)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDiverged, match="epoch"):
@@ -122,10 +122,25 @@ def test_mlp_trains_on_blobs():
     train_idx, dev_idx = plan.folds[0]
     cfg = TrainConfig(loss=LEERR, lr=1e-2, batch_size=32, max_epochs=30, dropout=0.1, seed=2)
     result = train_run(
-        "mlp", ds.subset(train_idx), ds.subset(dev_idx), ds.subset(plan.test),
+        "mlp", Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test),
         cfg, hidden=(16, 12, 8),
     )
     assert result.test_acc > 0.8
+
+
+@pytest.mark.parametrize("kind, dropout", [("logreg", 0.0), ("mlp", 0.25)])
+def test_training_on_pool_rows_matches_training_on_a_copied_split(kind, dropout):
+    # a minibatch gathered through the row index is the one the copy gave
+    ds = blobs(31, 300, d=6, k=3, spread=2.0)
+    plan = make_folds(Rng(32), ds.n, "fixed", train_size=200, dev_size=50)
+    train_idx, dev_idx = plan.folds[0]
+    dev, test = ds.subset(dev_idx), ds.subset(plan.test)
+    cfg = TrainConfig(loss=LEERR, lr=1e-2, batch_size=16, max_epochs=6, dropout=dropout, seed=7)
+    rows = train_run(kind, Rows(ds, train_idx), dev, test, cfg, hidden=(16, 8))
+    copied = ds.subset(train_idx)
+    copy = train_run(kind, Rows(copied, np.arange(copied.n)), dev, test, cfg, hidden=(16, 8))
+    assert rows.records == copy.records
+    assert (rows.best_epoch, rows.test_acc) == (copy.best_epoch, copy.test_acc)
 
 
 def test_grad_norm_probe_ordering_and_scale():
