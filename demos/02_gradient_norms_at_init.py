@@ -24,7 +24,7 @@ LOSSES = [LossSpec("neglog"), LossSpec("eerr"), LossSpec("leerr")]
 def pixel_like_dataset(seed=0, n=6000, d=784, k=10):
     rng = Rng(seed)
     centers = rng.uniform(0.0, 0.6, size=(k, d))
-    y = rng.categorical(k, size=n)
+    y = rng.integers(k, size=n)
     x = np.clip(centers[y] + rng.normal(size=(n, d)) * 0.25, 0.0, 1.0)
     return Dataset(x, y, k, "pixelish")
 

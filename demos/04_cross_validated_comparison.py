@@ -23,7 +23,7 @@ LOSSES = [LossSpec("neglog"), LossSpec("eerr"), LossSpec("leerr")]
 
 def gaussian_pair(seed, n, d, delta):
     rng = Rng(seed)
-    y = rng.categorical(2, size=n)
+    y = rng.integers(2, size=n)
     x = rng.normal(size=(n, d))
     x[:, 0] += np.where(y == 1, delta / 2.0, -delta / 2.0)
     return Dataset(x, y, 2, "gauss-pair")

@@ -22,7 +22,7 @@ LOSSES = [LossSpec("neglog"), LossSpec("leerr")]
 def clustered(seed, n, d, k, spread):
     rng = Rng(seed)
     centers = rng.uniform(-spread, spread, size=(k, d))
-    y = rng.categorical(k, size=n)
+    y = rng.integers(k, size=n)
     x = centers[y] + rng.normal(size=(n, d))
     return Dataset(x, y, k, "clusters")
 

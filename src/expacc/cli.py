@@ -182,6 +182,28 @@ def _build_cfgs(losses, train: dict) -> dict:
     return {spec.name: [replace(c, loss=spec) for c in candidates] for spec in losses}
 
 
+def _check_dataset(dataset: dict) -> None:
+    """The section names one format's files: an IDX train pair and an
+    optional test pair (both or neither), or a CSV `path` with its
+    optional `schema`; a key of the other format is an error, not ignored."""
+    train, test = ("train_images", "train_labels"), ("test_images", "test_labels")
+    if not any(key in dataset for key in train):
+        for key in test:
+            if key in dataset:
+                raise ConfigError(f"dataset.{key}",
+                                  "an IDX key, but dataset.train_images is not set")
+        _need(dataset, "path", "dataset")
+        return
+    for key in ("path", "schema"):
+        if key in dataset:
+            raise ConfigError(f"dataset.{key}", "a CSV key, but this is an IDX dataset")
+    for pair in (train, test) if any(key in dataset for key in test) else (train,):
+        for key in pair:
+            if key not in dataset:
+                raise ConfigError(f"dataset.{key}", f"missing: dataset.{pair[0]} and "
+                                  f"dataset.{pair[1]} come as a pair")
+
+
 def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfig:
     _check_keys(
         raw,
@@ -196,6 +218,7 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
         "dataset",
     )
     _need(dataset, "name", "dataset")
+    _check_dataset(dataset)
 
     model = raw.get("model") or {}
     _check_keys(model, {"kind", "hidden"}, "model")
@@ -294,26 +317,21 @@ def _resolve(path_value: str, config_path: str) -> str:
 
 def _load_idx_pair(cfg: ExperimentConfig, part: str, name: str):
     keys = (f"{part}_images", f"{part}_labels")
-    for key in keys:
-        if key not in cfg.dataset:
-            raise ConfigError(f"dataset.{key}", "missing for an IDX dataset")
     return load_mnist(*(_resolve(cfg.dataset[key], cfg.source_path) for key in keys), name=name)
 
 
 def load_datasets(cfg: ExperimentConfig):
-    """Materialize (pool, test) datasets named by the config."""
+    """Materialize (pool, test) datasets named by a validated config."""
     ds = cfg.dataset
     name = ds["name"]
     if "train_images" in ds:
         pool = _load_idx_pair(cfg, "train", name)
-        test = None
-        if "test_images" in ds or "test_labels" in ds:
-            test = _load_idx_pair(cfg, "test", f"{name}-test")
+        test = _load_idx_pair(cfg, "test", f"{name}-test") if "test_images" in ds else None
         return pool, test
-    if "path" not in ds:
-        raise ConfigError("dataset.path", "missing (non-IDX datasets need a file path)")
     if "schema" in ds:
-        schema = UciSchema.from_file(_resolve(ds["schema"], cfg.source_path))
+        schema = _config_error(
+            "dataset.schema", UciSchema.from_file, _resolve(ds["schema"], cfg.source_path)
+        )
     else:
         try:
             schema = builtin_schema(name)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -201,26 +201,29 @@ class UciSchema:
     keep_labels: tuple | None = None  # raw label whitelist (row filter)
     expected: dict = field(default_factory=dict)  # instances / features / classes
 
+    def __post_init__(self):
+        unknown = set(self.expected) - {"instances", "features", "classes"}
+        if unknown:
+            raise ValueError(f"{self.name}: unknown expected keys {sorted(unknown)}")
+
     @classmethod
     def from_file(cls, path: str) -> "UciSchema":
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            try:
+                raw = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         return cls.from_dict(raw, source=path)
 
     @classmethod
     def from_dict(cls, raw: dict, source: str = "<schema>") -> "UciSchema":
-        known = {
-            "name",
-            "label_column",
-            "delimiter",
-            "drop_columns",
-            "label_values",
-            "keep_labels",
-            "expected",
-        }
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError(f"{source}: expected a mapping, got {type(raw).__name__}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"{source}: unknown schema keys {sorted(unknown)}")
+        if "name" not in raw:
+            raise ValueError(f"{source}: missing required key 'name'")
         return cls(
             name=raw["name"],
             label_column=int(raw.get("label_column", -1)),
@@ -308,11 +311,8 @@ def load_uci_csv(path: str, schema: UciSchema) -> Dataset:
 
 
 def _check_expected(ds: Dataset, schema: UciSchema, path: str) -> None:
-    exp = schema.expected
     actual = {"instances": ds.n, "features": ds.d, "classes": ds.k}
-    for key, want in exp.items():
-        if key not in actual:
-            raise ValueError(f"{schema.name}: unknown expected key {key!r}")
+    for key, want in schema.expected.items():
         if actual[key] != want:
             raise CountMismatchError(
                 f"{path}: {key}={actual[key]}, schema {schema.name} expects {want}"
@@ -336,7 +336,7 @@ def inject_label_noise(rng: Rng, ds: Dataset, p: float) -> Dataset:
         return ds
     hit = rng.uniform(0.0, 1.0, size=ds.n) < p
     labels = ds.labels.copy()
-    labels[hit] = rng.categorical(ds.k, size=int(hit.sum()))
+    labels[hit] = rng.integers(ds.k, size=int(hit.sum()))
     return Dataset(ds.x, labels, ds.k, ds.name)
 
 

@@ -1,7 +1,8 @@
 """Stable activations and seeded randomness.
 
 All numeric data lives in row-major (C-order) float64 numpy arrays; batches
-put one instance per row.
+put one instance per row.  `Rng` is numpy's PCG64 `Generator` plus `child`,
+the rule that derives every stream of a run from its one seed.
 """
 
 from __future__ import annotations
@@ -40,41 +41,20 @@ def sigmoid(a):
     return out
 
 
-class Rng:
-    """Deterministic pseudo-random source.
+class Rng(np.random.Generator):
+    """numpy's PCG64 `Generator`, built from a seed it keeps.
 
-    Wraps numpy's PCG64 bit generator: a given seed produces the same draw
-    sequence on every platform (for a fixed numpy version).  Instances are
-    cheap; derive independent streams with `child` instead of sharing one.
+    A given seed produces the same draw sequence on every platform (for a
+    fixed numpy version).  Draw with numpy's own methods (`uniform`,
+    `permutation`, `integers`, `normal`, ...); derive independent streams
+    with `child` instead of sharing one.
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+        super().__init__(np.random.PCG64(seed))
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, *keys: int) -> "Rng":
         """Derive an independent generator keyed by (seed, *keys)."""
         derived = np.random.SeedSequence([self.seed, *map(int, keys)])
         return Rng(int(derived.generate_state(1, np.uint64)[0]))
-
-    def uniform(self, lo: float, hi: float, size=None):
-        if not lo < hi:
-            raise ValueError(f"empty uniform range [{lo}, {hi})")
-        return self._gen.uniform(lo, hi, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        """A shuffle of 0..n-1."""
-        if n < 0:
-            raise ValueError(f"cannot permute {n} items")
-        return self._gen.permutation(n)
-
-    def categorical(self, k: int, size=None):
-        """Uniform class index draw(s) from {0, .., k-1}."""
-        if k < 1:
-            raise ValueError(f"categorical needs k >= 1, got {k}")
-        return self._gen.integers(0, k, size=size)
-
-    def normal(self, size=None):
-        return self._gen.standard_normal(size=size)

@@ -51,7 +51,5 @@ def minibatches(rng: Rng, n: int, batch_size: int):
     """Freshly shuffled index batches covering 0..n-1; last may be short."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if n == 0:
-        return []
     perm = rng.permutation(n)
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]

@@ -34,7 +34,7 @@ def two_gaussians(seed: int, n: int, d: int, delta: float, name: str = "gauss2")
     is Phi(-delta / 2), computable independently of any classifier.
     """
     rng = Rng(seed)
-    y = rng.categorical(2, size=n)
+    y = rng.integers(2, size=n)
     x = rng.normal(size=(n, d))
     x[:, 0] += np.where(y == 1, delta / 2.0, -delta / 2.0)
     return Dataset(x, y, 2, name)
@@ -44,7 +44,7 @@ def blobs(seed: int, n: int, d: int, k: int, spread: float = 1.0, name: str = "b
     """k Gaussian clusters with random centers; labels are cluster ids."""
     rng = Rng(seed)
     centers = rng.uniform(-spread, spread, size=(k, d))
-    y = rng.categorical(k, size=n)
+    y = rng.integers(k, size=n)
     x = centers[y] + rng.normal(size=(n, d))
     return Dataset(x, y, k, name)
 

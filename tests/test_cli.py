@@ -14,6 +14,7 @@ from expacc.cli import (
     cmd_gradnorms,
     cmd_run,
     load_config,
+    load_datasets,
     main,
     validate_config,
 )
@@ -25,7 +26,7 @@ def write_synthetic_experiment(tmp_path: Path, **config_overrides) -> Path:
     tmp_path.mkdir(parents=True, exist_ok=True)
     rng = Rng(99)
     n = 160
-    y = rng.categorical(2, size=n)
+    y = rng.integers(2, size=n)
     x = rng.normal(size=(n, 4))
     x[:, 0] += np.where(y == 1, 1.2, -1.2)
     csv_path = tmp_path / "synth.csv"
@@ -202,6 +203,73 @@ def test_config_grids_expand_lr_major_into_candidates():
             replace(c, loss=None) for c in cfgs["neglog"]
         ]
     assert {c.batch_size for c in cfgs["eerr"]} == {8}
+
+
+CSV_DATASET = {"name": "synth", "path": "synth.csv", "schema": "synth_schema.yaml"}
+IDX_DATASET = {"name": "synth", "train_images": "train-images", "train_labels": "train-labels"}
+
+
+@pytest.mark.parametrize(
+    "dataset, field",
+    [
+        ({**CSV_DATASET, "test_images": "missing-file"}, "dataset.test_images"),
+        ({**IDX_DATASET, "path": "nothere.csv", "schema": "nothere.yaml"}, "dataset.path"),
+        ({**IDX_DATASET, "schema": "nothere.yaml"}, "dataset.schema"),
+        ({**IDX_DATASET, "test_images": "t10k-images"}, "dataset.test_labels"),
+        ({"name": "synth", "train_images": "train-images"}, "dataset.train_labels"),
+        ({"name": "synth", "schema": "synth_schema.yaml"}, "dataset.path"),
+    ],
+)
+def test_dataset_keys_of_the_other_format_fail_before_data_loads(
+    tmp_path, monkeypatch, dataset, field
+):
+    # a key the dataset's format would ignore, or half of an IDX pair, is a
+    # config error found before any file is read
+    loaded = []
+    monkeypatch.setattr(expacc.cli, "load_datasets", lambda cfg: loaded.append(cfg))
+    config = write_synthetic_experiment(tmp_path, dataset=dataset)
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(config))
+    assert exc.value.field == field
+    assert main(["run", str(config)]) == 2
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "schema_text, message",
+    [
+        ("label_column: -1\n", "missing required key 'name'"),
+        ("name: synth\nlabel_col: -1\n", r"unknown schema keys \['label_col'\]"),
+        ("- name\n- synth\n", "expected a mapping, got list"),
+        ("name: synth\nlabel_column: [1\n", "while parsing a flow sequence"),
+    ],
+)
+def test_bad_schema_file_is_a_config_error_naming_the_file(
+    tmp_path, monkeypatch, schema_text, message
+):
+    read = []
+    monkeypatch.setattr(expacc.cli, "load_uci_csv", lambda *args: read.append(args))
+    config = write_synthetic_experiment(tmp_path)
+    schema = tmp_path / "synth_schema.yaml"
+    schema.write_text(schema_text)
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_datasets(load_config(str(config)))
+    assert exc.value.field == "dataset.schema"
+    assert str(schema) in str(exc.value)
+    assert main(["run", str(config)]) == 2
+    assert read == []
+
+
+def test_unknown_expected_count_in_schema_file_fails_before_data_loads(tmp_path, monkeypatch):
+    read = []
+    monkeypatch.setattr(expacc.cli, "load_uci_csv", lambda *args: read.append(args))
+    config = write_synthetic_experiment(tmp_path)
+    (tmp_path / "synth_schema.yaml").write_text("name: synth\nexpected: {rows: 160}\n")
+    with pytest.raises(ConfigError, match=r"synth: unknown expected keys \['rows'\]") as exc:
+        load_datasets(load_config(str(config)))
+    assert exc.value.field == "dataset.schema"
+    assert main(["run", str(config)]) == 2
+    assert read == []
 
 
 def test_yaml_syntax_error_reports_location(tmp_path):

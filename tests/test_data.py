@@ -159,7 +159,7 @@ def test_builtin_schemas_cover_the_paper_uci_suite():
 
 def make_dataset(seed, n, k=10, d=3):
     rng = Rng(seed)
-    return Dataset(rng.normal(size=(n, d)), rng.categorical(k, size=n), k, "synt")
+    return Dataset(rng.normal(size=(n, d)), rng.integers(k, size=n), k, "synt")
 
 
 def test_noise_zero_probability_is_identity():

@@ -94,7 +94,7 @@ def test_gradient_norm_ratio_on_pixel_like_data():
     rng = Rng(60)
     k, d, n = 10, 784, 8000
     centers = rng.uniform(0.0, 0.6, size=(k, d))
-    y = rng.categorical(k, size=n)
+    y = rng.integers(k, size=n)
     x = np.clip(centers[y] + rng.normal(size=(n, d)) * 0.25, 0.0, 1.0)
     model = build_model("logreg", Rng(61), d, k)
     norms = grad_norm_probe(model, x, y, [NEGLOG, EERR])

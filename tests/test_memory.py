@@ -20,7 +20,7 @@ CFGS = {"neglog": [TrainConfig(loss=LossSpec("neglog"), lr=1e-3, max_epochs=1)]}
 
 def mnist_shaped_pool(n=4000, d=784, k=10):
     rng = Rng(0)
-    return Dataset(rng.uniform(0.0, 1.0, size=(n, d)), rng.categorical(k, size=n), k, "pool")
+    return Dataset(rng.uniform(0.0, 1.0, size=(n, d)), rng.integers(k, size=n), k, "pool")
 
 
 def run(pool):

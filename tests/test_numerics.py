@@ -86,15 +86,19 @@ def test_rng_shuffle_single_element():
     assert Rng(0).permutation(1).tolist() == [0]
 
 
-def test_rng_categorical_forced():
-    assert all(Rng(3).categorical(1) == 0 for _ in range(10))
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5])
+def test_rng_draws_are_numpys_pcg64_stream(seed):
+    # checked against numpy itself, not golden numbers, so it holds on any
+    # numpy release
+    ours, reference = Rng(seed), np.random.Generator(np.random.PCG64(seed))
+    assert np.array_equal(ours.uniform(-0.5, 0.5, size=64), reference.uniform(-0.5, 0.5, size=64))
+    assert np.array_equal(ours.permutation(97), reference.permutation(97))
+    assert np.array_equal(ours.integers(7, size=64), reference.integers(7, size=64))
 
 
-def test_rng_empty_uniform_range():
-    with pytest.raises(ValueError, match="empty"):
-        Rng(0).uniform(1.0, 1.0)
-
-
-def test_rng_categorical_requires_positive_k():
-    with pytest.raises(ValueError):
-        Rng(0).categorical(0)
+@pytest.mark.parametrize("seed, keys", [(0, ()), (7, (1, 2)), (2**40, (3, 0, 9))])
+def test_rng_child_seed_is_the_seed_sequence_rule(seed, keys):
+    want = np.random.SeedSequence([seed, *keys]).generate_state(1, np.uint64)[0]
+    child = Rng(seed).child(*keys)
+    assert child.seed == int(want)
+    assert np.array_equal(child.uniform(0, 1, size=8), Rng(int(want)).uniform(0, 1, size=8))
