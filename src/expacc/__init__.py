@@ -18,6 +18,7 @@ from .data import (
     make_folds,
 )
 from .harness import (
+    CellResult,
     EpochRecord,
     FoldOutcome,
     RunResult,
@@ -48,6 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
+    "CellResult",
     "ComparisonReport",
     "Dataset",
     "EERR",

@@ -1,10 +1,11 @@
 """Dataset ingestion, normalization, label-noise injection, and fold plans.
 
 Datasets are immutable after loading and safe to share across threads; noise
-injection returns a fresh dataset rather than mutating.  A `Rows` names some
-rows of a dataset by an index array without copying them: a training split
-is the fold's pool plus its train indices, and `Dataset.subset` copies only
-the small splits (dev, test) that are evaluated whole.
+injection returns a fresh label array rather than mutating.  A `Rows` names
+some rows of a dataset by an index array without copying them, optionally
+under another label array: a training split is the fold's pool plus its
+train indices and (noisy) labels, and `Dataset.subset` copies only the small
+splits (dev, test) that are evaluated whole.
 
 File formats accepted:
 
@@ -121,10 +122,15 @@ class Dataset:
 
 @dataclass
 class Rows:
-    """The rows `index` of `ds`, in that order, without a copy of them."""
+    """The rows `index` of `ds`, in that order, without a copy of them.
+
+    `labels` holds a label for every row of `ds` (default: its own), so one
+    pool's features can carry a fold's noisy labels.
+    """
 
     ds: Dataset
     index: np.ndarray
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.index = np.asarray(self.index)
@@ -132,6 +138,13 @@ class Rows:
             raise ValueError(
                 f"row index must be a 1-D integer array, got {self.index.dtype} "
                 f"of shape {self.index.shape}"
+            )
+        self.labels = (
+            self.ds.labels if self.labels is None else np.asarray(self.labels, dtype=np.int64)
+        )
+        if self.labels.shape != self.ds.labels.shape:
+            raise CountMismatchError(
+                f"{self.ds.name}: {self.ds.n} instances but {self.labels.shape[0]} labels"
             )
 
     @property
@@ -224,18 +237,30 @@ class UciSchema:
             raise ValueError(f"{source}: unknown schema keys {sorted(unknown)}")
         if "name" not in raw:
             raise ValueError(f"{source}: missing required key 'name'")
+
+        def checked(key, v, kinds, what):
+            # bool is an int subclass, but `true` is no column number
+            if not isinstance(v, kinds) or isinstance(v, bool):
+                raise ValueError(f"{source}: {key} must be {what}, got {v!r}")
+            return v
+
+        def listed(key, kinds, what):
+            items = checked(key, raw.get(key) or [], list, "a list")
+            return tuple(checked(f"{key}[{i}]", v, kinds, what) for i, v in enumerate(items))
+
+        expected = checked("expected", raw.get("expected") or {}, dict, "a mapping")
+        for key, count in expected.items():
+            checked(f"expected.{key}", count, int, "an integer")
         return cls(
-            name=raw["name"],
-            label_column=int(raw.get("label_column", -1)),
-            delimiter=raw.get("delimiter", ","),
-            drop_columns=tuple(raw.get("drop_columns") or ()),
-            label_values=tuple(str(v) for v in raw["label_values"])
-            if raw.get("label_values")
-            else None,
-            keep_labels=tuple(str(v) for v in raw["keep_labels"])
-            if raw.get("keep_labels")
-            else None,
-            expected=dict(raw.get("expected") or {}),
+            name=checked("name", raw["name"], str, "a string"),
+            label_column=checked("label_column", raw.get("label_column", -1), int, "an integer"),
+            delimiter=checked("delimiter", raw.get("delimiter", ","), str, "a string"),
+            drop_columns=listed("drop_columns", int, "a column number"),
+            label_values=tuple(map(str, listed("label_values", (str, int, float), "a label")))
+            or None,
+            keep_labels=tuple(map(str, listed("keep_labels", (str, int, float), "a label")))
+            or None,
+            expected=expected,
         )
 
 
@@ -322,22 +347,24 @@ def _check_expected(ds: Dataset, schema: UciSchema, path: str) -> None:
 # --- label noise ---------------------------------------------------------------
 
 
-def inject_label_noise(rng: Rng, ds: Dataset, p: float) -> Dataset:
-    """Independently redraw each label uniformly over all classes w.p. `p`.
+def inject_label_noise(rng: Rng, ds: Dataset, p: float) -> np.ndarray:
+    """The labels of `ds`, each independently redrawn uniformly over all
+    classes w.p. `p`.
 
     The redraw may coincide with the original label, so the expected fraction
-    of changed labels is p * (k-1)/k.  Features are shared, labels are a new
-    array.  Apply this to training/development pools only; held-out test
-    datasets stay untouched by construction.
+    of changed labels is p * (k-1)/k.  The result is a new array (`ds.labels`
+    itself when p is 0) that pairs with the unchanged features of `ds`, as
+    `Rows` labels or a dev `Dataset`'s.  Apply this to training/development
+    pools only; held-out test datasets stay untouched by construction.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must lie in [0, 1], got {p}")
     if p == 0.0:
-        return ds
+        return ds.labels
     hit = rng.uniform(0.0, 1.0, size=ds.n) < p
     labels = ds.labels.copy()
     labels[hit] = rng.integers(ds.k, size=int(hit.sum()))
-    return Dataset(ds.x, labels, ds.k, ds.name)
+    return labels
 
 
 # --- fold plans ----------------------------------------------------------------

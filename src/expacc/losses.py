@@ -75,13 +75,15 @@ LEERR = LossSpec("leerr")
 class LossBatchResult:
     """Mean loss, pre-activation gradient of it, and a gradient diagnostic.
 
-    `grad_preact` is the gradient of the batch-mean loss (it carries the 1/N).
+    `mean_loss` is a float for a 2-D batch and one value per leading index
+    of a stacked one.  `grad_preact` is the gradient of the batch-mean loss
+    (it carries the 1/N).
     `per_instance_norms` holds the 2-norm of each instance's own loss
     gradient w.r.t. its pre-activation row, without the 1/N factor, so their
     mean is a batch-size-invariant diagnostic.
     """
 
-    mean_loss: float
+    mean_loss: float | np.ndarray
     grad_preact: np.ndarray
     per_instance_norms: np.ndarray
 
@@ -116,12 +118,18 @@ def loss_value(spec: LossSpec, probs, true_class: int) -> float:
 
 
 def loss_grad_preact(spec: LossSpec, preact_batch: np.ndarray, true_classes) -> LossBatchResult:
-    """Fused softmax+loss: batch-mean value and its pre-activation gradient."""
+    """Fused softmax+loss: batch-mean value and its pre-activation gradient.
+
+    `preact_batch` is (..., n, k): leading axes (a grid of stacked models)
+    share the n true classes, and `mean_loss` and the rows of
+    `per_instance_norms` are per leading index.  Each slice gets the bits a
+    2-D batch of its own would.
+    """
     a = np.asarray(preact_batch, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"pre-activation batch must be 2-D, got shape {a.shape}")
+    if a.ndim < 2:
+        raise ValueError(f"pre-activation batch must be at least 2-D, got shape {a.shape}")
     r = np.asarray(true_classes, dtype=np.int64)
-    n, k = a.shape
+    n, k = a.shape[-2:]
     if r.shape != (n,):
         raise ValueError(f"true_classes shape {r.shape} does not match batch of {n}")
     if (r < 0).any() or (r >= k).any():
@@ -129,7 +137,9 @@ def loss_grad_preact(spec: LossSpec, preact_batch: np.ndarray, true_classes) -> 
 
     p = softmax_rows(a)
     rows = np.arange(n)
-    p_true = p[rows, r]
+    # Indexing a stacked p returns F order; each slice's mean must sum its
+    # n values in the order a 1-D array does, so take a C-order copy.
+    p_true = np.ascontiguousarray(p[..., rows, r])
 
     if spec.kind == "neglog":
         coeff = np.ones(n)
@@ -139,13 +149,13 @@ def loss_grad_preact(spec: LossSpec, preact_batch: np.ndarray, true_classes) -> 
         coeff = p_true + spec.alpha
 
     grad = p.copy()
-    grad[rows, r] -= 1.0
-    grad *= coeff[:, None]
+    grad[..., rows, r] -= 1.0
+    grad *= coeff[..., None]
 
     return LossBatchResult(
-        mean_loss=float(_losses_of(spec, p_true).mean()),
+        mean_loss=_losses_of(spec, p_true).mean(axis=-1),
         grad_preact=grad / n,
-        per_instance_norms=np.linalg.norm(grad, axis=1),
+        per_instance_norms=np.linalg.norm(grad, axis=-1),
     )
 
 

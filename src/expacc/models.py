@@ -5,7 +5,9 @@ on the input and on every hidden layer.  Logistic regression is that network
 with no hidden layers (`LogisticRegression`).  The surface: `params()` (flat
 list of arrays, optimizer order), `forward` returning pre-activations plus a
 backprop trace, and `backward` turning a pre-activation gradient into
-parameter gradients.
+parameter gradients.  Given a sequence of dropout rates, the network is a
+stack of networks with a leading grid axis on every parameter, which one
+forward and one backward pass train together.
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ class Mlp:
     a = x W + b.  When `forward` is given an `Rng`, each input and hidden
     unit is dropped with probability `dropout` and survivors are scaled by
     1/(1-p); without one it is a plain forward pass.
+
+    A sequence of dropout rates makes a stack of networks, one per grid
+    point: every parameter gets a leading axis of that length, and each
+    point starts from the same initialization draw.  `forward` and
+    `backward` work for the stack and the single network alike; each
+    point's slice gets the bits a single network would.
     """
 
     def __init__(
@@ -69,27 +77,40 @@ class Mlp:
         n_features: int,
         n_classes: int,
         hidden=DEFAULT_HIDDEN,
-        dropout: float = 0.0,
+        dropout=0.0,
     ):
-        if not 0.0 <= dropout < 1.0:
+        self.dropout = np.asarray(dropout, dtype=np.float64)
+        if self.dropout.ndim > 1 or ((self.dropout < 0.0) | (self.dropout >= 1.0)).any():
             raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
-        self.dropout = dropout
         sizes = [n_features, *hidden, n_classes]
-        self.weights = [xavier_init(rng, m, n) for m, n in zip(sizes, sizes[1:])]
-        self.biases = [np.zeros(n) for n in sizes[1:]]
+        grid = self.dropout.shape
+        self.weights = [
+            np.broadcast_to(xavier_init(rng, m, n), grid + (m, n)).copy()
+            for m, n in zip(sizes, sizes[1:])
+        ]
+        self.biases = [np.zeros(grid + (n,)) for n in sizes[1:]]
 
     def params(self):
         return [p for layer in zip(self.weights, self.biases) for p in layer]
 
+    def take(self, points) -> None:
+        """Keep only the grid points `points` (an index or mask on the leading
+        axis) of a stack, in that order."""
+        self.weights = [w[points] for w in self.weights]
+        self.biases = [b[points] for b in self.biases]
+        self.dropout = self.dropout[points]
+
     @staticmethod
-    def _drop_mult(shape, p: float, rng: Rng | None):
-        if rng is None or p == 0.0:
-            return None
-        keep = 1.0 - p
+    def _drop_mult(shape, p, rng: Rng):
+        """Inverted-dropout multipliers for an (n, width) layer input: one
+        uniform draw, compared with each grid point's keep rate `1 - p`."""
+        keep = 1.0 - np.asarray(p)[..., None, None]
         return (rng.uniform(0.0, 1.0, size=shape) < keep) / keep
 
     def forward(self, x: np.ndarray, rng: Rng | None = None):
         h = np.asarray(x, dtype=np.float64)
+        # Masks are drawn only when some grid point drops units at all.
+        drop = rng is not None and self.dropout.any()
         layer_inputs, relu_masks, drop_mults = [], [], []
         # Each layer: ReLU on the previous layer's output (not on x), dropout, linear map.
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -97,22 +118,22 @@ class Mlp:
                 mask = h > 0
                 relu_masks.append(mask)
                 h = h * mask
-            mult = self._drop_mult(h.shape, self.dropout, rng)
-            drop_mults.append(mult)
+            mult = self._drop_mult(h.shape[-2:], self.dropout, rng) if drop else None
             if mult is not None:
                 h = h * mult
+            drop_mults.append(mult)
             layer_inputs.append(h)
-            h = h @ w + b
+            h = h @ w + b[..., None, :]
         return h, ForwardTrace(layer_inputs, relu_masks, drop_mults)
 
     def backward(self, trace: ForwardTrace, grad_preact: np.ndarray):
         grads = [None] * (2 * len(self.weights))  # params() order: W0, b0, W1, ...
         g = grad_preact
         for i in range(len(self.weights) - 1, -1, -1):
-            grads[2 * i] = trace.layer_inputs[i].T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+            grads[2 * i] = np.swapaxes(trace.layer_inputs[i], -1, -2) @ g
+            grads[2 * i + 1] = g.sum(axis=-2)
             if i > 0:
-                g = g @ self.weights[i].T
+                g = g @ np.swapaxes(self.weights[i], -1, -2)
                 if trace.drop_mults[i] is not None:
                     g = g * trace.drop_mults[i]
                 g = g * trace.relu_masks[i - 1]
@@ -120,10 +141,11 @@ class Mlp:
 
 
 class LogisticRegression(Mlp):
-    """Linear map to class pre-activations, a = x W + b: no hidden layers."""
+    """Linear map to class pre-activations, a = x W + b: no hidden layers.
+    `grid` is the shape of the stack's leading axis, () for one network."""
 
-    def __init__(self, rng: Rng, n_features: int, n_classes: int):
-        super().__init__(rng, n_features, n_classes, hidden=())
+    def __init__(self, rng: Rng, n_features: int, n_classes: int, grid=()):
+        super().__init__(rng, n_features, n_classes, hidden=(), dropout=np.zeros(grid))
 
 
 def build_model(
@@ -132,13 +154,14 @@ def build_model(
     n_features: int,
     n_classes: int,
     hidden=DEFAULT_HIDDEN,
-    dropout: float = 0.0,
+    dropout=0.0,
 ):
-    """The network of a model kind; `logreg` ignores `hidden`."""
+    """The network of a model kind; `logreg` ignores `hidden`.  A sequence of
+    dropout rates builds a stack of networks, one per grid point."""
     if kind == "logreg":
-        if dropout:
+        if np.any(dropout):
             raise ValueError("dropout is only meaningful for mlp, not logreg")
-        return LogisticRegression(rng, n_features, n_classes)
+        return LogisticRegression(rng, n_features, n_classes, np.shape(dropout))
     if kind == "mlp":
         return Mlp(rng, n_features, n_classes, hidden, dropout)
     raise ValueError(f"unknown model kind {kind!r}")

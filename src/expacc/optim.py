@@ -17,15 +17,27 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 class Adam:
     """Adam with bias correction.  One instance owns one training run's
-    moment state."""
+    moment state.
 
-    def __init__(self, lr: float):
-        if lr < 0:
+    `lr` is a number or one rate per grid point of stacked parameters, each
+    broadcast over its point's slice of the leading axis.
+    """
+
+    def __init__(self, lr):
+        self.lr = np.asarray(lr, dtype=np.float64)
+        if (self.lr < 0).any():
             raise ValueError(f"lr must be >= 0, got {lr}")
-        self.lr = lr
         self.t = 0
         self.m = None
         self.v = None
+
+    def take(self, points) -> None:
+        """Keep only the rates and moments of grid points `points` (an index
+        or mask on the leading axis), in that order."""
+        self.lr = self.lr[points]
+        if self.m is not None:
+            self.m = [m[points] for m in self.m]
+            self.v = [v[points] for v in self.v]
 
     def step(self, params, grads) -> None:
         """Update `params` in place from matching `grads`."""
@@ -44,7 +56,8 @@ class Adam:
             m += (1.0 - _BETA1) * g
             v *= _BETA2
             v += (1.0 - _BETA2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+            lr = self.lr.reshape(self.lr.shape + (1,) * (p.ndim - self.lr.ndim))
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 def minibatches(rng: Rng, n: int, batch_size: int):

@@ -1,18 +1,24 @@
 """The names the benchmark in `perfbench/` patches from outside the package.
 
 `perfbench/tracer.py` wraps expacc functions and methods by name, and reads
-`train_run`'s arguments by position.  A rename in `src/` that breaks it
-fails here, in the test suite, instead of only when the benchmark runs.
+`train_run`'s arguments by position and its result's `records` and
+`best_epoch`.  A change in `src/` that breaks it fails here, in the test
+suite, instead of only when the benchmark runs.
 """
 
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from expacc.harness import train_run
+from expacc.data import Rows, make_folds
+from expacc.harness import TrainConfig, train_run
+from expacc.losses import LossSpec
+from expacc.numerics import Rng
+from helpers import two_gaussians
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -37,3 +43,24 @@ def test_every_benchmark_boundary_resolves_to_a_callable(tracer):
 def test_train_run_keeps_the_argument_order_the_benchmark_reads():
     params = list(inspect.signature(train_run).parameters)
     assert params[:5] == ["model_kind", "train", "dev", "test", "cfg"]
+
+
+def test_the_step_count_of_a_grid_cell_is_its_points_steps(tracer):
+    # the benchmark counts minibatch steps from one train_run's result as
+    # epochs x batches; for a stacked grid that is the sum over its points
+    ds = two_gaussians(3, 150, 4, delta=1.5)
+    plan = make_folds(Rng(4), ds.n, "fixed", train_size=100, dev_size=25)
+    train_idx, dev_idx = plan.folds[0]
+    args = (
+        "logreg", Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test),
+        TrainConfig(loss=LossSpec("leerr"), batch_size=32, max_epochs=20, patience=2),
+        (), [(1e-3, 0.0), (3e-2, 0.0), (0.3, 0.0)],
+    )
+    counts = Counter()
+    result = train_run(*args)
+    tracer._train_run_epochs(counts, args, {}, result)
+    epochs = [len(run.records) for run in result.runs]
+    assert len(set(epochs)) > 1
+    assert counts["epochs"] == sum(epochs)
+    assert counts["steps"] == sum(epochs) * 4  # ceil(100 / 32) batches per epoch
+    assert counts["best_epochs"] == result.runs[result.best].best_epoch

@@ -242,6 +242,11 @@ def test_dataset_keys_of_the_other_format_fail_before_data_loads(
         ("name: synth\nlabel_col: -1\n", r"unknown schema keys \['label_col'\]"),
         ("- name\n- synth\n", "expected a mapping, got list"),
         ("name: synth\nlabel_column: [1\n", "while parsing a flow sequence"),
+        ("name: synth\nlabel_values: 5\n", "label_values must be a list, got 5"),
+        ("name: synth\nlabel_column: abc\n", "label_column must be an integer, got 'abc'"),
+        ("name: synth\ndrop_columns: [1, x]\n", r"drop_columns\[1\] must be a column number, got 'x'"),
+        ("name: synth\nexpected: {instances: many}\n",
+         "expected.instances must be an integer, got 'many'"),
     ],
 )
 def test_bad_schema_file_is_a_config_error_naming_the_file(
@@ -420,23 +425,28 @@ def test_gradnorms_fails_when_a_cell_fails(tmp_path, monkeypatch, capsys):
 
 def test_failed_cell_row_reports_the_candidate_that_failed(tmp_path, monkeypatch):
     # one diverged grid point fails the whole cell, and the row names it,
-    # not the TrainConfig default lr that no candidate trained with
-    train_run = expacc.harness.train_run
+    # not the TrainConfig default lr that no candidate trained with.  One
+    # pool row near the float64 limit overflows the pre-activations once
+    # training has moved the weights far enough: with these data the first
+    # point in candidate order to diverge is (lr 0.2, dropout 0.0)
+    load = expacc.cli.load_datasets
 
-    def diverge_at_second_lr(model_kind, train, dev, test, cfg, hidden):
-        if cfg.lr == 0.2:
-            raise expacc.harness.TrainingDiverged("non-finite loss at epoch 1, batch 0")
-        return train_run(model_kind, train, dev, test, cfg, hidden)
+    def one_huge_feature(cfg):
+        pool, test = load(cfg)
+        pool.x[0, 0] = 1.3e308
+        return pool, test
 
-    monkeypatch.setattr(expacc.harness, "train_run", diverge_at_second_lr)
+    monkeypatch.setattr(expacc.cli, "load_datasets", one_huge_feature)
     config = write_synthetic_experiment(
         tmp_path,
         model={"kind": "mlp", "hidden": [4]},
         train={"lr_grid": [0.01, 0.2, 0.3], "dropout_grid": [0.0, 0.25],
-               "batch_size": 32, "max_epochs": 2},
+               "batch_size": 32, "max_epochs": 3},
         replication={"scheme": "fixed", "train_size": 90, "dev_size": 40},
+        seed=2,
     )
-    rows = read_rows(Path(cmd_run(str(config))) / "runs.csv")[1:]
+    with np.errstate(all="ignore"):
+        rows = read_rows(Path(cmd_run(str(config))) / "runs.csv")[1:]
     assert len(rows) == 3
     for row in rows:
         assert (row[2], row[3]) == ("0.2", "0.0")

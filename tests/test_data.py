@@ -164,13 +164,13 @@ def make_dataset(seed, n, k=10, d=3):
 
 def test_noise_zero_probability_is_identity():
     ds = make_dataset(0, 50)
-    assert inject_label_noise(Rng(1), ds, 0.0) is ds
+    assert inject_label_noise(Rng(1), ds, 0.0) is ds.labels
 
 
 def test_noise_full_redraw_changes_half_for_binary():
     ds = make_dataset(2, 100_000, k=2)
     noisy = inject_label_noise(Rng(3), ds, 1.0)
-    frac = (noisy.labels != ds.labels).mean()
+    frac = (noisy != ds.labels).mean()
     sigma = (0.25 / ds.n) ** 0.5
     assert abs(frac - 0.5) <= 3.0 * sigma
 
@@ -178,7 +178,7 @@ def test_noise_full_redraw_changes_half_for_binary():
 def test_noise_small_probability_redraw_statistics():
     ds = make_dataset(4, 100_000, k=10)
     noisy = inject_label_noise(Rng(5), ds, 0.05)
-    frac = (noisy.labels != ds.labels).mean()
+    frac = (noisy != ds.labels).mean()
     expected = 0.05 * 0.9
     sigma = (expected * (1 - expected) / ds.n) ** 0.5
     assert abs(frac - expected) <= 3.0 * sigma
@@ -186,12 +186,14 @@ def test_noise_small_probability_redraw_statistics():
 
 def test_noise_touches_labels_only_and_is_reproducible():
     ds = make_dataset(6, 500)
+    x = ds.x.copy()
     a = inject_label_noise(Rng(7), ds, 0.3)
     b = inject_label_noise(Rng(7), ds, 0.3)
-    assert a.x is ds.x
-    assert np.array_equal(a.labels, b.labels)
-    assert not np.array_equal(a.labels, ds.labels)
+    assert a.shape == ds.labels.shape and a is not ds.labels
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, ds.labels)
     assert np.array_equal(ds.labels, make_dataset(6, 500).labels)  # source untouched
+    assert np.array_equal(ds.x, x)
 
 
 def test_kfold_partition_example():
@@ -259,3 +261,8 @@ def test_rows_name_pool_rows_without_copying_them():
     for bad in (np.array([True, False] * 3), np.zeros((2, 2), dtype=int), np.array([0.5])):
         with pytest.raises(ValueError, match="1-D integer"):
             Rows(ds, bad)
+    assert rows.labels is ds.labels
+    noisy = np.array([1, 1, 1, 1, 1, 1])
+    assert Rows(ds, [4, 0, 2], noisy).labels is noisy  # labels for every row of ds
+    with pytest.raises(CountMismatchError, match="6 instances but 3 labels"):
+        Rows(ds, [4, 0, 2], noisy[:3])

@@ -1,9 +1,11 @@
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import expacc.harness
-from expacc.data import Rows, make_folds
+import expacc.optim
+from expacc.data import Dataset, Rows, make_folds
 from expacc.harness import (
     FoldOutcome,
     TrainConfig,
@@ -143,6 +145,91 @@ def test_training_on_pool_rows_matches_training_on_a_copied_split(kind, dropout)
     assert (rows.best_epoch, rows.test_acc) == (copy.best_epoch, copy.test_acc)
 
 
+def blob_splits():
+    ds = blobs(33, 300, d=6, k=3, spread=2.0)
+    plan = make_folds(Rng(34), ds.n, "fixed", train_size=200, dev_size=50)
+    train_idx, dev_idx = plan.folds[0]
+    return Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test)
+
+
+def _alone(kind, train, dev, test, cfg, point, hidden):
+    lr, dropout = point
+    return train_run(kind, train, dev, test, replace(cfg, lr=lr, dropout=dropout), hidden)
+
+
+@pytest.mark.parametrize(
+    "kind, points",
+    [
+        ("logreg", [(lr, 0.0) for lr in (1e-3, 3e-2, 0.3)]),
+        ("mlp", [(lr, dropout) for lr in (1e-3, 2e-2) for dropout in (0.0, 0.3)]),
+    ],
+)
+def test_each_stacked_point_is_bit_identical_to_its_own_run(kind, points):
+    train, dev, test = blob_splits()
+    cfg = TrainConfig(loss=LEERR, batch_size=16, max_epochs=25, patience=3, seed=8)
+    cell = train_run(kind, train, dev, test, cfg, (16, 8), points)
+    assert len(cell.runs) == len(points)
+    for point, run in zip(points, cell.runs):
+        alone = _alone(kind, train, dev, test, cfg, point, (16, 8))
+        assert run.records == alone.records
+        assert (run.best_epoch, run.test_acc) == (alone.best_epoch, alone.test_acc)
+    # the points stop on their own rule at different epochs
+    assert len({len(run.records) for run in cell.runs}) > 1
+    dev_best = [run.best_dev_acc for run in cell.runs]
+    assert cell.best == dev_best.index(max(dev_best))
+
+
+def test_stopped_points_leave_the_stack(monkeypatch):
+    # the stack steps each point exactly as often as its own run would
+    sizes = []
+    step = expacc.optim.Adam.step
+
+    def recording(opt, params, grads):
+        sizes.append(params[0].shape[0])
+        return step(opt, params, grads)
+
+    monkeypatch.setattr(expacc.optim.Adam, "step", recording)
+    train, dev, test = blob_splits()
+    cfg = TrainConfig(loss=LEERR, batch_size=16, max_epochs=25, patience=3, seed=8)
+    cell = train_run("logreg", train, dev, test, cfg, points=[(1e-3, 0.0), (3e-2, 0.0), (0.3, 0.0)])
+    batches = -(-train.n // cfg.batch_size)
+    epochs = [len(run.records) for run in cell.runs]
+    assert len(set(epochs)) > 1
+    assert sum(sizes) == sum(epochs) * batches
+    assert len(sizes) == max(epochs) * batches
+
+
+def test_dev_accuracy_ties_go_to_the_earliest_point():
+    train, dev, test = small_splits(6)
+    cfg = TrainConfig(loss=EERR, batch_size=16, max_epochs=4, seed=2)
+    # lr 0 and a vanishing lr leave the model where it started: equal dev
+    # accuracy, whichever comes first wins
+    for points in ([(0.0, 0.0), (1e-12, 0.0)], [(1e-12, 0.0), (0.0, 0.0)]):
+        cell = train_run("logreg", train, dev, test, cfg, points=points)
+        assert cell.runs[0].best_dev_acc == cell.runs[1].best_dev_acc
+        assert cell.runs[0].records != cell.runs[1].records
+        assert cell.best == 0
+
+
+def test_divergence_fails_the_cell_with_the_first_point_in_candidate_order():
+    train, dev, test = small_splits(5)
+    train.ds.x[train.index[0], 0] = 1e308  # overflows once lr moves the weights far enough
+    cfg = TrainConfig(loss=NEGLOG, batch_size=8, max_epochs=30, seed=1)
+    alone = {}
+    with np.errstate(all="ignore"):
+        for lr in (0.5, 1.0):
+            with pytest.raises(TrainingDiverged) as exc:
+                train_run("logreg", train, dev, test, replace(cfg, lr=lr))
+            alone[lr] = str(exc.value)
+        # lr 1.0 diverges first, but lr 0.5 comes before it in the grid;
+        # lr 0.1 never diverges and trains on
+        with pytest.raises(TrainingDiverged) as exc:
+            train_run("logreg", train, dev, test, cfg, points=[(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)])
+    assert alone[1.0] == "neglog: non-finite loss at epoch 1, batch 6"
+    assert alone[0.5] == "neglog: non-finite loss at epoch 2, batch 6"
+    assert (exc.value.point, str(exc.value)) == (1, alone[0.5])
+
+
 def test_grad_norm_probe_ordering_and_scale():
     # at a fresh initialization the eerr norm is the neglog norm damped by
     # p_r, so their ratio is roughly the class count
@@ -204,14 +291,30 @@ def test_replicate_tuning_grid_selects_by_dev_accuracy():
 
 
 def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatch):
-    noise_calls = []
+    noisy = []
     inject = expacc.harness.inject_label_noise
 
-    def counting_inject(rng, ds, p):
-        noise_calls.append(p)
-        return inject(rng, ds, p)
+    def recording_inject(rng, ds, p):
+        noisy.append(inject(rng, ds, p))
+        return noisy[-1]
 
-    monkeypatch.setattr(expacc.harness, "inject_label_noise", counting_inject)
+    copies = []
+    subset = Dataset.subset
+
+    def counting_subset(ds, indices, name=None):
+        copies.append(len(indices))
+        return subset(ds, indices, name)
+
+    cells = []
+    train_run = expacc.harness.train_run
+
+    def recording_train_run(model_kind, train, dev, test, cfg, hidden, points):
+        cells.append((train, dev, test, points))
+        return train_run(model_kind, train, dev, test, cfg, hidden, points)
+
+    monkeypatch.setattr(expacc.harness, "inject_label_noise", recording_inject)
+    monkeypatch.setattr(Dataset, "subset", counting_subset)
+    monkeypatch.setattr(expacc.harness, "train_run", recording_train_run)
     ds = two_gaussians(22, 120, 3, delta=2.0)
     plan = make_folds(Rng(23), ds.n, "kfold", k=3)
     cfgs = {
@@ -222,7 +325,19 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
     assert [(o.fold, o.loss) for o in out] == [
         (0, "neglog"), (0, "eerr"), (1, "neglog"), (1, "eerr")
     ]
-    assert noise_calls == [0.1, 0.1]
+    assert len(noisy) == 2
+    # dev doubles as test: one copy of its rows per fold, under noisy labels
+    # for early stopping and clean ones for the test measurement
+    assert copies == [40, 40]
+    assert len(cells) == 4  # one train_run per (fold, loss) cell, for both lrs
+    for (train, dev, test, points), fold in zip(cells, (0, 0, 1, 1)):
+        labels, dev_idx = noisy[fold], plan.folds[fold][1]
+        assert points == [(1e-2, 0.0), (1e-1, 0.0)]
+        assert train.ds is ds and train.labels is not ds.labels
+        assert np.array_equal(train.labels, labels)
+        assert dev.x is test.x
+        assert np.array_equal(dev.labels, labels[dev_idx])
+        assert np.array_equal(test.labels, ds.labels[dev_idx])
 
 
 def test_replicate_rejects_malformed_candidate_lists():
@@ -232,6 +347,10 @@ def test_replicate_rejects_malformed_candidate_lists():
         replicate("logreg", ds, plan, {"neglog": []})
     with pytest.raises(ValueError, match="does not match"):
         replicate("logreg", ds, plan, {"neglog": [TrainConfig(loss=EERR, max_epochs=1)]})
+    # a cell trains its candidates as one grid over lr and dropout only
+    mixed = [TrainConfig(loss=NEGLOG, max_epochs=1), TrainConfig(loss=NEGLOG, max_epochs=2)]
+    with pytest.raises(ValueError, match="more than lr and dropout"):
+        replicate("logreg", ds, plan, {"neglog": mixed})
 
 
 def test_replicate_continues_past_failing_fold():

@@ -49,9 +49,9 @@ def test_replicate_trains_on_rows_of_the_pool(monkeypatch):
     train_run = expacc.harness.train_run
     seen = []
 
-    def recording(model_kind, train, dev, test, cfg, hidden):
+    def recording(model_kind, train, dev, test, cfg, hidden, points):
         seen.append((train, np.shares_memory(train.ds.x, pool.x)))
-        return train_run(model_kind, train, dev, test, cfg, hidden)
+        return train_run(model_kind, train, dev, test, cfg, hidden, points)
 
     monkeypatch.setattr(expacc.harness, "train_run", recording)
     plan, _ = run(pool)

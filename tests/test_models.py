@@ -154,3 +154,23 @@ def test_build_model_rejects_unknown_kind():
         build_model("cnn", Rng(0), 3, 2)
     with pytest.raises(ValueError, match="logreg"):
         build_model("logreg", Rng(0), 3, 2, dropout=0.5)
+
+
+def test_a_stack_of_networks_computes_each_network_bit_for_bit():
+    dropouts = (0.0, 0.2, 0.5)
+    stack = build_model("mlp", Rng(30), 5, 3, hidden=(6, 4), dropout=dropouts)
+    x = Rng(31).normal(size=(7, 5))
+    preact, trace = stack.forward(x, Rng(32))
+    g = Rng(33).normal(size=preact.shape)
+    grads = stack.backward(trace, g)
+    assert preact.shape == (3, 7, 3) and all(p.shape[0] == 3 for p in grads)
+    for j, dropout in enumerate(dropouts):
+        # same init draw, and the same uniform draws compared with its keep rate
+        single = build_model("mlp", Rng(30), 5, 3, hidden=(6, 4), dropout=dropout)
+        own, own_trace = single.forward(x, Rng(32) if dropout else None)
+        assert np.array_equal(preact[j], own)
+        for a, b in zip(grads, single.backward(own_trace, g[j]), strict=True):
+            assert np.array_equal(a[j], b)
+    stack.take([2])
+    assert stack.dropout.tolist() == [0.5]
+    assert all(p.shape[0] == 1 for p in stack.params())

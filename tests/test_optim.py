@@ -90,3 +90,23 @@ def test_minibatch_partition_property(n, batch_size, seed):
     if batches:
         assert all(len(b) == batch_size for b in batches[:-1])
         assert 1 <= len(batches[-1]) <= batch_size
+
+
+def test_per_point_rates_step_each_slice_as_its_own_adam():
+    rng = np.random.default_rng(3)
+    lrs = (1e-3, 0.0, 0.5)
+    stacked = [rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 2))]
+    alone = [[p[j].copy() for p in stacked] for j in range(3)]
+    opt, opts = Adam(lrs), [Adam(lr) for lr in lrs]
+    for _ in range(4):
+        grads = [rng.normal(size=p.shape) for p in stacked]
+        opt.step(stacked, grads)
+        for j, (params, single) in enumerate(zip(alone, opts)):
+            single.step(params, [g[j] for g in grads])
+    for j, params in enumerate(alone):
+        for p, own in zip(stacked, params):
+            assert np.array_equal(p[j], own)
+    # a point taken out of the stack keeps nobody else's state
+    opt.take([0, 2])
+    assert opt.lr.tolist() == [1e-3, 0.5]
+    assert all(m.shape[0] == 2 for m in opt.m + opt.v)
