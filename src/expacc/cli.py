@@ -26,6 +26,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -96,8 +97,9 @@ def _prob(value, path: str) -> float:
 
 
 def _rate(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-        raise ConfigError(path, f"expected a non-negative number, got {value!r}")
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not 0 <= value < math.inf):
+        raise ConfigError(path, f"expected a finite non-negative number, got {value!r}")
     return float(value)
 
 

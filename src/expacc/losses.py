@@ -58,6 +58,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}, expected one of {KINDS}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.kind == "leerr" and not self.alpha > 0:
             raise ValueError(f"leerr needs alpha > 0, got {self.alpha}")
 

@@ -25,8 +25,8 @@ class Adam:
 
     def __init__(self, lr):
         self.lr = np.asarray(lr, dtype=np.float64)
-        if (self.lr < 0).any():
-            raise ValueError(f"lr must be >= 0, got {lr}")
+        if not ((self.lr >= 0) & (self.lr < np.inf)).all():
+            raise ValueError(f"lr must be finite and >= 0, got {lr}")
         self.t = 0
         self.m = None
         self.v = None

@@ -4,21 +4,28 @@ The paired t-test works on per-fold differences d = a - b:
 
     t = mean(d) / (sd(d) / sqrt(n)),   sd with n-1 denominator,  df = n-1
 
-with two-tailed p-values from the Student-t CDF, which is evaluated through
-the regularized incomplete beta function:
+with two-tailed p-values from the Student-t CDF.  For integer df >= 1 that
+CDF has an exact finite form (Abramowitz & Stegun 1964, eqs. 26.7.3-26.7.4).
+With theta = atan(|t| / sqrt(df)) and A = P(|T| <= |t|):
 
-    P(T <= t) = 1 - I_x(df/2, 1/2) / 2,   x = df / (df + t^2),   for t >= 0
+    odd df:   A = (2/pi) (theta + sin(theta) cos(theta) sum_j a_j),
+              a_0 = 1,  a_j = a_(j-1) cos^2(theta) 2j / (2j+1),   j < (df-1)/2
+    even df:  A = sin(theta) sum_j b_j,
+              b_0 = 1,  b_j = b_(j-1) cos^2(theta) (2j-1) / (2j),  j < df/2
 
-and by symmetry for t < 0.  All functions here are pure.
+    P(T <= |t|) = 1/2 + A/2,   P(T <= -|t|) = 1 - P(T <= |t|)
+
+so no special-function library is needed, and p-values depend only on the
+platform's libm.  Non-integer df is rejected.  All functions here are pure.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 __all__ = [
     "ComparisonReport",
@@ -33,14 +40,25 @@ ALPHA = 0.05
 
 
 def t_cdf(t: float, df: int) -> float:
-    """Student-t cumulative distribution function."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * betainc(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
+    """Student-t cumulative distribution function, for integer df >= 1."""
+    if not isinstance(df, numbers.Integral) or df < 1:
+        raise ValueError(f"df must be an integer >= 1, got {df!r}")
+    theta = math.atan2(abs(t), math.sqrt(df))
+    sin, cos = math.sin(theta), math.cos(theta)
+    cos2 = cos * cos
+    odd = df % 2
+    term, total = 1.0, 0.0
+    for j in range(df // 2):  # a_j for odd df, b_j for even df
+        total += term
+        term *= cos2 * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    if odd:
+        a = 2.0 / math.pi * (theta + sin * cos * total)
+    else:
+        a = sin * total
+    # rounding in a long sum can carry A just past 1 at large |t|; the
+    # lower tail as 1 - upper keeps P(T <= -t) = 1 - P(T <= t) exact
+    upper = 0.5 + min(a, 1.0) / 2.0
+    return upper if t >= 0 else 1.0 - upper
 
 
 def paired_t_test(a, b):

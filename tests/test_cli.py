@@ -1,5 +1,9 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -166,6 +170,32 @@ def test_config_rejected_grid_value_names_its_entry_before_data_loads(tmp_path, 
         load_config(str(config))
     assert exc.value.field == "train.dropout_grid[1]"
     assert main(["run", str(config)]) == 2
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"train": {"lr": math.nan, "max_epochs": 2}}, "train.lr"),
+        ({"train": {"lr": math.inf, "max_epochs": 2}}, "train.lr"),
+        ({"train": {"lr_grid": [1.0e-3, math.nan], "max_epochs": 2}}, "train.lr_grid[1]"),
+        ({"losses": ["neglog", {"kind": "leerr", "alpha": math.inf}]}, "losses[1].alpha"),
+        ({"losses": [{"kind": "eerr", "alpha": math.nan}]}, "losses[0].alpha"),
+    ],
+)
+def test_config_non_finite_number_names_its_key_before_data_loads(
+    tmp_path, monkeypatch, capsys, overrides, field
+):
+    # a NaN or infinite rate would train every cell into divergence and
+    # still exit 0 with only failed-fold rows
+    loaded = []
+    monkeypatch.setattr(expacc.cli, "load_datasets", lambda cfg: loaded.append(cfg))
+    config = write_synthetic_experiment(tmp_path, **overrides)
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(config))
+    assert exc.value.field == field
+    assert main(["run", str(config)]) == 2
+    assert f"{field}: " in capsys.readouterr().err
     assert loaded == []
 
 
@@ -465,3 +495,19 @@ def test_main_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(config), "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_import_and_curves_load_no_scipy(tmp_path):
+    # a fresh interpreter, so modules other tests imported do not count
+    code = (
+        "import sys\n"
+        "import expacc, expacc.cli\n"
+        "assert expacc.cli.main(['curves', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(expacc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

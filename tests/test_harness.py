@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,9 @@ def test_config_validation():
         TrainConfig(loss=NEGLOG, patience=0)
     with pytest.raises(ValueError, match="dropout"):
         TrainConfig(loss=NEGLOG, max_epochs=1, dropout=1.0)
+    for lr in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            TrainConfig(loss=NEGLOG, max_epochs=1, lr=lr)
 
 
 def test_stopping_rule_examples():

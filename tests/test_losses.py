@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from expacc.losses import (
+    KINDS,
     LossSpec,
     bayes_optimal,
     emit_loss_curves,
@@ -21,6 +22,10 @@ def test_loss_spec_validation():
         LossSpec("hinge")
     with pytest.raises(ValueError, match="alpha"):
         LossSpec("leerr", alpha=0.0)
+    for kind in KINDS:
+        for alpha in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                LossSpec(kind, alpha=alpha)
 
 
 def test_loss_value_anchors():

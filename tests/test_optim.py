@@ -52,8 +52,9 @@ def test_shape_mismatch_rejected():
 
 
 def test_hyperparameter_validation():
-    with pytest.raises(ValueError):
-        Adam(lr=-1.0)
+    for lr in (-1.0, np.nan, np.inf, [1e-3, np.nan], [np.inf, 1e-3]):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            Adam(lr=lr)
 
 
 def test_minibatch_examples():

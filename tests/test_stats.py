@@ -31,6 +31,17 @@ def test_t_cdf_basics():
     assert t_cdf(50.0, 5) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         t_cdf(1.0, 0)
+    # the closed form holds for integer degrees of freedom only
+    for df in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            t_cdf(1.0, df)
+    for df in range(1, 40):
+        for t in (0.3, 1.7, 4.2):
+            assert t_cdf(-t, df) == 1.0 - t_cdf(t, df)
+    # at df 146 the even-df sum rounds to a CDF just above 1 unless capped
+    for df in (*range(1, 40), 146):
+        for t in (40.0, 1e300, math.inf):
+            assert 0.0 <= t_cdf(-t, df) <= t_cdf(t, df) <= 1.0
 
 
 def test_paired_t_reference_case():
