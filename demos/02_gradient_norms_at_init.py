@@ -32,7 +32,7 @@ def pixel_like_dataset(seed=0, n=6000, d=784, k=10):
 def main():
     ds = pixel_like_dataset()
     model = build_model("logreg", Rng(1), ds.d, ds.k)
-    norms = grad_norm_probe(model, ds.x, ds.labels, LOSSES)
+    norms = grad_norm_probe(model, ds.features(), ds.labels, LOSSES)
     print("mean gradient norms w.r.t. pre-activations at initialization:")
     for name, value in norms.items():
         print(f"  {name:<8} {value:.4f}")

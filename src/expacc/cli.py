@@ -120,10 +120,9 @@ def _parse_loss(entry, path: str) -> LossSpec:
         raise ConfigError(path, f"expected a loss name or mapping, got {entry!r}")
     if kind not in KINDS:
         raise ConfigError(path, f"unknown loss name {kind!r}, expected one of {list(KINDS)}")
-    try:
-        return LossSpec(kind, float(alpha))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.alpha", str(exc)) from None
+    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
+        raise ConfigError(f"{path}.alpha", f"expected a number, got {alpha!r}")
+    return _config_error(f"{path}.alpha", LossSpec, kind, float(alpha))
 
 
 def _parse_train(raw: dict) -> dict:
@@ -227,9 +226,10 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
     model_kind = model.get("kind", "logreg")
     if model_kind not in ("logreg", "mlp"):
         raise ConfigError("model.kind", f"expected 'logreg' or 'mlp', got {model_kind!r}")
-    hidden = tuple(model.get("hidden", DEFAULT_HIDDEN))
-    for i, h in enumerate(hidden):
-        _count(h, f"model.hidden[{i}]")
+    hidden = model.get("hidden", DEFAULT_HIDDEN)
+    if not isinstance(hidden, (list, tuple)):
+        raise ConfigError("model.hidden", f"expected a list of layer sizes, got {hidden!r}")
+    hidden = tuple(_count(h, f"model.hidden[{i}]") for i, h in enumerate(hidden))
 
     losses_raw = _need(raw, "losses", "")
     if not isinstance(losses_raw, list) or not losses_raw:

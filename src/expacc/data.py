@@ -10,7 +10,9 @@ splits (dev, test) that are evaluated whole.
 File formats accepted:
 
 * MNIST IDX binaries, big-endian, image magic 0x00000803 and label magic
-  0x00000801.  Pixels are scaled to [0, 1].
+  0x00000801.  Pixels stay their one-byte codes (`Dataset.x` is a read-only
+  uint8 view of the file's bytes, `Dataset.scale` is 255), and
+  `Dataset.features` scales only the rows it is asked for to [0, 1].
 * UCI-style headerless delimited text.  A small schema descriptor (YAML)
   names the label column, optional dropped columns, the label vocabulary,
   and the expected (instances, features, classes) counts.  Features are
@@ -24,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -86,23 +88,31 @@ class EmptyDataError(DataError):
 
 @dataclass
 class Dataset:
-    """Feature matrix (one instance per row) with integer class labels."""
+    """Stored features (one instance per row) with integer class labels.
+
+    `x` is float64, or uint8 codes whose features are `x / scale`; read
+    features through `features`, which scales only the rows it returns.
+    """
 
     x: np.ndarray
     labels: np.ndarray
     k: int
     name: str
+    scale: float = 1.0
 
     def __post_init__(self):
-        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
+        x = np.asarray(self.x)
+        self.x = np.ascontiguousarray(x, dtype=np.uint8 if x.dtype == np.uint8 else np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"{self.name}: scale must be finite and > 0, got {self.scale}")
         if self.x.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.x.shape}")
         if self.labels.shape != (self.x.shape[0],):
             raise CountMismatchError(
                 f"{self.name}: {self.x.shape[0]} instances but {self.labels.shape[0]} labels"
             )
-        if not np.isfinite(self.x).all():
+        if self.x.dtype == np.float64 and not np.isfinite(self.x).all():
             raise ValueError(f"{self.name}: non-finite feature values")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.k):
             raise ValueError(f"{self.name}: labels outside 0..{self.k - 1}")
@@ -115,9 +125,17 @@ class Dataset:
     def d(self) -> int:
         return self.x.shape[1]
 
+    def features(self, index=None) -> np.ndarray:
+        """The float64 features of rows `index` (default: all), in that order.
+
+        `x / 1.0` is `x` bit for bit, so float datasets take the same path.
+        """
+        x = self.x if index is None else self.x.take(index, axis=0)
+        return x / self.scale
+
     def subset(self, indices, name: str | None = None) -> "Dataset":
         idx = np.asarray(indices)
-        return Dataset(self.x[idx], self.labels[idx], self.k, name or self.name)
+        return replace(self, x=self.x[idx], labels=self.labels[idx], name=name or self.name)
 
 
 @dataclass
@@ -188,7 +206,8 @@ def _read_idx(path: str, expected_magic: int, ndim: int, what: str):
 
 
 def load_mnist(images_path: str, labels_path: str, name: str = "mnist") -> Dataset:
-    """Parse an IDX image/label file pair into a flat [0, 1]-scaled dataset."""
+    """Parse an IDX image/label file pair into a flat dataset of pixel codes,
+    whose features are scaled to [0, 1]."""
     (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3, "pixel")
     (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1, "label")
     if label_count != count:
@@ -196,7 +215,7 @@ def load_mnist(images_path: str, labels_path: str, name: str = "mnist") -> Datas
             f"{images_path} has {count} images but {labels_path} has {label_count} labels"
         )
     x = pixels.reshape(count, rows * cols)
-    return Dataset(x.astype(np.float64) / 255.0, labels.astype(np.int64), k=10, name=name)
+    return Dataset(x, labels.astype(np.int64), k=10, name=name, scale=255.0)
 
 
 # --- UCI delimited text -------------------------------------------------------

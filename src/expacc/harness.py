@@ -177,7 +177,7 @@ class CellResult:
 def accuracy(model, ds: Dataset):
     """Argmax accuracy of a forward pass without dropout: a float, or one per
     grid point of a stacked model."""
-    preact, _ = model.forward(ds.x)
+    preact, _ = model.forward(ds.features())
     return (preact.argmax(axis=-1) == ds.labels).mean(axis=-1)
 
 
@@ -204,7 +204,8 @@ def train_run(
 
     Each minibatch gathers its rows of `train.ds` through `train.index`
     (`take`, the same rows and bits as fancy indexing, with less overhead
-    per call), so the training split is never copied whole.
+    per call), so the training split is never copied whole, and only those
+    rows are scaled to float features (`Dataset.features`).
 
     Stopping, per point: always at `max_epochs` when set; additionally once
     at least `min_epochs` have run and `patience` epochs have passed without
@@ -230,7 +231,7 @@ def train_run(
     batch_rng = root.child(_BATCH)
     dropout_rng = root.child(_DROPOUT)
     opt = Adam(lrs)
-    x, labels, index = train.ds.x, train.labels, train.index
+    labels, index = train.labels, train.index
 
     live = np.arange(len(points))  # candidate index of each point in the stack
     records = [[] for _ in points]
@@ -245,7 +246,7 @@ def train_run(
         norm_sum = np.zeros(live.size)
         for batch_no, idx in enumerate(minibatches(batch_rng, train.n, cfg.batch_size)):
             rows = index.take(idx)
-            xb = x.take(rows, axis=0)
+            xb = train.ds.features(rows)
             yb = labels.take(rows)
             preact, trace = model.forward(xb, dropout_rng)
             batch = loss_grad_preact(cfg.loss, preact, yb)
@@ -344,7 +345,7 @@ def _fold_outcomes(model_kind, pool, plan, fold_index, cfgs, test, master_seed, 
     labels = inject_label_noise(Rng(master_seed).child(_NOISE_KEY, fold_index), pool, noise_p)
     train = Rows(pool, train_idx, labels)
     clean_dev = pool.subset(dev_idx, name=f"{pool.name}-dev")
-    dev = Dataset(clean_dev.x, labels[dev_idx], pool.k, clean_dev.name)
+    dev = replace(clean_dev, labels=labels[dev_idx])
     if test is None:
         # No test set given: test on the plan's test part, or, in the 2-fold
         # convention, on the held-out half, which is both dev and test, with

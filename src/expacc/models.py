@@ -108,7 +108,11 @@ class Mlp:
         return (rng.uniform(0.0, 1.0, size=shape) < keep) / keep
 
     def forward(self, x: np.ndarray, rng: Rng | None = None):
-        h = np.asarray(x, dtype=np.float64)
+        h = np.asarray(x)
+        if h.dtype.kind in "biu":
+            # raw codes (IDX pixels) are not features: `Dataset.features` scales them
+            raise TypeError(f"forward needs float features, got {h.dtype} input")
+        h = h.astype(np.float64, copy=False)
         # Masks are drawn only when some grid point drops units at all.
         drop = rng is not None and self.dropout.any()
         layer_inputs, relu_masks, drop_mults = [], [], []

@@ -20,7 +20,10 @@ class Adam:
     moment state.
 
     `lr` is a number or one rate per grid point of stacked parameters, each
-    broadcast over its point's slice of the leading axis.
+    broadcast over its point's slice of the leading axis.  A step writes the
+    moments, two scratch buffers per parameter and the parameter in place,
+    in the operation order of `lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so
+    steps allocate no arrays.
     """
 
     def __init__(self, lr):
@@ -30,14 +33,17 @@ class Adam:
         self.t = 0
         self.m = None
         self.v = None
+        self._scratch = None
 
     def take(self, points) -> None:
         """Keep only the rates and moments of grid points `points` (an index
-        or mask on the leading axis), in that order."""
+        or mask on the leading axis), in that order, with scratch buffers of
+        the new shape."""
         self.lr = self.lr[points]
         if self.m is not None:
             self.m = [m[points] for m in self.m]
             self.v = [v[points] for v in self.v]
+            self._scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
 
     def step(self, params, grads) -> None:
         """Update `params` in place from matching `grads`."""
@@ -46,18 +52,30 @@ class Adam:
         if self.m is None:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
+            self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self._scratch):
             if p.shape != g.shape:
                 raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            v += (1.0 - _BETA2) * (g * g)
             lr = self.lr.reshape(self.lr.shape + (1,) * (p.ndim - self.lr.ndim))
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) (g g)
+            np.multiply(g, 1.0 - _BETA1, out=a)
+            m *= _BETA1
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1.0 - _BETA2
+            v *= _BETA2
+            v += a
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += _EPS
+            a /= b
+            p -= a
 
 
 def minibatches(rng: Rng, n: int, batch_size: int):

@@ -113,7 +113,7 @@ def test_criterion_04_gradient_norm_ratio_on_mnist():
     train_idx, _ = plan.folds[0]
     model = build_model("logreg", Rng(1).child(0), pool.d, pool.k)
     norms = grad_norm_probe(
-        model, pool.x[train_idx], pool.labels[train_idx], [NEGLOG, EERR]
+        model, pool.features(train_idx), pool.labels[train_idx], [NEGLOG, EERR]
     )
     ratio = norms["neglog"] / norms["eerr"]
     assert ratio >= 10.0

@@ -200,6 +200,28 @@ def test_config_non_finite_number_names_its_key_before_data_loads(
 
 
 @pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"model": {"kind": "mlp", "hidden": 300}}, "model.hidden"),
+        ({"model": {"kind": "mlp", "hidden": "300"}}, "model.hidden"),
+        ({"losses": ["neglog", {"kind": "leerr", "alpha": [1]}]}, "losses[1].alpha"),
+        ({"losses": [{"kind": "leerr", "alpha": "0.3"}]}, "losses[0].alpha"),
+        ({"losses": [{"kind": "leerr", "alpha": True}]}, "losses[0].alpha"),
+        ({"losses": [{"kind": "eerr", "alpha": None}]}, "losses[0].alpha"),
+    ],
+)
+def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, overrides, field):
+    # a wrong type is a config error (exit 2), not a TypeError (exit 1), and
+    # a string or a bool is not silently taken as a number
+    with pytest.raises(ConfigError) as exc:
+        validate_config(dict(CONFIG_BASE, **overrides))
+    assert exc.value.field == field
+    config = write_synthetic_experiment(tmp_path, **overrides)
+    assert main(["run", str(config)]) == 2
+    assert f"{field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "model, train, field",
     [
         ("logreg", {"lr": 0.1, "lr_grid": [0.01, 0.1]}, "train.lr"),

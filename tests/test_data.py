@@ -38,8 +38,11 @@ def test_idx_golden_fixture_roundtrips(tmp_path):
     ds = load_mnist(img, lbl, name="fixture")
     assert (ds.n, ds.d, ds.k) == (3, 4, 10)
     assert np.array_equal(ds.labels, [3, 0, 9])
-    assert np.array_equal(ds.x, pixels.reshape(3, 4).astype(np.float64) / 255.0)
-    assert ds.x.min() >= 0.0 and ds.x.max() <= 1.0
+    assert np.array_equal(ds.x, pixels.reshape(3, 4))  # the codes, unscaled
+    features = ds.features()
+    assert np.array_equal(features, pixels.reshape(3, 4).astype(np.float64) / 255.0)
+    assert features.min() >= 0.0 and features.max() <= 1.0
+    assert np.array_equal(ds.features([2, 0]), features[[2, 0]])
 
 
 def test_idx_magic_number_mismatch(tmp_path):

@@ -2,7 +2,8 @@
 
 Each fold trains on row indices into the pool, so a fold adds only its small
 dev and test copies, never a copy of the train split, whatever the pool's
-size.
+size.  An IDX pool holds its pixels as one byte each, and only the rows a
+step or an evaluation reads become float features.
 """
 
 import tracemalloc
@@ -10,10 +11,11 @@ import tracemalloc
 import numpy as np
 
 import expacc.harness
-from expacc.data import Dataset, make_folds
+from expacc.data import Dataset, load_mnist, make_folds
 from expacc.harness import TrainConfig, replicate
 from expacc.losses import LossSpec
 from expacc.numerics import Rng
+from helpers import write_idx_pair
 
 CFGS = {"neglog": [TrainConfig(loss=LossSpec("neglog"), lr=1e-3, max_epochs=1)]}
 
@@ -59,3 +61,16 @@ def test_replicate_trains_on_rows_of_the_pool(monkeypatch):
     for fold, (train, shares) in enumerate(seen):
         assert shares
         assert train.n == len(plan.folds[fold][0])
+
+
+def test_idx_pool_keeps_one_byte_per_pixel(tmp_path):
+    n = 50
+    pixels = Rng(3).integers(256, size=(n, 28, 28)).astype(np.uint8)
+    pool = load_mnist(*write_idx_pair(tmp_path, pixels, [i % 10 for i in range(n)]))
+    assert pool.x.dtype == np.uint8 and pool.x.nbytes == n * 784
+    idx = np.array([7, 0, 49, 7])
+    codes = pixels.reshape(n, 784)[idx]
+    # the bits the float64 pool held: one cast and one division per element
+    assert np.array_equal(pool.features(idx), codes.astype(np.float64) / 255.0)
+    dev = pool.subset(idx)
+    assert dev.x.dtype == np.uint8 and dev.scale == pool.scale

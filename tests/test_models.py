@@ -149,6 +149,16 @@ def test_end_to_end_gradients_match_finite_differences(kind, kw):
                 assert rel_err(a, b) < 1e-5
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
+def test_forward_rejects_integer_codes(dtype):
+    # IDX pixel codes must be scaled (Dataset.features) before they are features
+    model = build_model("logreg", Rng(0), 4, 3)
+    with pytest.raises(TypeError, match="float features"):
+        model.forward(np.ones((2, 4), dtype=dtype))
+    preact, _ = model.forward(np.ones((2, 4), dtype=np.float32))
+    assert preact.dtype == np.float64
+
+
 def test_build_model_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown model kind"):
         build_model("cnn", Rng(0), 3, 2)

@@ -111,3 +111,51 @@ def test_per_point_rates_step_each_slice_as_its_own_adam():
     opt.take([0, 2])
     assert opt.lr.tolist() == [1e-3, 0.5]
     assert all(m.shape[0] == 2 for m in opt.m + opt.v)
+
+
+def reference_adam(lrs, params, grad_steps, take_after, keep):
+    """The allocating update `lr * (m / bc1) / (sqrt(v / bc2) + eps)`, with
+    `keep` taken out of the stack after step `take_after`."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    lrs = np.asarray(lrs, dtype=np.float64)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        if t == take_after + 1:
+            lrs, params = lrs[keep], [p[keep] for p in params]
+            m, v = [a[keep] for a in m], [a[keep] for a in v]
+        if t > take_after:
+            grads = [g[keep] for g in grads]
+        bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * (g * g)
+            lr = lrs.reshape(lrs.shape + (1,) * (p.ndim - 1))
+            p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+    return params
+
+
+def test_in_place_step_is_bit_identical_to_the_allocating_expression():
+    rng = np.random.default_rng(11)
+    lrs = [1e-3, 0.3, 2e-2, 0.0]
+    shapes = [(4, 6, 5), (4, 5), (4, 5, 3), (4, 3)]
+    start = [rng.normal(size=s) for s in shapes]
+    grad_steps = [[rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+                  for _ in range(9)]
+    keep = np.array([True, False, True, True])
+    want = reference_adam(lrs, [p.copy() for p in start], grad_steps, 4, keep)
+
+    params, opt = [p.copy() for p in start], Adam(lrs)
+    for t, grads in enumerate(grad_steps, start=1):
+        if t == 5:
+            # a point leaves the stack: the scratch buffers follow the new shapes
+            opt.take(keep)
+            params = [p[keep] for p in params]
+        if t >= 5:
+            grads = [g[keep] for g in grads]
+        opt.step(params, grads)
+    for p, w in zip(params, want, strict=True):
+        assert p.shape[0] == 3
+        assert np.array_equal(p, w)
