@@ -18,10 +18,10 @@ from .data import (
     make_folds,
 )
 from .harness import (
-    CellResult,
     EpochRecord,
     FoldOutcome,
     RunResult,
+    StackResult,
     TrainConfig,
     TrainingDiverged,
     accuracy,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "CellResult",
     "ComparisonReport",
     "Dataset",
     "EERR",
@@ -65,6 +64,7 @@ __all__ = [
     "RunResult",
     "Rows",
     "SplitPlan",
+    "StackResult",
     "TrainConfig",
     "TrainingDiverged",
     "UciSchema",

@@ -17,6 +17,8 @@ artifacts in memory, then `_publish` replaces the previous run in the
 output directory (the files an earlier manifest there lists) with them and
 a manifest recording the config hash, the seed, and the SHA-256 of each
 emitted file, so a rerun with the same seed can be checked byte-for-byte.
+The replacement is crash-safe: the directory holds no manifest, or one
+whose hashes all match, at every point.
 """
 
 from __future__ import annotations
@@ -96,6 +98,12 @@ def _prob(value, path: str) -> float:
     return float(value)
 
 
+def _dropout(value, path: str) -> float:
+    if _prob(value, path) == 1.0:
+        raise ConfigError(path, "dropout must lie in [0, 1): 1 drops every unit")
+    return float(value)
+
+
 def _rate(value, path: str) -> float:
     if (not isinstance(value, (int, float)) or isinstance(value, bool)
             or not 0 <= value < math.inf):
@@ -140,7 +148,7 @@ def _parse_train(raw: dict) -> dict:
     if "patience" in raw and raw["patience"] is not None:
         out["patience"] = _count(raw["patience"], "train.patience")
     if "dropout" in raw:
-        out["dropout"] = _prob(raw["dropout"], "train.dropout")
+        out["dropout"] = _dropout(raw["dropout"], "train.dropout")
     for grid, key in _GRIDS.items():
         if grid in raw and raw[grid] is not None:
             if key in out:
@@ -150,7 +158,7 @@ def _parse_train(raw: dict) -> dict:
             values = raw[grid]
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"train.{grid}", "expected a non-empty list")
-            checker = _rate if key == "lr" else _prob
+            checker = _rate if key == "lr" else _dropout
             out[grid] = [checker(v, f"train.{grid}[{i}]") for i, v in enumerate(values)]
     return out
 
@@ -358,18 +366,36 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _clear_previous_run(out_dir: str) -> None:
-    """Delete the files inside `out_dir` that a manifest already there lists."""
+# What `_publish` writes besides the artifacts: the list of files a run in
+# progress may leave behind, and the suffix of each file's temporary name.
+_PENDING, _TMP = ".expacc-pending.json", ".expacc-tmp"
+
+
+def _listed(path: str, key: str | None = None) -> list:
+    """The relative paths a JSON file names (under `key`, if given); [] when
+    there is no such file."""
     try:
-        with open(os.path.join(out_dir, "manifest.json")) as fh:
-            listed = json.load(fh)["files"]
+        with open(path) as fh:
+            listed = json.load(fh)
     except FileNotFoundError:
-        return
+        return []
+    return list(listed[key] if key else listed)
+
+
+def _remove_inside(out_dir: str, rels) -> None:
+    """Delete each listed file that lies inside `out_dir`, in order."""
     root = os.path.realpath(out_dir)
-    for rel in listed:
+    for rel in rels:
         path = os.path.realpath(os.path.join(root, rel))
         if os.path.commonpath([root, path]) == root and os.path.isfile(path):
             os.remove(path)
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path + _TMP, "wb") as fh:
+        fh.write(data)
+    os.replace(path + _TMP, path)
 
 
 def _publish(out_dir: str, files: dict, *, seed=None, config_bytes: bytes = b"") -> None:
@@ -379,24 +405,35 @@ def _publish(out_dir: str, files: dict, *, seed=None, config_bytes: bytes = b"")
     Callers render every artifact first, so a run that fails before this
     leaves the previous one untouched.  Each text is written as UTF-8 and
     those same bytes are hashed.
+
+    A crash at any point leaves either no manifest or one whose hashes all
+    match.  First a pending list is written naming every file this run may
+    leave behind: the previous run's (its manifest's and, after a crash, its
+    pending list's), and each new file under its own and its temporary
+    name.  Then the old manifest goes, then the files it and the old pending
+    list name.  Each new file is written to its temporary name and
+    `os.replace`d into place, and the new manifest's `os.replace` commits
+    the run; the pending list goes last.  A run after a crash removes what
+    the pending list names.  Files expacc did not write are never touched.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    _clear_previous_run(out_dir)
+    manifest = os.path.join(out_dir, "manifest.json")
+    pending = os.path.join(out_dir, _PENDING)
+    old = _listed(manifest, "files") + _listed(pending)
+    new = [*files, "manifest.json"]
+    _write_atomic(pending, json.dumps(sorted({*old, *new, *(rel + _TMP for rel in new)})).encode())
+    _remove_inside(out_dir, ["manifest.json", *old])
     digests = {}
     for rel, text in files.items():
         data = text.encode("utf-8")
-        path = os.path.join(out_dir, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(data)
+        _write_atomic(os.path.join(out_dir, rel), data)
         digests[rel] = hashlib.sha256(data).hexdigest()
-    manifest = {
+    record = {
         "config_sha256": hashlib.sha256(config_bytes).hexdigest() if config_bytes else None,
         "seed": seed,
         "files": digests,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(manifest, (json.dumps(record, indent=2, sort_keys=True) + "\n").encode())
+    os.remove(pending)
 
 
 def _replicate_config(config_path: str, seed_override: int | None, max_folds: int | None = None):

@@ -1,13 +1,18 @@
 """Experiment engine: epoch loop, early stopping, replicated comparisons.
 
-A single `train_run` trains one (fold, loss) cell: every grid point of its
-(lr, dropout) search, stacked along a leading axis of one network and
-stepped in lockstep.  Per epoch it shuffles once, takes minibatch Adam steps
-for all live points, and records each point's train loss/accuracy, dev
-accuracy and mean pre-activation gradient norm; a point that stops early or
-diverges leaves the stack.  At the end each point's best-dev-accuracy
-parameters are measured on test with argmax predictions, and the best point
-wins the cell.  Each point's numbers are bit-identical to training it alone.
+A single `train_run` trains one fold as one stack: every (loss, lr,
+dropout) point of every (fold, loss) cell, stacked along a leading axis of
+one network and stepped in lockstep.  The points of a loss form a group
+with that cell's run seed, whose initialization, shuffles and dropout draws
+they share.  Per epoch each group shuffles once; each minibatch step gathers
+every group's rows and makes one forward pass, one loss call, one backward
+pass and one Adam step for all live points.  Each point records its train
+loss/accuracy, dev accuracy and mean pre-activation gradient norm per
+epoch, and a point that stops early leaves the stack; a diverging point
+fails its own group only.  At the end each point's best-dev-accuracy
+parameters are measured on test with argmax predictions, and each group's
+best point wins its cell.  Each point's numbers are bit-identical to
+training it alone.
 
 `replicate` runs every (fold, loss) cell of a cross-validated comparison,
 fold by fold, with the pairing guarantees the analysis needs: each fold's
@@ -34,10 +39,10 @@ from .numerics import Rng
 from .optim import Adam, minibatches
 
 __all__ = [
-    "CellResult",
     "EpochRecord",
     "FoldOutcome",
     "RunResult",
+    "StackResult",
     "TrainConfig",
     "TrainingDiverged",
     "accuracy",
@@ -137,17 +142,27 @@ class RunResult:
 
 
 @dataclass
-class CellResult:
-    """The runs of one cell's grid points, in candidate order, and the index
-    of the one with the best dev accuracy (ties go to the earliest point).
+class StackResult:
+    """What one `train_run` returns: every point's run, in point order, and
+    one verdict per group of points, in the order of the groups' first
+    points.  A group's verdict is the index of its point with the best dev
+    accuracy (ties go to the earliest point) or, when any of its points
+    diverged, the `TrainingDiverged` of the first of them in point order.
 
-    `records` is every epoch of every point, point-major, and `best_epoch`
-    and the test measures are the winner's, so a one-point cell reads like
-    its only run.
+    `best` and `winner` are the first group's (raising its divergence), so a
+    one-group stack reads like its cell.  `records` and `best_epoch` add up
+    over the stack: every epoch of every point, point-major, and the best
+    epochs of the groups' winners.
     """
 
     runs: list
-    best: int
+    verdicts: list
+
+    @property
+    def best(self) -> int:
+        if isinstance(self.verdicts[0], TrainingDiverged):
+            raise self.verdicts[0]
+        return self.verdicts[0]
 
     @property
     def winner(self) -> RunResult:
@@ -159,19 +174,9 @@ class CellResult:
 
     @property
     def best_epoch(self) -> int:
-        return self.winner.best_epoch
-
-    @property
-    def test_acc(self) -> float:
-        return self.winner.test_acc
-
-    @property
-    def test_error(self) -> float:
-        return self.winner.test_error
-
-    @property
-    def best_dev_acc(self) -> float:
-        return self.winner.best_dev_acc
+        return sum(
+            self.runs[v].best_epoch for v in self.verdicts if not isinstance(v, TrainingDiverged)
+        )
 
 
 def accuracy(model, ds: Dataset):
@@ -189,18 +194,20 @@ def train_run(
     cfg: TrainConfig,
     hidden=DEFAULT_HIDDEN,
     points=None,
-) -> CellResult:
-    """Train every grid point of one cell and evaluate each at its best
+) -> StackResult:
+    """Train a stack of points on one fold and evaluate each at its best
     early-stopping epoch on test.
 
-    `points` lists each point's (lr, dropout), by default `cfg`'s own; every
-    other setting of `cfg`, the seed included, is shared.  The points train
-    in lockstep as one stacked network: one minibatch permutation, one
-    forward pass, one loss, one backward pass and one Adam step per step for
-    all of them.  They share the initialization, the minibatches and the
-    dropout draws that separate runs from `cfg.seed` would make, and each
-    point's slice gets the bits its own run would, so the stack changes only
-    how many steps Python pays for.
+    `points` lists the stack's TrainConfigs, by default `[cfg]`.  They share
+    `cfg.batch_size`; each brings its own loss, lr, dropout, seed and
+    stopping rule.  Points with the same loss and seed form a group, and a
+    group's random streams are the ones a run of its own from that seed
+    draws: one initialization, one minibatch permutation per epoch and one
+    dropout draw per layer per step, shared by its points.  The stack trains
+    in lockstep, so per step there is one gather of each group's rows (each
+    point gets its group's features and labels), one forward pass, one
+    `loss_grad_preact` call, one backward pass and one Adam step for all the
+    points, and each point's slice gets the bits its own run would.
 
     Each minibatch gathers its rows of `train.ds` through `train.index`
     (`take`, the same rows and bits as fancy indexing, with less overhead
@@ -213,54 +220,68 @@ def train_run(
     `min_epochs`).  Ties in dev accuracy keep the earliest epoch.  A point
     that stops leaves the stack and is no longer stepped.
 
-    A non-finite loss fails the cell with `TrainingDiverged` for the first
-    point, in candidate order, that diverges, as training the points one by
-    one in order would: the points after it leave the stack at once, and
-    the ones before it train on until they stop or diverge themselves.
+    A non-finite loss fails the point's group, with a `TrainingDiverged` for
+    the group's first point, in point order, that diverges, as training the
+    group's points one by one in order would: the group's points after it
+    leave the stack at once, and the ones before it train on until they stop
+    or diverge themselves.  The other groups train on.
     """
-    points = [(cfg.lr, cfg.dropout)] if points is None else list(points)
-    for lr, dropout in points:
-        replace(cfg, lr=lr, dropout=dropout)  # validates the point
+    points = [cfg] if points is None else list(points)
+    if any(p.batch_size != cfg.batch_size for p in points):
+        raise ValueError(f"the points of a stack share one batch_size, {cfg.batch_size}")
     for part, ds in (("train", train), ("dev", dev), ("test", test)):
         if ds.n == 0:
             raise EmptyDataError(f"{part} split is empty")
-    lrs, dropouts = (np.array(v, dtype=np.float64) for v in zip(*points))
-    root = Rng(cfg.seed)
-    model = build_model(model_kind, root.child(_INIT), train.d, train.k, hidden, dropouts)
+    keys = list(dict.fromkeys((p.loss, p.seed) for p in points))
+    group_of = np.array([keys.index((p.loss, p.seed)) for p in points])
+    roots = [Rng(seed) for _, seed in keys]
+    model = build_model(
+        model_kind, [r.child(_INIT) for r in roots], train.d, train.k, hidden,
+        [p.dropout for p in points], group_of,
+    )
     best = copy.deepcopy(model)  # each point's parameters at its best epoch
-    batch_rng = root.child(_BATCH)
-    dropout_rng = root.child(_DROPOUT)
-    opt = Adam(lrs)
+    batch_rngs = [r.child(_BATCH) for r in roots]
+    dropout_rngs = [r.child(_DROPOUT) for r in roots]
+    opt = Adam([p.lr for p in points])
     labels, index = train.labels, train.index
 
-    live = np.arange(len(points))  # candidate index of each point in the stack
+    live = np.arange(len(points))  # point index of each point in the stack
     records = [[] for _ in points]
     best_epoch = [0] * len(points)
     best_dev = [-math.inf] * len(points)
-    failure = None
+    failures = {}  # group -> its TrainingDiverged
     epoch = 0
     while live.size:
         epoch += 1
+        # the live groups, in the order model.groups numbers them
+        groups = np.unique(group_of[live])
+        specs = [points[j].loss for j in live]
+        batches = {g: minibatches(batch_rngs[g], train.n, cfg.batch_size) for g in groups}
         loss_sum = np.zeros(live.size)
         hit_sum = np.zeros(live.size)
         norm_sum = np.zeros(live.size)
-        for batch_no, idx in enumerate(minibatches(batch_rng, train.n, cfg.batch_size)):
-            rows = index.take(idx)
+        for batch_no in range(len(batches[groups[0]])):
+            # each group's rows, then each point's: its group's
+            rows = index.take(np.stack([batches[g][batch_no] for g in groups])[model.groups])
             xb = train.ds.features(rows)
             yb = labels.take(rows)
-            preact, trace = model.forward(xb, dropout_rng)
-            batch = loss_grad_preact(cfg.loss, preact, yb)
+            preact, trace = model.forward(xb, [dropout_rngs[g] for g in groups])
+            batch = loss_grad_preact(specs, preact, yb)
             grads = model.backward(trace, batch.grad_preact)
-            loss_sum += batch.mean_loss * idx.size
+            loss_sum += batch.mean_loss * rows.shape[-1]
             hit_sum += (preact.argmax(axis=-1) == yb).sum(axis=-1)
             norm_sum += batch.per_instance_norms.sum(axis=-1)
-            finite = np.isfinite(batch.mean_loss)
-            if not finite.all():
-                first = int(live[finite.argmin()])
-                failure = TrainingDiverged(
-                    f"{cfg.loss.name}: non-finite loss at epoch {epoch}, batch {batch_no}", first
-                )
-                keep = live < first
+            bad = ~np.isfinite(batch.mean_loss)
+            if bad.any():
+                keep = np.ones(live.size, dtype=bool)
+                for g in np.unique(group_of[live[bad]]):
+                    first = int(live[bad & (group_of[live] == g)][0])
+                    failures[g] = TrainingDiverged(
+                        f"{points[first].loss.name}: non-finite loss at epoch {epoch}, "
+                        f"batch {batch_no}",
+                        first,
+                    )
+                    keep &= (group_of[live] != g) | (live < first)
                 live, loss_sum, hit_sum, norm_sum = (
                     a[keep] for a in (live, loss_sum, hit_sum, norm_sum)
                 )
@@ -269,6 +290,8 @@ def train_run(
                 opt.take(keep)
                 if not live.size:
                     break
+                groups = np.unique(group_of[live])
+                specs = [points[j].loss for j in live]
             opt.step(model.params(), grads)
         if not live.size:
             break
@@ -290,20 +313,23 @@ def train_run(
                 best_epoch[point] = epoch
                 for kept, p in zip(best.params(), model.params()):
                     kept[point] = p[j]
-            stopped[j] = should_stop(epoch, best_epoch[point], cfg)
+            stopped[j] = should_stop(epoch, best_epoch[point], points[point])
         if stopped.any():
             live = live[~stopped]
             model.take(~stopped)
             opt.take(~stopped)
 
-    if failure is not None:
-        raise failure
     test_acc = accuracy(best, test)
     runs = [
         RunResult(records[j], best_epoch[j], 1.0 - float(test_acc[j]), float(test_acc[j]))
         for j in range(len(points))
     ]
-    return CellResult(runs, best=int(np.argmax(best_dev)))
+    verdicts = []
+    for g in range(len(keys)):
+        members = np.flatnonzero(group_of == g)
+        won = int(members[np.argmax([best_dev[j] for j in members])])
+        verdicts.append(failures.get(g, won))
+    return StackResult(runs, verdicts)
 
 
 def grad_norm_probe(model, x: np.ndarray, labels, losses) -> dict:
@@ -336,7 +362,8 @@ class FoldOutcome:
 
 
 def _fold_outcomes(model_kind, pool, plan, fold_index, cfgs, test, master_seed, noise_p, hidden):
-    """Train every loss's cell on one fold's data, built once for them all.
+    """Train every (loss, candidate) point of one fold in one stack, on data
+    built once for them all.
 
     Train rows index the pool under the fold's (noisy) labels; only the dev
     rows are copied, once, and the noisy-label dev set shares their features.
@@ -351,22 +378,30 @@ def _fold_outcomes(model_kind, pool, plan, fold_index, cfgs, test, master_seed, 
         # convention, on the held-out half, which is both dev and test, with
         # its original (clean) labels.
         test = clean_dev if plan.test is None else pool.subset(plan.test, name=f"{pool.name}-test")
+    # Each loss's points form one group with one run seed, keyed by the
+    # loss's canonical index, not dict position, so reordering cfgs cannot
+    # change any run.
+    master = Rng(master_seed)
+    points = [
+        replace(c, seed=master.child(_RUN_KEY, fold_index, KINDS.index(c.loss.kind)).seed)
+        for candidates in cfgs.values()
+        for c in candidates
+    ]
+    try:
+        stack = train_run(model_kind, train, dev, test, points[0], hidden, points)
+        verdicts = stack.verdicts
+    except DataError as exc:  # bad data fails every cell before any point trains
+        verdicts = [exc] * len(cfgs)
     outcomes = []
-    for name, candidates in cfgs.items():
-        # Seed keyed by the loss's canonical index, not dict position, so
-        # reordering cfgs cannot change any run.
-        kind = KINDS.index(candidates[0].loss.kind)
-        cfg = replace(candidates[0], seed=Rng(master_seed).child(_RUN_KEY, fold_index, kind).seed)
-        points = [(c.lr, c.dropout) for c in candidates]
-        try:
-            cell = train_run(model_kind, train, dev, test, cfg, hidden, points)
-        except (TrainingDiverged, DataError) as exc:  # expected failures are data
-            # bad data fails the cell before any point trains: name the first
-            failed = candidates[exc.point if isinstance(exc, TrainingDiverged) else 0]
-            outcomes.append(FoldOutcome(name, fold_index, failed.lr, failed.dropout, None, str(exc)))
+    for (name, candidates), verdict in zip(cfgs.items(), verdicts):
+        # expected failures are data: the row names the candidate that failed
+        if isinstance(verdict, TrainingDiverged):
+            point, result, error = points[verdict.point], None, str(verdict)
+        elif isinstance(verdict, DataError):
+            point, result, error = candidates[0], None, str(verdict)
         else:
-            won = candidates[cell.best]
-            outcomes.append(FoldOutcome(name, fold_index, won.lr, won.dropout, cell.winner))
+            point, result, error = points[verdict], stack.runs[verdict], None
+        outcomes.append(FoldOutcome(name, fold_index, point.lr, point.dropout, result, error))
     return outcomes
 
 
@@ -385,11 +420,12 @@ def replicate(
     """Run every fold of `plan` for every loss in `cfgs`, fold by fold.
 
     `cfgs` maps loss name -> the non-empty list of candidate TrainConfigs
-    for that loss (each one's `loss` must match the key, and they may differ
-    only in `lr` and `dropout`).  Every candidate of a (fold, loss) cell
-    trains from the same run seed, all of them in one stacked `train_run`,
-    and the cell keeps the one with the best dev accuracy, ties going to the
-    earliest.
+    for that loss (each one's `loss` must be the key's; all candidates of
+    all losses may differ only in `loss`, `lr` and `dropout`).  Every
+    candidate of every loss of a fold trains in one stacked `train_run`;
+    the candidates of a (fold, loss) cell train from that cell's one run
+    seed, and the cell keeps the one with the best dev accuracy, ties going
+    to the earliest.
     `noise_p` is the label-noise level of the training/development pool:
     the corrupted labels are drawn per fold from the master seed, so every
     loss of a fold sees the same ones.  A candidate that diverges or meets
@@ -403,13 +439,15 @@ def replicate(
     for name, candidates in cfgs.items():
         if not candidates:
             raise ValueError(f"no candidate config for loss {name!r}")
+    base = next(iter(cfgs.values()))[0]
+    for name, candidates in cfgs.items():
         for cfg in candidates:
-            if cfg.loss.name != name:
-                raise ValueError(f"config key {name!r} does not match loss {cfg.loss.name!r}")
-            if replace(cfg, lr=candidates[0].lr, dropout=candidates[0].dropout) != candidates[0]:
+            if cfg.loss.name != name or cfg.loss != candidates[0].loss:
+                raise ValueError(f"config key {name!r} does not match loss {cfg.loss!r}")
+            if replace(cfg, loss=base.loss, lr=base.lr, dropout=base.dropout) != base:
                 raise ValueError(
-                    f"candidates of loss {name!r} differ in more than lr and dropout: "
-                    "a cell trains them as one grid"
+                    "candidates differ in more than loss, lr and dropout: "
+                    "a fold trains them all as one stack"
                 )
     if not 0.0 <= noise_p <= 1.0:
         raise ValueError(f"noise_p must lie in [0, 1], got {noise_p}")

@@ -6,15 +6,22 @@ Per instance, with p the predicted class distribution and r the true class:
     eerr:    -p_r                     (negated expected accuracy)
     leerr:   -(p_r + alpha * log p_r) (leaky expected error)
 
-`_losses_of` holds these formulas once; `loss_value`, `bayes_optimal` and
-the fused path all call it.  Batch values are means over instances.
-`loss_grad_preact` fuses the loss with softmax and returns the gradient with
-respect to the pre-activation scores; with e_r the one-hot vector of r the
-per-instance closed forms are
+All three are -(a p_r + b log p_r) with the coefficients (a, b) of
+`LossSpec.coefficients`: (0, 1), (1, 0) and (1, alpha).  `_losses_of` holds
+that formula once; `loss_value`, `bayes_optimal` and the fused path all call
+it.  Batch values are means over instances.  `loss_grad_preact` fuses the
+loss with softmax and returns the gradient with respect to the
+pre-activation scores; with e_r the one-hot vector of r it is
+(a p_r + b) (p - e_r) per instance, which is
 
     neglog:  p - e_r
     eerr:    p_r * (p - e_r)
     leerr:   (p_r + alpha) * (p - e_r)
+
+Each coefficient is exact in IEEE arithmetic (0 p + 1 = 1, 1 p + 0 = p,
+1 p + alpha = p + alpha, and likewise for the values), so one formula gives
+each kind the bits of its own closed form, and a stack of networks can mix
+kinds in one call.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -67,6 +74,13 @@ class LossSpec:
     def name(self) -> str:
         return self.kind
 
+    @property
+    def coefficients(self) -> tuple:
+        """(a, b) of the loss -(a p_r + b log p_r)."""
+        if self.kind == "neglog":
+            return (0.0, 1.0)
+        return (1.0, 0.0 if self.kind == "eerr" else self.alpha)
+
 
 NEGLOG = LossSpec("neglog")
 EERR = LossSpec("eerr")
@@ -101,14 +115,10 @@ def validate_distribution(probs) -> np.ndarray:
     return probs
 
 
-def _losses_of(spec: LossSpec, p_true: np.ndarray) -> np.ndarray:
-    """Loss of each probability assigned to the true class, elementwise."""
-    if spec.kind == "eerr":
-        return -p_true
-    log_p = np.log(np.maximum(p_true, _P_FLOOR))
-    if spec.kind == "neglog":
-        return -log_p
-    return -(p_true + spec.alpha * log_p)
+def _losses_of(a, b, p_true: np.ndarray) -> np.ndarray:
+    """Loss of each probability assigned to the true class, elementwise, for
+    the coefficients (a, b) of `LossSpec.coefficients` (arrays broadcast)."""
+    return -(a * p_true + b * np.log(np.maximum(p_true, _P_FLOOR)))
 
 
 def loss_value(spec: LossSpec, probs, true_class: int) -> float:
@@ -116,46 +126,49 @@ def loss_value(spec: LossSpec, probs, true_class: int) -> float:
     probs = validate_distribution(probs)
     if not 0 <= true_class < probs.size:
         raise ValueError(f"true_class {true_class} out of range for k={probs.size}")
-    return float(_losses_of(spec, probs[true_class]))
+    return float(_losses_of(*spec.coefficients, probs[true_class]))
 
 
-def loss_grad_preact(spec: LossSpec, preact_batch: np.ndarray, true_classes) -> LossBatchResult:
+def loss_grad_preact(spec, preact_batch: np.ndarray, true_classes) -> LossBatchResult:
     """Fused softmax+loss: batch-mean value and its pre-activation gradient.
 
-    `preact_batch` is (..., n, k): leading axes (a grid of stacked models)
-    share the n true classes, and `mean_loss` and the rows of
-    `per_instance_norms` are per leading index.  Each slice gets the bits a
-    2-D batch of its own would.
+    `preact_batch` is (..., n, k), where leading axes are a stack of
+    networks, and `mean_loss` and the rows of `per_instance_norms` are per
+    leading index.  `true_classes` is (n,), shared by every slice, or one
+    row per slice (`preact_batch`'s shape without k).  `spec` is one
+    `LossSpec` for every slice or, for a 3-D stack, one per point.  Each
+    slice gets the bits a 2-D batch of its own would.
     """
     a = np.asarray(preact_batch, dtype=np.float64)
     if a.ndim < 2:
         raise ValueError(f"pre-activation batch must be at least 2-D, got shape {a.shape}")
     r = np.asarray(true_classes, dtype=np.int64)
     n, k = a.shape[-2:]
-    if r.shape != (n,):
-        raise ValueError(f"true_classes shape {r.shape} does not match batch of {n}")
+    if r.shape not in ((n,), a.shape[:-1]):
+        raise ValueError(f"true_classes shape {r.shape} does not match batch of {a.shape[:-1]}")
     if (r < 0).any() or (r >= k).any():
         raise ValueError(f"true class out of range for k={k}")
+    if isinstance(spec, LossSpec):
+        coef_a, coef_b = spec.coefficients
+    else:
+        coefs = np.array([s.coefficients for s in spec]).reshape(-1, 2)
+        if a.ndim != 3 or len(coefs) != len(a):
+            raise ValueError(f"{len(coefs)} loss specs for a batch of shape {a.shape}")
+        coef_a, coef_b = coefs[:, :1], coefs[:, 1:]
 
     p = softmax_rows(a)
-    rows = np.arange(n)
-    # Indexing a stacked p returns F order; each slice's mean must sum its
-    # n values in the order a 1-D array does, so take a C-order copy.
-    p_true = np.ascontiguousarray(p[..., rows, r])
-
-    if spec.kind == "neglog":
-        coeff = np.ones(n)
-    elif spec.kind == "eerr":
-        coeff = p_true
-    else:
-        coeff = p_true + spec.alpha
+    # Flat offsets of each instance's true class: the gather returns p_true
+    # in C order, so each slice's mean sums its n values in the order a 1-D
+    # array does.
+    flat = np.arange(0, p.size, k).reshape(a.shape[:-1]) + r
+    p_true = p.reshape(-1).take(flat)
 
     grad = p.copy()
-    grad[..., rows, r] -= 1.0
-    grad *= coeff[..., None]
+    grad.reshape(-1)[flat] -= 1.0
+    grad *= (coef_a * p_true + coef_b)[..., None]
 
     return LossBatchResult(
-        mean_loss=_losses_of(spec, p_true).mean(axis=-1),
+        mean_loss=_losses_of(coef_a, coef_b, p_true).mean(axis=-1),
         grad_preact=grad / n,
         per_instance_norms=np.linalg.norm(grad, axis=-1),
     )
@@ -229,7 +242,7 @@ def bayes_optimal(spec: LossSpec, true_conditional, grid_step: float) -> np.ndar
     best_q = None
     best_risk = math.inf
     for q in _simplex_grid(k, steps):
-        risk = float(true_conditional @ _losses_of(spec, q))
+        risk = float(true_conditional @ _losses_of(*spec.coefficients, q))
         if risk < best_risk:
             best_risk = risk
             best_q = q

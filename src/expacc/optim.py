@@ -20,7 +20,8 @@ class Adam:
     moment state.
 
     `lr` is a number or one rate per grid point of stacked parameters, each
-    broadcast over its point's slice of the leading axis.  A step writes the
+    broadcast over its point's slice of the leading axis (`TrainConfig`
+    checks the rates).  A step writes the
     moments, two scratch buffers per parameter and the parameter in place,
     in the operation order of `lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so
     steps allocate no arrays.
@@ -28,8 +29,6 @@ class Adam:
 
     def __init__(self, lr):
         self.lr = np.asarray(lr, dtype=np.float64)
-        if not ((self.lr >= 0) & (self.lr < np.inf)).all():
-            raise ValueError(f"lr must be finite and >= 0, got {lr}")
         self.t = 0
         self.m = None
         self.v = None

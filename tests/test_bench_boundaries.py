@@ -9,6 +9,7 @@ suite, instead of only when the benchmark runs.
 import importlib
 import importlib.util
 import inspect
+from dataclasses import replace
 from collections import Counter
 from pathlib import Path
 
@@ -51,10 +52,10 @@ def test_the_step_count_of_a_grid_cell_is_its_points_steps(tracer):
     ds = two_gaussians(3, 150, 4, delta=1.5)
     plan = make_folds(Rng(4), ds.n, "fixed", train_size=100, dev_size=25)
     train_idx, dev_idx = plan.folds[0]
+    cfg = TrainConfig(loss=LossSpec("leerr"), batch_size=32, max_epochs=20, patience=2)
     args = (
         "logreg", Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test),
-        TrainConfig(loss=LossSpec("leerr"), batch_size=32, max_epochs=20, patience=2),
-        (), [(1e-3, 0.0), (3e-2, 0.0), (0.3, 0.0)],
+        cfg, (), [replace(cfg, lr=lr) for lr in (1e-3, 3e-2, 0.3)],
     )
     counts = Counter()
     result = train_run(*args)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import yaml
 import expacc.harness
 from expacc.cli import (
     ConfigError,
+    _publish,
     cmd_curves,
     cmd_gradnorms,
     cmd_run,
@@ -22,6 +24,8 @@ from expacc.cli import (
     main,
     validate_config,
 )
+from expacc.harness import TrainConfig
+from expacc.losses import LossSpec
 from expacc.numerics import Rng
 
 
@@ -157,8 +161,8 @@ def test_config_with_overrides_section_exits_2_naming_it(tmp_path, capsys):
 
 
 def test_config_rejected_grid_value_names_its_entry_before_data_loads(tmp_path, monkeypatch):
-    # dropout 1.0 passes the [0, 1] probability check but no TrainConfig
-    # accepts it; it must fail config validation, not a later grid point
+    # dropout 1.0 is a probability but not a dropout rate; it must fail
+    # config validation, not a later grid point
     loaded = []
     monkeypatch.setattr(expacc.cli, "load_datasets", lambda cfg: loaded.append(cfg))
     config = write_synthetic_experiment(
@@ -171,6 +175,22 @@ def test_config_rejected_grid_value_names_its_entry_before_data_loads(tmp_path, 
     assert exc.value.field == "train.dropout_grid[1]"
     assert main(["run", str(config)]) == 2
     assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("lr", -1.0), ("lr", math.inf), ("lr", math.nan), ("dropout", -0.1), ("dropout", 1.0)],
+)
+def test_bad_rate_is_rejected_at_main_and_at_train_config(tmp_path, capsys, key, value):
+    # the config check names the key; TrainConfig is the one library check
+    # (Adam and train_run take the rates it let through)
+    config = write_synthetic_experiment(
+        tmp_path, model={"kind": "mlp", "hidden": [4]}, train={key: value, "max_epochs": 2}
+    )
+    assert main(["run", str(config)]) == 2
+    assert f"train.{key}: " in capsys.readouterr().err
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(loss=LossSpec("neglog"), max_epochs=2, **{key: value})
 
 
 @pytest.mark.parametrize(
@@ -394,6 +414,49 @@ def test_rerun_into_same_out_dir_leaves_only_the_new_run(tmp_path):
     assert (tmp_path / "outside.txt").exists()
 
 
+def _manifest_matches_or_is_absent(out: Path) -> bool:
+    if not (out / "manifest.json").exists():
+        return True
+    listed = json.loads((out / "manifest.json").read_text())["files"]
+    return all(
+        (out / rel).is_file()
+        and hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+        for rel, digest in listed.items()
+    )
+
+
+def test_publish_survives_a_failure_at_every_replace(tmp_path, monkeypatch):
+    # each os.replace of a publish (the pending list, each artifact, the
+    # manifest) fails in turn; every failure leaves no manifest or one that
+    # matches, and the next run leaves no file of the failed one
+    first = {"runs.csv": "a\n", "metrics/a.csv": "1\n", "report.txt": "first\n"}
+    second = {"runs.csv": "b\n", "metrics/b.csv": "2\n", "summary.csv": "s\n"}
+    third = {"runs.csv": "c\n", "gradnorms.csv": "3\n"}
+    replace = os.replace
+    for step in range(len(second) + 2):
+        out = tmp_path / f"out{step}"
+        _publish(str(out), first, seed=1)
+        (out / "notes.txt").write_text("not written by expacc\n")
+        calls = []
+
+        def failing(src, dst):
+            calls.append(dst)
+            if len(calls) == step + 1:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", failing)
+            with pytest.raises(OSError, match="disk full"):
+                _publish(str(out), second, seed=2)
+        assert _manifest_matches_or_is_absent(out), step
+        _publish(str(out), third, seed=3)
+        on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+        assert on_disk == {*third, "manifest.json", "notes.txt"}, step
+        assert (out / "notes.txt").read_text() == "not written by expacc\n"
+        assert _manifest_matches_or_is_absent(out)
+
+
 def test_failed_rerun_leaves_the_previous_run_untouched(tmp_path, monkeypatch):
     # every artifact is rendered before any file of the previous run is deleted
     config = write_synthetic_experiment(tmp_path)
@@ -466,13 +529,21 @@ def test_gradnorms_matches_the_first_fold_of_run(tmp_path):
 
 
 def test_gradnorms_fails_when_a_cell_fails(tmp_path, monkeypatch, capsys):
-    def diverge(*args, **kwargs):
-        raise expacc.harness.TrainingDiverged("eerr: non-finite loss at epoch 1, batch 0")
+    # the fold's stack returns eerr's group as diverged (points: neglog,
+    # eerr, leerr, one each); the other cells train, but gradnorms fails
+    train_run = expacc.harness.train_run
 
-    monkeypatch.setattr(expacc.harness, "train_run", diverge)
+    def diverge_eerr(*args, **kwargs):
+        stack = train_run(*args, **kwargs)
+        stack.verdicts[1] = expacc.harness.TrainingDiverged(
+            "eerr: non-finite loss at epoch 1, batch 0", 1
+        )
+        return stack
+
+    monkeypatch.setattr(expacc.harness, "train_run", diverge_eerr)
     config = write_synthetic_experiment(tmp_path)
     assert main(["gradnorms", str(config)]) == 1
-    assert "non-finite loss" in capsys.readouterr().err
+    assert "fold 0 / eerr: eerr: non-finite loss" in capsys.readouterr().err
 
 
 def test_failed_cell_row_reports_the_candidate_that_failed(tmp_path, monkeypatch):

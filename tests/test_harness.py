@@ -90,7 +90,7 @@ def test_same_seed_reproduces_run_exactly():
     a = train_run("logreg", train, dev, test, cfg)
     b = train_run("logreg", train, dev, test, cfg)
     assert a.best_epoch == b.best_epoch
-    assert a.test_acc == b.test_acc
+    assert a.winner.test_acc == b.winner.test_acc
     for ra, rb in zip(a.records, b.records):
         assert (ra.train_loss, ra.dev_acc, ra.grad_norm_mean) == (
             rb.train_loss,
@@ -104,7 +104,7 @@ def test_best_epoch_attains_max_dev_accuracy_and_model_reproduces_it():
     cfg = TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32, max_epochs=25, seed=4)
     # dev doubles as test, so the test measurement is the restored model's
     # dev accuracy
-    result = train_run("logreg", train, dev, dev, cfg)
+    result = train_run("logreg", train, dev, dev, cfg).winner
     dev_curve = [r.dev_acc for r in result.records]
     assert result.records[result.best_epoch - 1].dev_acc == max(dev_curve)
     # ties break to the earliest epoch
@@ -118,8 +118,10 @@ def test_divergence_aborts_with_location():
     train.ds.x[train.index[0], 0] = 1e308  # overflows the pre-activations once lr moves weights
     cfg = TrainConfig(loss=NEGLOG, lr=10.0, batch_size=8, max_epochs=50, seed=1)
     with np.errstate(all="ignore"):
-        with pytest.raises(TrainingDiverged, match="epoch"):
-            train_run("logreg", train, dev, test, cfg)
+        result = train_run("logreg", train, dev, test, cfg)
+    # the stack returns; its only group's verdict is the divergence
+    with pytest.raises(TrainingDiverged, match="epoch"):
+        result.winner
 
 
 def test_mlp_trains_on_blobs():
@@ -131,7 +133,7 @@ def test_mlp_trains_on_blobs():
         "mlp", Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test),
         cfg, hidden=(16, 12, 8),
     )
-    assert result.test_acc > 0.8
+    assert result.winner.test_acc > 0.8
 
 
 @pytest.mark.parametrize("kind, dropout", [("logreg", 0.0), ("mlp", 0.25)])
@@ -146,7 +148,7 @@ def test_training_on_pool_rows_matches_training_on_a_copied_split(kind, dropout)
     copied = ds.subset(train_idx)
     copy = train_run(kind, Rows(copied, np.arange(copied.n)), dev, test, cfg, hidden=(16, 8))
     assert rows.records == copy.records
-    assert (rows.best_epoch, rows.test_acc) == (copy.best_epoch, copy.test_acc)
+    assert (rows.best_epoch, rows.winner.test_acc) == (copy.best_epoch, copy.winner.test_acc)
 
 
 def blob_splits():
@@ -156,9 +158,9 @@ def blob_splits():
     return Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test)
 
 
-def _alone(kind, train, dev, test, cfg, point, hidden):
-    lr, dropout = point
-    return train_run(kind, train, dev, test, replace(cfg, lr=lr, dropout=dropout), hidden)
+def grid(cfg, pairs):
+    """The stack points of `cfg` at each (lr, dropout) pair."""
+    return [replace(cfg, lr=lr, dropout=dropout) for lr, dropout in pairs]
 
 
 @pytest.mark.parametrize(
@@ -171,16 +173,81 @@ def _alone(kind, train, dev, test, cfg, point, hidden):
 def test_each_stacked_point_is_bit_identical_to_its_own_run(kind, points):
     train, dev, test = blob_splits()
     cfg = TrainConfig(loss=LEERR, batch_size=16, max_epochs=25, patience=3, seed=8)
+    points = grid(cfg, points)
     cell = train_run(kind, train, dev, test, cfg, (16, 8), points)
     assert len(cell.runs) == len(points)
     for point, run in zip(points, cell.runs):
-        alone = _alone(kind, train, dev, test, cfg, point, (16, 8))
+        alone = train_run(kind, train, dev, test, point, (16, 8)).winner
         assert run.records == alone.records
         assert (run.best_epoch, run.test_acc) == (alone.best_epoch, alone.test_acc)
     # the points stop on their own rule at different epochs
     assert len({len(run.records) for run in cell.runs}) > 1
     dev_best = [run.best_dev_acc for run in cell.runs]
     assert cell.best == dev_best.index(max(dev_best))
+
+
+@pytest.mark.parametrize(
+    "kind, pairs",
+    [
+        ("logreg", [(lr, 0.0) for lr in (1e-3, 3e-2, 0.3)]),
+        ("mlp", [(lr, dropout) for lr in (1e-3, 2e-2) for dropout in (0.0, 0.3)]),
+    ],
+)
+def test_every_slice_of_a_mixed_loss_stack_is_its_own_run(kind, pairs):
+    # three losses, each with its own seed, interleaved in point order: each
+    # (loss, point) slice gets the bits of its own one-point run, and each
+    # group's verdict is the winner of its own points
+    train, dev, test = blob_splits()
+    cfg = TrainConfig(loss=LEERR, batch_size=16, max_epochs=25, patience=3)
+    specs = (NEGLOG, EERR, LossSpec("leerr", 0.2))
+    points = [
+        replace(cfg, loss=spec, lr=lr, dropout=dropout, seed=10 + i)
+        for lr, dropout in pairs
+        for i, spec in enumerate(specs)
+    ]
+    stack = train_run(kind, train, dev, test, cfg, (16, 8), points)
+    assert len(stack.runs) == len(points)
+    for point, run in zip(points, stack.runs):
+        alone = train_run(kind, train, dev, test, point, (16, 8)).winner
+        assert run.records == alone.records
+        assert (run.best_epoch, run.test_acc) == (alone.best_epoch, alone.test_acc)
+    assert len({len(run.records) for run in stack.runs}) > 1
+    assert len(stack.verdicts) == len(specs)
+    for i, verdict in enumerate(stack.verdicts):
+        members = list(range(i, len(points), len(specs)))
+        dev_best = [stack.runs[j].best_dev_acc for j in members]
+        assert verdict == members[dev_best.index(max(dev_best))]
+    assert stack.records == [r for run in stack.runs for r in run.records]
+    assert stack.best_epoch == sum(stack.runs[v].best_epoch for v in stack.verdicts)
+
+
+def test_a_diverging_loss_fails_only_its_own_cells():
+    # neglog at lr 1.0 diverges first, at epoch 1, but lr 0.5 comes before
+    # it in candidate order and diverges at epoch 2; eerr trains on as if
+    # alone, and the neglog row names lr 0.5 with the error of its own run
+    ds = two_gaussians(5, 120, 4, delta=2.0)
+    plan = make_folds(Rng(6), ds.n, "fixed", train_size=60, dev_size=30)
+    ds.x[plan.folds[0][0][0], 0] = 1e308  # overflows once lr moves the weights far enough
+
+    def cfgs(spec, lrs):
+        return [TrainConfig(loss=spec, lr=lr, batch_size=8, max_epochs=30) for lr in lrs]
+
+    with np.errstate(all="ignore"):
+        neglog, eerr = replicate(
+            "logreg", ds, plan,
+            {"neglog": cfgs(NEGLOG, (0.1, 0.5, 1.0)), "eerr": cfgs(EERR, (1e-3, 1e-2))},
+            master_seed=3,
+        )
+        eerr_alone = replicate("logreg", ds, plan, {"eerr": cfgs(EERR, (1e-3, 1e-2))},
+                               master_seed=3)[0]
+        alone = {
+            lr: replicate("logreg", ds, plan, {"neglog": cfgs(NEGLOG, (lr,))}, master_seed=3)[0]
+            for lr in (0.5, 1.0)
+        }
+    assert alone[1.0].error == "neglog: non-finite loss at epoch 1, batch 3"
+    assert (neglog.ok, neglog.lr, neglog.error) == (False, 0.5, alone[0.5].error)
+    assert "epoch 2" in neglog.error
+    assert eerr.ok and eerr == eerr_alone
 
 
 def test_stopped_points_leave_the_stack(monkeypatch):
@@ -195,7 +262,8 @@ def test_stopped_points_leave_the_stack(monkeypatch):
     monkeypatch.setattr(expacc.optim.Adam, "step", recording)
     train, dev, test = blob_splits()
     cfg = TrainConfig(loss=LEERR, batch_size=16, max_epochs=25, patience=3, seed=8)
-    cell = train_run("logreg", train, dev, test, cfg, points=[(1e-3, 0.0), (3e-2, 0.0), (0.3, 0.0)])
+    points = grid(cfg, [(1e-3, 0.0), (3e-2, 0.0), (0.3, 0.0)])
+    cell = train_run("logreg", train, dev, test, cfg, points=points)
     batches = -(-train.n // cfg.batch_size)
     epochs = [len(run.records) for run in cell.runs]
     assert len(set(epochs)) > 1
@@ -208,8 +276,8 @@ def test_dev_accuracy_ties_go_to_the_earliest_point():
     cfg = TrainConfig(loss=EERR, batch_size=16, max_epochs=4, seed=2)
     # lr 0 and a vanishing lr leave the model where it started: equal dev
     # accuracy, whichever comes first wins
-    for points in ([(0.0, 0.0), (1e-12, 0.0)], [(1e-12, 0.0), (0.0, 0.0)]):
-        cell = train_run("logreg", train, dev, test, cfg, points=points)
+    for pairs in ([(0.0, 0.0), (1e-12, 0.0)], [(1e-12, 0.0), (0.0, 0.0)]):
+        cell = train_run("logreg", train, dev, test, cfg, points=grid(cfg, pairs))
         assert cell.runs[0].best_dev_acc == cell.runs[1].best_dev_acc
         assert cell.runs[0].records != cell.runs[1].records
         assert cell.best == 0
@@ -223,12 +291,13 @@ def test_divergence_fails_the_cell_with_the_first_point_in_candidate_order():
     with np.errstate(all="ignore"):
         for lr in (0.5, 1.0):
             with pytest.raises(TrainingDiverged) as exc:
-                train_run("logreg", train, dev, test, replace(cfg, lr=lr))
+                train_run("logreg", train, dev, test, replace(cfg, lr=lr)).winner
             alone[lr] = str(exc.value)
         # lr 1.0 diverges first, but lr 0.5 comes before it in the grid;
         # lr 0.1 never diverges and trains on
+        points = grid(cfg, [(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)])
         with pytest.raises(TrainingDiverged) as exc:
-            train_run("logreg", train, dev, test, cfg, points=[(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)])
+            train_run("logreg", train, dev, test, cfg, points=points).winner
     assert alone[1.0] == "neglog: non-finite loss at epoch 1, batch 6"
     assert alone[0.5] == "neglog: non-finite loss at epoch 2, batch 6"
     assert (exc.value.point, str(exc.value)) == (1, alone[0.5])
@@ -333,10 +402,12 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
     # dev doubles as test: one copy of its rows per fold, under noisy labels
     # for early stopping and clean ones for the test measurement
     assert copies == [40, 40]
-    assert len(cells) == 4  # one train_run per (fold, loss) cell, for both lrs
-    for (train, dev, test, points), fold in zip(cells, (0, 0, 1, 1)):
+    assert len(cells) == 2  # one train_run per fold, for both losses and both lrs
+    for (train, dev, test, points), fold in zip(cells, (0, 1)):
         labels, dev_idx = noisy[fold], plan.folds[fold][1]
-        assert points == [(1e-2, 0.0), (1e-1, 0.0)]
+        assert [(p.loss, p.lr) for p in points] == [
+            (spec, lr) for spec in (NEGLOG, EERR) for lr in (1e-2, 1e-1)
+        ]
         assert train.ds is ds and train.labels is not ds.labels
         assert np.array_equal(train.labels, labels)
         assert dev.x is test.x
@@ -351,10 +422,20 @@ def test_replicate_rejects_malformed_candidate_lists():
         replicate("logreg", ds, plan, {"neglog": []})
     with pytest.raises(ValueError, match="does not match"):
         replicate("logreg", ds, plan, {"neglog": [TrainConfig(loss=EERR, max_epochs=1)]})
-    # a cell trains its candidates as one grid over lr and dropout only
+    # a fold trains all candidates as one stack over loss, lr and dropout only
     mixed = [TrainConfig(loss=NEGLOG, max_epochs=1), TrainConfig(loss=NEGLOG, max_epochs=2)]
-    with pytest.raises(ValueError, match="more than lr and dropout"):
+    with pytest.raises(ValueError, match="more than loss, lr and dropout"):
         replicate("logreg", ds, plan, {"neglog": mixed})
+    across = {
+        "neglog": [TrainConfig(loss=NEGLOG, max_epochs=1)],
+        "eerr": [TrainConfig(loss=EERR, max_epochs=1, batch_size=32)],
+    }
+    with pytest.raises(ValueError, match="more than loss, lr and dropout"):
+        replicate("logreg", ds, plan, across)
+    # one loss per key: two leerr alphas would be two groups
+    alphas = [TrainConfig(loss=spec, max_epochs=1) for spec in (LEERR, LossSpec("leerr", 0.3))]
+    with pytest.raises(ValueError, match="does not match"):
+        replicate("logreg", ds, plan, {"leerr": alphas})
 
 
 def test_replicate_continues_past_failing_fold():

@@ -122,7 +122,7 @@ def test_dropout_mean_matches_identity():
     trials = 10_000
     acc = np.zeros_like(h)
     for _ in range(trials):
-        acc += Mlp._drop_mult(h.shape, p, rng) * h
+        acc += Mlp._drop_mult(h.shape, p, [rng]) * h
     mean = acc / trials
     se = np.abs(h) * math.sqrt(p / (1.0 - p)) / math.sqrt(trials)
     assert np.all(np.abs(mean - h) <= 3.0 * se + 1e-12)
