@@ -8,6 +8,7 @@ injection, gradient-norm diagnostics, and paired significance tests.
 
 from .data import (
     Dataset,
+    Folds,
     Rows,
     SplitPlan,
     UciSchema,
@@ -54,6 +55,7 @@ __all__ = [
     "EERR",
     "EpochRecord",
     "FoldOutcome",
+    "Folds",
     "LEERR",
     "LogisticRegression",
     "LossBatchResult",

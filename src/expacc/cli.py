@@ -383,12 +383,16 @@ def _listed(path: str, key: str | None = None) -> list:
 
 
 def _remove_inside(out_dir: str, rels) -> None:
-    """Delete each listed file that lies inside `out_dir`, in order."""
+    """Delete each listed file inside `out_dir`, in order, and the directories emptied."""
     root = os.path.realpath(out_dir)
     for rel in rels:
         path = os.path.realpath(os.path.join(root, rel))
         if os.path.commonpath([root, path]) == root and os.path.isfile(path):
             os.remove(path)
+            path = os.path.dirname(path)
+            while path != root and not os.listdir(path):
+                os.rmdir(path)
+                path = os.path.dirname(path)
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -411,10 +415,11 @@ def _publish(out_dir: str, files: dict, *, seed=None, config_bytes: bytes = b"")
     leave behind: the previous run's (its manifest's and, after a crash, its
     pending list's), and each new file under its own and its temporary
     name.  Then the old manifest goes, then the files it and the old pending
-    list name.  Each new file is written to its temporary name and
-    `os.replace`d into place, and the new manifest's `os.replace` commits
-    the run; the pending list goes last.  A run after a crash removes what
-    the pending list names.  Files expacc did not write are never touched.
+    list name and the directories emptied.  Each new file is written to its
+    temporary name and `os.replace`d into place, the new manifest's
+    `os.replace` commits the run, and the pending list goes last.  A run
+    after a crash removes what the pending list names.  Files expacc did
+    not write, and the directories holding them, are never touched.
     """
     manifest = os.path.join(out_dir, "manifest.json")
     pending = os.path.join(out_dir, _PENDING)

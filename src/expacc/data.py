@@ -3,9 +3,9 @@
 Datasets are immutable after loading and safe to share across threads; noise
 injection returns a fresh label array rather than mutating.  A `Rows` names
 some rows of a dataset by an index array without copying them, optionally
-under another label array: a training split is the fold's pool plus its
-train indices and (noisy) labels, and `Dataset.subset` copies only the small
-splits (dev, test) that are evaluated whole.
+under another label array: each split of a fold is the pool plus the
+split's indices, train and dev under the fold's (noisy) labels, and `Folds`
+holds the equal-sized train splits of several folds.
 
 File formats accepted:
 
@@ -40,6 +40,7 @@ __all__ = [
     "DataError",
     "Dataset",
     "EmptyDataError",
+    "Folds",
     "IdxMagicError",
     "IdxTruncatedError",
     "Rows",
@@ -176,6 +177,18 @@ class Rows:
     @property
     def k(self) -> int:
         return self.ds.k
+
+
+class Folds(tuple):
+    """The train `Rows` of several folds, one per fold, of one pool and size."""
+
+    def __new__(cls, rows):
+        rows = super().__new__(cls, rows)
+        if not rows or any(r.ds is not rows[0].ds or r.n != rows[0].n for r in rows):
+            raise ValueError("the folds of a stack need one pool and one train size")
+        return rows
+
+    n = property(lambda self: self[0].n)
 
 
 # --- MNIST IDX ---------------------------------------------------------------

@@ -1,27 +1,20 @@
 """Experiment engine: epoch loop, early stopping, replicated comparisons.
 
-A single `train_run` trains one fold as one stack: every (loss, lr,
-dropout) point of every (fold, loss) cell, stacked along a leading axis of
-one network and stepped in lockstep.  The points of a loss form a group
-with that cell's run seed, whose initialization, shuffles and dropout draws
-they share.  Per epoch each group shuffles once; each minibatch step gathers
-every group's rows and makes one forward pass, one loss call, one backward
-pass and one Adam step for all live points.  Each point records its train
-loss/accuracy, dev accuracy and mean pre-activation gradient norm per
-epoch, and a point that stops early leaves the stack; a diverging point
-fails its own group only.  At the end each point's best-dev-accuracy
-parameters are measured on test with argmax predictions, and each group's
-best point wins its cell.  Each point's numbers are bit-identical to
-training it alone.
+`train_run` trains one stack: grid points, each a (fold, loss, lr, dropout)
+of one train size, along a leading axis of one network, stepped in lockstep
+with one forward pass, loss call, backward pass and Adam step per minibatch.
+The points of a (fold, loss) cell form a group sharing that cell's run seed;
+a point that stops early leaves the stack, a diverging point fails its own
+group only, and each group's best point on dev wins its cell.  Each point's
+numbers are bit-identical to training it alone.
 
-`replicate` runs every (fold, loss) cell of a cross-validated comparison,
-fold by fold, with the pairing guarantees the analysis needs: each fold's
-noisy labels and dev copy are built once and shared by every loss and every
-candidate config, and every candidate of a cell trains from one
-initialization seed per (master seed, fold, loss).  Train rows index the
-pool, whose features every fold shares; only the dev (and a plan's test)
-rows are copied, and only one fold's copies are alive at a time.  Both
-`expacc run` and `expacc gradnorms` train their cells through it.
+`replicate` runs every (fold, loss) cell of a cross-validated comparison, for
+`expacc run` and `expacc gradnorms`, with the pairing guarantees the analysis
+needs: each fold's noisy labels are drawn once and shared by every loss and
+candidate, and every candidate of a cell trains from one initialization seed
+per (master seed, fold, loss).  Every split names rows of the pool, and a
+fold's dev and test rows are copied only while that fold is evaluated.  The
+points of equal-sized folds fill stacks of up to `STACK_PARAMS` parameters.
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, EmptyDataError, Rows, SplitPlan, inject_label_noise
+from .data import DataError, Dataset, EmptyDataError, Folds, Rows, SplitPlan, inject_label_noise
 from .losses import KINDS, LossSpec, loss_grad_preact
 from .models import DEFAULT_HIDDEN, build_model
 from .numerics import Rng
@@ -56,6 +49,8 @@ __all__ = [
 _INIT, _BATCH, _DROPOUT = 0, 1, 2
 # Child-stream keys drawn from a master seed.
 _NOISE_KEY, _RUN_KEY, _PLAN_KEY = 0, 1, 2
+# Float64 parameters (1 MiB) per stack of `replicate`; a larger point trains alone.
+STACK_PARAMS = 2**17
 
 
 class TrainingDiverged(RuntimeError):
@@ -120,7 +115,7 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass
+@dataclass(slots=True)
 class EpochRecord:
     epoch: int
     train_loss: float
@@ -179,40 +174,64 @@ class StackResult:
         )
 
 
-def accuracy(model, ds: Dataset):
-    """Argmax accuracy of a forward pass without dropout: a float, or one per
-    grid point of a stacked model."""
-    preact, _ = model.forward(ds.features())
-    return (preact.argmax(axis=-1) == ds.labels).mean(axis=-1)
+def accuracy(model, split: Rows):
+    """Argmax accuracy without dropout on the rows `split` names, copied for
+    this evaluation only: a float, or one per grid point of a stacked model."""
+    rows = split.ds.subset(split.index)
+    preact, _ = model.forward(rows.features())
+    return (preact.argmax(axis=-1) == split.labels.take(split.index)).mean(axis=-1)
+
+
+def _fold_accuracy(model, folds, splits) -> np.ndarray:
+    """Each point's accuracy on its fold's split; `folds` never decreases, so
+    each fold's points are evaluated together, as a view of the stack."""
+    acc = []
+    for f, lo, count in zip(*np.unique(folds, return_index=True, return_counts=True)):
+        part = copy.copy(model)
+        part.take(slice(lo, lo + count))
+        acc.append(accuracy(part, splits[f]))
+    return np.concatenate(acc)
+
+
+def _per_fold(split) -> list:
+    """A split, or a list of them (one per fold), as a list of `Rows`."""
+    splits = split if isinstance(split, (list, tuple)) else [split]
+    return [s if isinstance(s, Rows) else Rows(s, np.arange(s.n)) for s in splits]
+
+
+def _check_nonempty(*splits) -> None:
+    for part, split in zip(("train", "dev", "test"), splits):
+        if split.n == 0:
+            raise EmptyDataError(f"{part} split is empty")
 
 
 def train_run(
     model_kind: str,
-    train: Rows,
-    dev: Dataset,
-    test: Dataset,
+    train: Rows | Folds,
+    dev,
+    test,
     cfg: TrainConfig,
     hidden=DEFAULT_HIDDEN,
     points=None,
+    folds=None,
 ) -> StackResult:
-    """Train a stack of points on one fold and evaluate each at its best
-    early-stopping epoch on test.
+    """Train a stack of points and evaluate each at its best early-stopping
+    epoch on test.
 
     `points` lists the stack's TrainConfigs, by default `[cfg]`.  They share
     `cfg.batch_size`; each brings its own loss, lr, dropout, seed and
-    stopping rule.  Points with the same loss and seed form a group, and a
-    group's random streams are the ones a run of its own from that seed
+    stopping rule.  `folds` numbers each point's fold (default: all 0) in
+    non-decreasing order: `train` is one fold's `Rows` or the `Folds` of
+    several, and `dev` and `test` are one split (`Dataset` or `Rows`) or a
+    list with one per fold.  Points with the same fold, loss and seed form a
+    group, whose random streams are the ones a run of its own from that seed
     draws: one initialization, one minibatch permutation per epoch and one
-    dropout draw per layer per step, shared by its points.  The stack trains
-    in lockstep, so per step there is one gather of each group's rows (each
-    point gets its group's features and labels), one forward pass, one
-    `loss_grad_preact` call, one backward pass and one Adam step for all the
-    points, and each point's slice gets the bits its own run would.
-
-    Each minibatch gathers its rows of `train.ds` through `train.index`
-    (`take`, the same rows and bits as fancy indexing, with less overhead
-    per call), so the training split is never copied whole, and only those
-    rows are scaled to float features (`Dataset.features`).
+    dropout draw per layer per step, shared by its points.  Per step each
+    point gathers its group's rows of the pool through its fold's row index
+    (`take`: no split is copied whole, and only these rows become float
+    features), and one forward pass, `loss_grad_preact` call, backward pass
+    and Adam step serve all the points, each slice getting the bits of its
+    own run.  Dev and test accuracy is measured one fold at a time.
 
     Stopping, per point: always at `max_epochs` when set; additionally once
     at least `min_epochs` have run and `patience` epochs have passed without
@@ -227,44 +246,56 @@ def train_run(
     or diverge themselves.  The other groups train on.
     """
     points = [cfg] if points is None else list(points)
+    fold_of = np.zeros(len(points), dtype=np.intp) if folds is None else np.asarray(folds)
+    trains = train if isinstance(train, Folds) else Folds([train])
+    devs, tests = _per_fold(dev), _per_fold(test)
     if any(p.batch_size != cfg.batch_size for p in points):
         raise ValueError(f"the points of a stack share one batch_size, {cfg.batch_size}")
-    for part, ds in (("train", train), ("dev", dev), ("test", test)):
-        if ds.n == 0:
-            raise EmptyDataError(f"{part} split is empty")
-    keys = list(dict.fromkeys((p.loss, p.seed) for p in points))
-    group_of = np.array([keys.index((p.loss, p.seed)) for p in points])
-    roots = [Rng(seed) for _, seed in keys]
+    if (np.diff(fold_of) < 0).any():
+        raise ValueError("the points of a stack come fold by fold")
+    for f in np.unique(fold_of):
+        _check_nonempty(trains[f], devs[f], tests[f])
+    keys = {}  # (fold, loss, seed) -> group
+    group_of = np.array(
+        [keys.setdefault((f, p.loss, p.seed), len(keys)) for f, p in zip(fold_of, points)]
+    )
+    keys = list(keys)
+    roots = [Rng(seed) for _, _, seed in keys]
+    pool, n, batch_size = trains[0].ds, trains.n, cfg.batch_size
     model = build_model(
-        model_kind, [r.child(_INIT) for r in roots], train.d, train.k, hidden,
+        model_kind, [r.child(_INIT) for r in roots], pool.d, pool.k, hidden,
         [p.dropout for p in points], group_of,
     )
     best = copy.deepcopy(model)  # each point's parameters at its best epoch
     batch_rngs = [r.child(_BATCH) for r in roots]
     dropout_rngs = [r.child(_DROPOUT) for r in roots]
     opt = Adam([p.lr for p in points])
-    labels, index = train.labels, train.index
 
     live = np.arange(len(points))  # point index of each point in the stack
     records = [[] for _ in points]
     best_epoch = [0] * len(points)
     best_dev = [-math.inf] * len(points)
     failures = {}  # group -> its TrainingDiverged
+    order = np.empty((len(keys), n), dtype=np.intp)
+    targets = np.empty((len(keys), n), dtype=np.int64)
     epoch = 0
     while live.size:
         epoch += 1
-        # the live groups, in the order model.groups numbers them
-        groups = np.unique(group_of[live])
+        gl = group_of[live]
+        groups = np.unique(gl)  # the live groups, in the order model.groups numbers them
         specs = [points[j].loss for j in live]
-        batches = {g: minibatches(batch_rngs[g], train.n, cfg.batch_size) for g in groups}
+        # each live group's pool rows and labels in this epoch's shuffled order
+        for g in groups:
+            fold = trains[keys[g][0]]
+            order[g] = fold.index.take(np.concatenate(minibatches(batch_rngs[g], n, batch_size)))
+            targets[g] = fold.labels.take(order[g])
         loss_sum = np.zeros(live.size)
         hit_sum = np.zeros(live.size)
         norm_sum = np.zeros(live.size)
-        for batch_no in range(len(batches[groups[0]])):
-            # each group's rows, then each point's: its group's
-            rows = index.take(np.stack([batches[g][batch_no] for g in groups])[model.groups])
-            xb = train.ds.features(rows)
-            yb = labels.take(rows)
+        for batch_no, lo in enumerate(range(0, n, batch_size)):
+            rows = order[gl, lo : lo + batch_size]
+            xb = pool.features(rows)
+            yb = targets[gl, lo : lo + batch_size]
             preact, trace = model.forward(xb, [dropout_rngs[g] for g in groups])
             batch = loss_grad_preact(specs, preact, yb)
             grads = model.backward(trace, batch.grad_preact)
@@ -274,14 +305,14 @@ def train_run(
             bad = ~np.isfinite(batch.mean_loss)
             if bad.any():
                 keep = np.ones(live.size, dtype=bool)
-                for g in np.unique(group_of[live[bad]]):
-                    first = int(live[bad & (group_of[live] == g)][0])
+                for g in np.unique(gl[bad]):
+                    first = int(live[bad & (gl == g)][0])
                     failures[g] = TrainingDiverged(
                         f"{points[first].loss.name}: non-finite loss at epoch {epoch}, "
                         f"batch {batch_no}",
                         first,
                     )
-                    keep &= (group_of[live] != g) | (live < first)
+                    keep &= (gl != g) | (live < first)
                 live, loss_sum, hit_sum, norm_sum = (
                     a[keep] for a in (live, loss_sum, hit_sum, norm_sum)
                 )
@@ -290,22 +321,23 @@ def train_run(
                 opt.take(keep)
                 if not live.size:
                     break
-                groups = np.unique(group_of[live])
+                gl = group_of[live]
+                groups = np.unique(gl)
                 specs = [points[j].loss for j in live]
             opt.step(model.params(), grads)
         if not live.size:
             break
 
-        dev_acc = accuracy(model, dev)
+        dev_acc = _fold_accuracy(model, fold_of[live], devs)
         stopped = np.zeros(live.size, dtype=bool)
         for j, point in enumerate(live):
             records[point].append(
                 EpochRecord(
                     epoch=epoch,
-                    train_loss=float(loss_sum[j] / train.n),
-                    train_acc=float(hit_sum[j] / train.n),
+                    train_loss=float(loss_sum[j] / n),
+                    train_acc=float(hit_sum[j] / n),
                     dev_acc=float(dev_acc[j]),
-                    grad_norm_mean=float(norm_sum[j] / train.n),
+                    grad_norm_mean=float(norm_sum[j] / n),
                 )
             )
             if dev_acc[j] > best_dev[point]:
@@ -319,7 +351,7 @@ def train_run(
             model.take(~stopped)
             opt.take(~stopped)
 
-    test_acc = accuracy(best, test)
+    test_acc = _fold_accuracy(best, fold_of, tests)
     runs = [
         RunResult(records[j], best_epoch[j], 1.0 - float(test_acc[j]), float(test_acc[j]))
         for j in range(len(points))
@@ -361,50 +393,6 @@ class FoldOutcome:
         return self.error is None
 
 
-def _fold_outcomes(model_kind, pool, plan, fold_index, cfgs, test, master_seed, noise_p, hidden):
-    """Train every (loss, candidate) point of one fold in one stack, on data
-    built once for them all.
-
-    Train rows index the pool under the fold's (noisy) labels; only the dev
-    rows are copied, once, and the noisy-label dev set shares their features.
-    """
-    train_idx, dev_idx = plan.folds[fold_index]
-    labels = inject_label_noise(Rng(master_seed).child(_NOISE_KEY, fold_index), pool, noise_p)
-    train = Rows(pool, train_idx, labels)
-    clean_dev = pool.subset(dev_idx, name=f"{pool.name}-dev")
-    dev = replace(clean_dev, labels=labels[dev_idx])
-    if test is None:
-        # No test set given: test on the plan's test part, or, in the 2-fold
-        # convention, on the held-out half, which is both dev and test, with
-        # its original (clean) labels.
-        test = clean_dev if plan.test is None else pool.subset(plan.test, name=f"{pool.name}-test")
-    # Each loss's points form one group with one run seed, keyed by the
-    # loss's canonical index, not dict position, so reordering cfgs cannot
-    # change any run.
-    master = Rng(master_seed)
-    points = [
-        replace(c, seed=master.child(_RUN_KEY, fold_index, KINDS.index(c.loss.kind)).seed)
-        for candidates in cfgs.values()
-        for c in candidates
-    ]
-    try:
-        stack = train_run(model_kind, train, dev, test, points[0], hidden, points)
-        verdicts = stack.verdicts
-    except DataError as exc:  # bad data fails every cell before any point trains
-        verdicts = [exc] * len(cfgs)
-    outcomes = []
-    for (name, candidates), verdict in zip(cfgs.items(), verdicts):
-        # expected failures are data: the row names the candidate that failed
-        if isinstance(verdict, TrainingDiverged):
-            point, result, error = points[verdict.point], None, str(verdict)
-        elif isinstance(verdict, DataError):
-            point, result, error = candidates[0], None, str(verdict)
-        else:
-            point, result, error = points[verdict], stack.runs[verdict], None
-        outcomes.append(FoldOutcome(name, fold_index, point.lr, point.dropout, result, error))
-    return outcomes
-
-
 def replicate(
     model_kind: str,
     pool: Dataset,
@@ -417,22 +405,24 @@ def replicate(
     hidden=DEFAULT_HIDDEN,
     max_folds: int | None = None,
 ):
-    """Run every fold of `plan` for every loss in `cfgs`, fold by fold.
+    """Run every fold of `plan` for every loss in `cfgs`.
 
     `cfgs` maps loss name -> the non-empty list of candidate TrainConfigs
     for that loss (each one's `loss` must be the key's; all candidates of
     all losses may differ only in `loss`, `lr` and `dropout`).  Every
-    candidate of every loss of a fold trains in one stacked `train_run`;
-    the candidates of a (fold, loss) cell train from that cell's one run
-    seed, and the cell keeps the one with the best dev accuracy, ties going
-    to the earliest.
+    (fold, loss, candidate) is one point; the candidates of a (fold, loss)
+    cell train from that cell's one run seed, and the cell keeps the one
+    with the best dev accuracy, ties going to the earliest.
     `noise_p` is the label-noise level of the training/development pool:
     the corrupted labels are drawn per fold from the master seed, so every
-    loss of a fold sees the same ones.  A candidate that diverges or meets
-    bad data fails its whole cell, reported as a `FoldOutcome` carrying that
-    candidate's settings (the first that diverges, in candidate order) and
-    the error, and the remaining cells still run;
-    any other exception is a bug and propagates.
+    loss of a fold sees the same ones.  A candidate that diverges fails its
+    cell, and bad data (an empty split) fails its fold's cells, each
+    reported as a `FoldOutcome` with the error and the settings of the
+    candidate that failed (the first to diverge, in candidate order), while
+    the remaining cells still run; any other exception is a bug and
+    propagates.  The points of folds with equal train sizes fill one
+    `train_run` after another, in point order, up to `STACK_PARAMS`
+    parameters each.
     """
     if not cfgs:
         raise ValueError("need at least one loss config")
@@ -447,15 +437,66 @@ def replicate(
             if replace(cfg, loss=base.loss, lr=base.lr, dropout=base.dropout) != base:
                 raise ValueError(
                     "candidates differ in more than loss, lr and dropout: "
-                    "a fold trains them all as one stack"
+                    "they train together in stacks"
                 )
     if not 0.0 <= noise_p <= 1.0:
         raise ValueError(f"noise_p must lie in [0, 1], got {noise_p}")
 
     n_folds = len(plan.folds) if max_folds is None else min(max_folds, len(plan.folds))
+    master = Rng(master_seed)
+    splits = {}  # fold -> its (train, dev, test) rows
+    pieces = {}  # cell -> (config, run or expected failure) of each stack that trained it
+    for fold in range(n_folds):
+        train_idx, dev_idx = plan.folds[fold]
+        labels = inject_label_noise(master.child(_NOISE_KEY, fold), pool, noise_p)
+        # No test set given: test on the plan's test part, or, in the 2-fold
+        # convention, on the held-out half, which is both dev and test, with
+        # its original (clean) labels.
+        held_out = dev_idx if plan.test is None else plan.test
+        fold_test = Rows(pool, held_out) if test is None else test
+        fold_splits = (Rows(pool, train_idx, labels), Rows(pool, dev_idx, labels), fold_test)
+        try:
+            _check_nonempty(*fold_splits)
+            splits[fold] = fold_splits
+        except DataError as exc:  # fails each cell of the fold, named by its first candidate
+            pieces.update({(fold, name): [(c[0], exc)] for name, c in cfgs.items()})
+    # Each loss's points in a fold form one group with one run seed, keyed by
+    # the loss's canonical index, not dict position, so reordering cfgs
+    # cannot change any run.
+    points = [
+        (fold, name, replace(c, seed=master.child(_RUN_KEY, fold, KINDS.index(name)).seed))
+        for fold in splits
+        for name, candidates in cfgs.items()
+        for c in candidates
+    ]
+    by_size = {}
+    for point in points:
+        by_size.setdefault(splits[point[0]][0].n, []).append(point)
+    sizes = [pool.d, *(hidden if model_kind == "mlp" else ()), pool.k]
+    room = max(1, STACK_PARAMS // sum((m + 1) * n for m, n in zip(sizes, sizes[1:])))
+    for same_size in by_size.values():
+        for lo in range(0, len(same_size), room):
+            stack = same_size[lo : lo + room]
+            folds = list(dict.fromkeys(fold for fold, _, _ in stack))
+            train, dev, tests = zip(*(splits[fold] for fold in folds))
+            result = train_run(
+                model_kind, Folds(train), dev, tests, stack[0][2], hidden,
+                [c for _, _, c in stack], [folds.index(fold) for fold, _, _ in stack],
+            )
+            # the stack's groups are its cells, in the order of their first points
+            for cell, v in zip(dict.fromkeys(p[:2] for p in stack), result.verdicts):
+                pieces.setdefault(cell, []).append(
+                    (stack[v.point][2], v) if isinstance(v, TrainingDiverged)
+                    else (stack[v][2], result.runs[v])
+                )
+
     outcomes = []
-    for fold_index in range(n_folds):
-        outcomes += _fold_outcomes(
-            model_kind, pool, plan, fold_index, cfgs, test, master_seed, noise_p, hidden
-        )
+    for fold in range(n_folds):
+        for name in cfgs:
+            # expected failures are data: the row names the candidate that failed
+            cell = pieces[fold, name]
+            failed = [p for p in cell if isinstance(p[1], Exception)]
+            point, run = failed[0] if failed else max(cell, key=lambda p: p[1].best_dev_acc)
+            result, error = (None, str(run)) if failed else (run, None)
+            outcomes.append(FoldOutcome(name, fold, point.lr, point.dropout, result, error))
     return outcomes

@@ -63,8 +63,9 @@ class Mlp:
 
     Hidden layout defaults to `DEFAULT_HIDDEN`; `hidden=()` is the linear map
     a = x W + b.  When `forward` is given an `Rng`, each input and hidden
-    unit is dropped with probability `dropout` and survivors are scaled by
-    1/(1-p); without one it is a plain forward pass.
+    unit is dropped with probability `dropout` (in [0, 1): `TrainConfig`
+    checks it) and survivors are scaled by 1/(1-p); without one it is a
+    plain forward pass.
 
     A sequence of dropout rates makes a stack of networks, one per grid
     point: every parameter gets a leading axis of that length.  `groups`
@@ -87,8 +88,6 @@ class Mlp:
         groups=None,
     ):
         self.dropout = np.asarray(dropout, dtype=np.float64)
-        if self.dropout.ndim > 1 or ((self.dropout < 0.0) | (self.dropout >= 1.0)).any():
-            raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
         grid = self.dropout.shape
         self.groups = np.zeros(grid, dtype=np.intp) if groups is None else np.asarray(groups)
         if self.groups.shape != grid:

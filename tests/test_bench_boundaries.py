@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from expacc.data import Rows, make_folds
+from expacc.data import Folds, Rows, make_folds
 from expacc.harness import TrainConfig, train_run
 from expacc.losses import LossSpec
 from expacc.numerics import Rng
@@ -65,3 +65,26 @@ def test_the_step_count_of_a_grid_cell_is_its_points_steps(tracer):
     assert counts["epochs"] == sum(epochs)
     assert counts["steps"] == sum(epochs) * 4  # ceil(100 / 32) batches per epoch
     assert counts["best_epochs"] == result.runs[result.best].best_epoch
+
+
+def test_the_step_count_of_a_stack_across_folds_is_its_points_steps(tracer):
+    # a stack of two folds' points: `args[1].n` is each point's train size,
+    # and the steps are every point's epochs x batches per epoch
+    ds = two_gaussians(5, 150, 4, delta=1.5)
+    plan = make_folds(Rng(6), ds.n, "kfold", k=3)
+    cfg = TrainConfig(loss=LossSpec("eerr"), batch_size=32, max_epochs=20, patience=2)
+    labels = [ds.labels, Rng(7).integers(2, size=ds.n)]
+    train = Folds(Rows(ds, plan.folds[f][0], labels[f]) for f in (0, 1))
+    dev = [Rows(ds, plan.folds[f][1], labels[f]) for f in (0, 1)]
+    test = [Rows(ds, plan.folds[f][1]) for f in (0, 1)]
+    points = [replace(cfg, lr=lr, seed=fold) for fold in (0, 1) for lr in (1e-3, 3e-2, 0.3)]
+    args = ("logreg", train, dev, test, cfg, (), points, [0, 0, 0, 1, 1, 1])
+    counts = Counter()
+    result = train_run(*args)
+    tracer._train_run_epochs(counts, args, {}, result)
+    epochs = [len(run.records) for run in result.runs]
+    assert args[1].n == len(plan.folds[0][0]) == 100
+    assert len(set(epochs)) > 1 and len(result.verdicts) == 2
+    assert counts["epochs"] == sum(epochs)
+    assert counts["steps"] == sum(epochs) * 4  # ceil(100 / 32) batches per epoch
+    assert counts["best_epochs"] == sum(result.runs[v].best_epoch for v in result.verdicts)

@@ -414,6 +414,26 @@ def test_rerun_into_same_out_dir_leaves_only_the_new_run(tmp_path):
     assert (tmp_path / "outside.txt").exists()
 
 
+def test_publish_removes_the_directories_it_empties(tmp_path):
+    # gradnorms writes no metrics/: the previous run's directory goes with
+    # its files, but never out_dir itself
+    config = write_synthetic_experiment(tmp_path, replication={"scheme": "kfold", "folds": 2})
+    out = Path(cmd_run(str(config)))
+    assert (out / "metrics").is_dir()
+    cmd_gradnorms(str(config))
+    assert not [p for p in out.rglob("*") if p.is_dir()]
+    assert sorted(p.name for p in out.iterdir()) == ["gradnorms.csv", "manifest.json"]
+
+
+def test_publish_keeps_a_directory_that_holds_a_user_file(tmp_path):
+    config = write_synthetic_experiment(tmp_path, replication={"scheme": "kfold", "folds": 2})
+    out = Path(cmd_run(str(config)))
+    (out / "metrics" / "notes.txt").write_text("not written by expacc\n")
+    cmd_gradnorms(str(config))
+    assert [p.name for p in (out / "metrics").iterdir()] == ["notes.txt"]
+    assert (out / "metrics" / "notes.txt").read_text() == "not written by expacc\n"
+
+
 def _manifest_matches_or_is_absent(out: Path) -> bool:
     if not (out / "manifest.json").exists():
         return True

@@ -10,6 +10,7 @@ from expacc.data import (
     CsvCellError,
     Dataset,
     EmptyDataError,
+    Folds,
     IdxMagicError,
     IdxTruncatedError,
     Rows,
@@ -269,3 +270,13 @@ def test_rows_name_pool_rows_without_copying_them():
     assert Rows(ds, [4, 0, 2], noisy).labels is noisy  # labels for every row of ds
     with pytest.raises(CountMismatchError, match="6 instances but 3 labels"):
         Rows(ds, [4, 0, 2], noisy[:3])
+
+
+def test_folds_hold_train_rows_of_one_pool_and_one_size():
+    ds = Dataset(np.arange(12.0).reshape(6, 2), [0, 1, 2, 0, 1, 2], 3, "pool")
+    folds = Folds(Rows(ds, idx) for idx in ([0, 1, 2], [3, 4, 5]))
+    assert folds.n == 3 and len(folds) == 2 and folds[1].index.tolist() == [3, 4, 5]
+    other = Dataset(ds.x.copy(), ds.labels, 3, "other")
+    for rows in ([Rows(ds, [0, 1]), Rows(ds, [2])], [Rows(ds, [0]), Rows(other, [1])], []):
+        with pytest.raises(ValueError, match="one pool and one train size"):
+            Folds(rows)

@@ -6,7 +6,7 @@ import pytest
 
 import expacc.harness
 import expacc.optim
-from expacc.data import Dataset, Rows, make_folds
+from expacc.data import Dataset, Folds, Rows, SplitPlan, make_folds
 from expacc.harness import (
     FoldOutcome,
     TrainConfig,
@@ -250,6 +250,15 @@ def test_a_diverging_loss_fails_only_its_own_cells():
     assert eerr.ok and eerr == eerr_alone
 
 
+def test_a_stack_takes_its_points_fold_by_fold():
+    # each fold's points must be one slice of the stack
+    train, dev, test = small_splits(7)
+    cfg = TrainConfig(loss=NEGLOG, batch_size=16, max_epochs=1)
+    with pytest.raises(ValueError, match="fold by fold"):
+        train_run("logreg", Folds([train, train]), [dev, dev], [test, test], cfg,
+                  points=[cfg, cfg, cfg], folds=[0, 1, 0])
+
+
 def test_stopped_points_leave_the_stack(monkeypatch):
     # the stack steps each point exactly as often as its own run would
     sizes = []
@@ -378,12 +387,12 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
         copies.append(len(indices))
         return subset(ds, indices, name)
 
-    cells = []
+    stacks = []
     train_run = expacc.harness.train_run
 
-    def recording_train_run(model_kind, train, dev, test, cfg, hidden, points):
-        cells.append((train, dev, test, points))
-        return train_run(model_kind, train, dev, test, cfg, hidden, points)
+    def recording_train_run(model_kind, train, dev, test, cfg, hidden, points, folds):
+        stacks.append((train, dev, test, points, folds))
+        return train_run(model_kind, train, dev, test, cfg, hidden, points, folds)
 
     monkeypatch.setattr(expacc.harness, "inject_label_noise", recording_inject)
     monkeypatch.setattr(Dataset, "subset", counting_subset)
@@ -399,20 +408,132 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
         (0, "neglog"), (0, "eerr"), (1, "neglog"), (1, "eerr")
     ]
     assert len(noisy) == 2
-    # dev doubles as test: one copy of its rows per fold, under noisy labels
-    # for early stopping and clean ones for the test measurement
-    assert copies == [40, 40]
-    assert len(cells) == 2  # one train_run per fold, for both losses and both lrs
-    for (train, dev, test, points), fold in zip(cells, (0, 1)):
+    # dev and test name pool rows, copied only while one fold is evaluated:
+    # two dev evaluations and one test evaluation of 40 rows per fold
+    assert copies == [40] * 6
+    # both folds train 80 rows, so one train_run stacks both losses and both
+    # lrs of both folds, fold by fold
+    assert len(stacks) == 1
+    train, dev, test, points, folds = stacks[0]
+    assert folds == [0] * 4 + [1] * 4
+    assert [(p.loss, p.lr) for p in points] == 2 * [
+        (spec, lr) for spec in (NEGLOG, EERR) for lr in (1e-2, 1e-1)
+    ]
+    for fold in (0, 1):
         labels, dev_idx = noisy[fold], plan.folds[fold][1]
-        assert [(p.loss, p.lr) for p in points] == [
-            (spec, lr) for spec in (NEGLOG, EERR) for lr in (1e-2, 1e-1)
+        assert train[fold].ds is ds and train[fold].labels is not ds.labels
+        assert np.array_equal(train[fold].labels, labels)
+        assert np.array_equal(train[fold].index, plan.folds[fold][0])
+        # dev doubles as test: its rows under noisy labels for early stopping
+        # and clean ones for the test measurement
+        assert dev[fold].ds is test[fold].ds is ds
+        assert np.array_equal(dev[fold].index, dev_idx)
+        assert np.array_equal(test[fold].index, dev_idx)
+        assert np.array_equal(dev[fold].labels, labels)
+        assert test[fold].labels is ds.labels
+
+
+def recording_stacks(monkeypatch):
+    """Patch `train_run` to record each stack's points' folds."""
+    stacks = []
+    train_run = expacc.harness.train_run
+
+    def recording(model_kind, train, dev, test, cfg, hidden, points, folds):
+        stacks.append(folds)
+        return train_run(model_kind, train, dev, test, cfg, hidden, points, folds)
+
+    monkeypatch.setattr(expacc.harness, "train_run", recording)
+    return stacks
+
+
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+def test_every_cell_of_a_packed_replication_is_its_own_fold_run(kind, monkeypatch):
+    # 121 rows in three folds: fold 0 trains 80 rows, folds 1 and 2 train 81,
+    # so the default budget packs folds 1 and 2 into one stack; a budget of
+    # one fold's points trains each fold alone, and a budget of one
+    # parameter trains each point alone
+    ds = blobs(35, 121, d=4, k=3, spread=2.0)
+    plan = make_folds(Rng(36), ds.n, "kfold", k=3)
+    assert [len(train) for train, _ in plan.folds] == [80, 81, 81]
+    dropouts = (0.0, 0.3) if kind == "mlp" else (0.0,)
+    cfgs = {
+        spec.name: [
+            TrainConfig(loss=spec, lr=lr, dropout=dropout, batch_size=16, max_epochs=12,
+                        patience=2)
+            for lr in (1e-2, 0.1)
+            for dropout in dropouts
         ]
-        assert train.ds is ds and train.labels is not ds.labels
-        assert np.array_equal(train.labels, labels)
-        assert dev.x is test.x
-        assert np.array_equal(dev.labels, labels[dev_idx])
-        assert np.array_equal(test.labels, ds.labels[dev_idx])
+        for spec in (NEGLOG, EERR, LEERR)
+    }
+    per_fold = 3 * 2 * len(dropouts)
+    sizes = [4, 6, 4, 3] if kind == "mlp" else [4, 3]
+    per_point = sum((m + 1) * n for m, n in zip(sizes, sizes[1:]))
+
+    def run(budget):
+        with monkeypatch.context() as patch:
+            patch.setattr(expacc.harness, "STACK_PARAMS", budget)
+            stacks = recording_stacks(patch)
+            out = replicate(kind, ds, plan, cfgs, master_seed=8, noise_p=0.1, hidden=(6, 4))
+        return out, stacks
+
+    packed, stacks = run(expacc.harness.STACK_PARAMS)
+    assert [list(s) for s in stacks] == [[0] * per_fold, [0] * per_fold + [1] * per_fold]
+    by_fold, stacks = run(per_point * per_fold)
+    assert [list(s) for s in stacks] == [[0] * per_fold] * 3
+    alone, stacks = run(1)
+    assert len(stacks) == 3 * per_fold
+    assert all(o.ok for o in packed)
+    assert packed == by_fold == alone
+
+
+def test_a_diverging_point_fails_only_its_own_fold_cell(monkeypatch):
+    # three folds of equal train size in one stack; one row near the float64
+    # limit lies in fold 1's train split only, and overflows neglog at lr 1
+    ds = two_gaussians(37, 120, 4, delta=2.0)
+    perm = Rng(38).permutation(ds.n)
+    folds = [(perm[40 * i : 40 * i + 30], perm[40 * i + 30 : 40 * i + 40]) for i in range(3)]
+    plan = SplitPlan(folds)
+    cfgs = {
+        spec.name: [TrainConfig(loss=spec, lr=lr, batch_size=8, max_epochs=20) for lr in lrs]
+        for spec, lrs in ((NEGLOG, (0.1, 1.0)), (EERR, (1e-3, 1e-2)))
+    }
+    clean = replicate("logreg", ds, plan, cfgs, master_seed=3)
+    ds.x[folds[1][0][0], 0] = 1e308
+    stacks = recording_stacks(monkeypatch)
+    with np.errstate(all="ignore"):
+        packed = replicate("logreg", ds, plan, cfgs, master_seed=3)
+        monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)
+        alone = replicate("logreg", ds, plan, cfgs, master_seed=3)
+    assert list(stacks[0]) == [0] * 4 + [1] * 4 + [2] * 4
+    assert [(o.fold, o.loss, o.ok) for o in packed] == [
+        (0, "neglog", True), (0, "eerr", True), (1, "neglog", False), (1, "eerr", True),
+        (2, "neglog", True), (2, "eerr", True),
+    ]
+    assert packed[2].lr == 1.0 and "non-finite loss" in packed[2].error
+    assert packed == alone
+    # the folds without the row keep the bits of the run without it
+    assert [o for o in packed if o.fold != 1] == [o for o in clean if o.fold != 1]
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_a_fold_with_an_empty_split_fails_only_its_own_cells(part):
+    ds = two_gaussians(39, 120, 4, delta=2.0)
+    plan = make_folds(Rng(40), ds.n, "kfold", k=4)
+    cfgs = {
+        spec.name: [TrainConfig(loss=spec, lr=1e-2, batch_size=16, max_epochs=4)]
+        for spec in (NEGLOG, EERR)
+    }
+    good = replicate("logreg", ds, plan, cfgs, master_seed=5)
+    # an empty train or dev split in fold 2
+    broken = list(plan.folds[2])
+    broken[part] = np.array([], dtype=int)
+    plan.folds[2] = tuple(broken)
+    bad = replicate("logreg", ds, plan, cfgs, master_seed=5)
+    assert [(o.fold, o.ok) for o in bad] == [(f, f != 2) for f in range(4) for _ in cfgs]
+    assert {o.error for o in bad if not o.ok} == {
+        f"{('train', 'dev')[part]} split is empty"
+    }
+    assert [o for o in bad if o.fold != 2] == [o for o in good if o.fold != 2]
 
 
 def test_replicate_rejects_malformed_candidate_lists():

@@ -1,9 +1,9 @@
 """Memory a replicated comparison takes beyond its pool.
 
-Each fold trains on row indices into the pool, so a fold adds only its small
-dev and test copies, never a copy of the train split, whatever the pool's
-size.  An IDX pool holds its pixels as one byte each, and only the rows a
-step or an evaluation reads become float features.
+Every split of a fold is row indices into the pool, so a fold adds no copy
+of any split, whatever the pool's size.  An IDX pool holds its pixels as
+one byte each, and only the rows a step or an evaluation reads become float
+features.
 """
 
 import tracemalloc
@@ -51,15 +51,15 @@ def test_replicate_trains_on_rows_of_the_pool(monkeypatch):
     train_run = expacc.harness.train_run
     seen = []
 
-    def recording(model_kind, train, dev, test, cfg, hidden, points):
-        seen.append((train, np.shares_memory(train.ds.x, pool.x)))
-        return train_run(model_kind, train, dev, test, cfg, hidden, points)
+    def recording(model_kind, train, dev, test, cfg, hidden, points, folds):
+        seen.append(train)
+        return train_run(model_kind, train, dev, test, cfg, hidden, points, folds)
 
     monkeypatch.setattr(expacc.harness, "train_run", recording)
     plan, _ = run(pool)
-    assert len(seen) == 2
-    for fold, (train, shares) in enumerate(seen):
-        assert shares
+    assert len(seen) == 1  # both folds train 360 rows: one stack
+    for fold, train in enumerate(seen[0]):
+        assert np.shares_memory(train.ds.x, pool.x)
         assert train.n == len(plan.folds[fold][0])
 
 
