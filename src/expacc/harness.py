@@ -28,7 +28,7 @@ import numpy as np
 from .data import DataError, Dataset, EmptyDataError, Folds, Rows, SplitPlan, inject_label_noise
 from .losses import KINDS, LossSpec, loss_grad_preact
 from .models import DEFAULT_HIDDEN, build_model
-from .numerics import Rng
+from .numerics import Rng, argmax_last
 from .optim import Adam, minibatches
 
 __all__ = [
@@ -179,7 +179,7 @@ def accuracy(model, split: Rows):
     this evaluation only: a float, or one per grid point of a stacked model."""
     rows = split.ds.subset(split.index)
     preact, _ = model.forward(rows.features())
-    return (preact.argmax(axis=-1) == split.labels.take(split.index)).mean(axis=-1)
+    return (argmax_last(preact) == split.labels.take(split.index)).mean(axis=-1)
 
 
 def _fold_accuracy(model, folds, splits) -> np.ndarray:
@@ -300,7 +300,7 @@ def train_run(
             batch = loss_grad_preact(specs, preact, yb)
             grads = model.backward(trace, batch.grad_preact)
             loss_sum += batch.mean_loss * rows.shape[-1]
-            hit_sum += (preact.argmax(axis=-1) == yb).sum(axis=-1)
+            hit_sum += (argmax_last(preact) == yb).sum(axis=-1)
             norm_sum += batch.per_instance_norms.sum(axis=-1)
             bad = ~np.isfinite(batch.mean_loss)
             if bad.any():

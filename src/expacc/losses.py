@@ -21,7 +21,10 @@ pre-activation scores; with e_r the one-hot vector of r it is
 Each coefficient is exact in IEEE arithmetic (0 p + 1 = 1, 1 p + 0 = p,
 1 p + alpha = p + alpha, and likewise for the values), so one formula gives
 each kind the bits of its own closed form, and a stack of networks can mix
-kinds in one call.
+kinds in one call.  Softmax, the gradient's per-instance scaling and the
+per-instance gradient norms work along the class axis with `numerics`'
+column loops: column by column on a short axis, in numpy's own order, so
+they keep numpy's bits at a fraction of its per-row cost.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import sigmoid, softmax_rows
+from .numerics import by_column, reduce_last, sigmoid, softmax_rows
 
 __all__ = [
     "KINDS",
@@ -165,12 +168,13 @@ def loss_grad_preact(spec, preact_batch: np.ndarray, true_classes) -> LossBatchR
 
     grad = p.copy()
     grad.reshape(-1)[flat] -= 1.0
-    grad *= (coef_a * p_true + coef_b)[..., None]
+    by_column(np.multiply, grad, (coef_a * p_true + coef_b)[..., None], out=grad)
 
     return LossBatchResult(
         mean_loss=_losses_of(coef_a, coef_b, p_true).mean(axis=-1),
         grad_preact=grad / n,
-        per_instance_norms=np.linalg.norm(grad, axis=-1),
+        # `np.linalg.norm(grad, axis=-1)`, reduced column by column on a short class axis
+        per_instance_norms=np.sqrt(reduce_last(np.add, grad * grad)),
     )
 
 

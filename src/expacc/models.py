@@ -10,6 +10,9 @@ stack of networks with a leading grid axis on every parameter, which one
 forward and one backward pass train together.  The points of a stack fall
 into groups, each with its own random streams: one initialization draw and
 one dropout draw per layer per step for each group, shared by its points.
+`take` keeps some points of a stack and renumbers their groups from 0.
+A layer of fewer than `numerics.SHORT_AXIS` units (a two-class output) adds
+its bias column by column (`numerics.by_column`), with numpy's bits.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, by_column
 
 __all__ = [
     "DEFAULT_HIDDEN",
@@ -114,11 +117,16 @@ class Mlp:
     def take(self, points) -> None:
         """Keep only the grid points `points` (an index or mask on the leading
         axis) of a stack, in that order.  The groups left are renumbered
-        0, 1, ... in the order of their old numbers."""
+        0, 1, ... in the order of their old numbers: each kept group's rank
+        among the old groups still present, as `np.unique(...,
+        return_inverse=True)` numbers them."""
         self.weights = [w[points] for w in self.weights]
         self.biases = [b[points] for b in self.biases]
         self.dropout = self.dropout[points]
-        self.groups = np.unique(self.groups[points], return_inverse=True)[1]
+        kept = self.groups[points]
+        present = np.zeros(self.groups.max(initial=-1) + 1, dtype=bool)
+        present[kept] = True
+        self.groups = (np.cumsum(present, dtype=np.intp) - 1)[kept]
 
     @staticmethod
     def _drop_mult(shape, p, rngs, groups=0):
@@ -154,7 +162,7 @@ class Mlp:
                 h = h * mult
             drop_mults.append(mult)
             layer_inputs.append(h)
-            h = h @ w + b[..., None, :]
+            h = by_column(np.add, h @ w, b[..., None, :])
         return h, ForwardTrace(layer_inputs, relu_masks, drop_mults)
 
     def backward(self, trace: ForwardTrace, grad_preact: np.ndarray):

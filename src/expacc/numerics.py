@@ -1,8 +1,16 @@
-"""Stable activations and seeded randomness.
+"""Stable activations, class-axis loops and seeded randomness.
 
 All numeric data lives in row-major (C-order) float64 numpy arrays; batches
 put one instance per row.  `Rng` is numpy's PCG64 `Generator` plus `child`,
 the rule that derives every stream of a run from its one seed.
+
+`reduce_last`, `argmax_last` and `by_column` work along the last (class)
+axis.  numpy runs its inner loop once per row there, in a reduction over
+that axis and in an elementwise op that broadcasts along it, so on a short
+axis (two classes) its fixed cost per row is most of the time.  Below
+`SHORT_AXIS` entries these loop over the columns instead, in the order numpy
+adds them, and return numpy's bits.  `softmax_rows`, the losses and the
+models' bias add use them.
 """
 
 from __future__ import annotations
@@ -10,18 +18,81 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "SHORT_AXIS",
     "Rng",
+    "argmax_last",
+    "by_column",
+    "reduce_last",
     "sigmoid",
     "softmax_rows",
 ]
+
+# numpy's pairwise summation adds fewer than 8 values strictly in order (a
+# plain loop below 8, eight interleaved partial sums from 8 on), so a column
+# loop over a shorter axis gets numpy's exact bits.  This mirrors numpy; it
+# is not a tuning setting.
+SHORT_AXIS = 8
+
+
+def reduce_last(ufunc: np.ufunc, a: np.ndarray):
+    """`ufunc.reduce(a, axis=-1)`, one column at a time on a short last axis.
+
+    Like numpy, a ufunc with an identity starts from it (so the sum of
+    [-0.0] is 0.0 + -0.0 = 0.0) and one without starts from the first
+    column.  A zero maximum takes its sign from `np.maximum`; numpy's own
+    max reductions do not agree on that sign (their SIMD and scalar loops
+    break a tie of 0.0 and -0.0 differently).
+    """
+    k = a.shape[-1]
+    if not 0 < k < SHORT_AXIS:
+        return ufunc.reduce(a, axis=-1)
+    out = np.array(a[..., 0])
+    if ufunc.identity is not None:
+        ufunc(ufunc.identity, out, out=out)
+    for j in range(1, k):
+        ufunc(out, a[..., j], out=out)
+    return out[()]
+
+
+def argmax_last(a: np.ndarray):
+    """`a.argmax(axis=-1)`, one column at a time on a short last axis: the
+    first index of each row's maximum, or of its first NaN."""
+    k = a.shape[-1]
+    if not 0 < k < SHORT_AXIS:
+        return a.argmax(axis=-1)
+    best = np.array(a[..., 0])
+    index = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, k):
+        col = a[..., j]
+        # a larger value or a NaN takes the row, unless a NaN already holds it;
+        # `maximum` keeps a value equal to the winner's (NaN once one won)
+        np.putmask(index, ~(col <= best) & (best == best), j)
+        np.maximum(best, col, out=best)
+    return index[()]
+
+
+def by_column(ufunc: np.ufunc, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """`ufunc(a, b, out=out)` for a float `a` and a `b` that broadcasts to
+    `a`'s shape with a last axis of 1 (one value per row) or of `a`'s length,
+    one column at a time on a short last axis.  Elementwise, so every bit is
+    numpy's."""
+    k = a.shape[-1]
+    if not 0 < k < SHORT_AXIS:
+        return ufunc(a, b, out=out)
+    if out is None:
+        out = np.empty(a.shape, np.result_type(a, b))
+    step = int(b.shape[-1] > 1)  # a last axis of 1 gives every column its one value
+    for j in range(k):
+        ufunc(a[..., j], b[..., j * step], out=out[..., j])
+    return out
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by each row's max so exp never overflows."""
     a = np.asarray(a, dtype=np.float64)
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = by_column(np.subtract, a, reduce_last(np.maximum, a)[..., None])
+    np.exp(e, out=e)
+    return by_column(np.divide, e, reduce_last(np.add, e)[..., None], out=e)
 
 
 def sigmoid(a):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -184,3 +185,27 @@ def test_a_stack_of_networks_computes_each_network_bit_for_bit():
     stack.take([2])
     assert stack.dropout.tolist() == [0.5]
     assert all(p.shape[0] == 1 for p in stack.params())
+
+
+def test_take_renumbers_groups_as_unique_does():
+    draw = np.random.default_rng(0)
+    for _ in range(200):
+        n_points = int(draw.integers(1, 10))
+        groups = draw.integers(0, 4, size=n_points)  # any order, numbers may be missing
+        stack = build_model(
+            "logreg", [Rng(g) for g in range(groups.max() + 1)], 2, 2,
+            dropout=np.zeros(n_points), groups=groups,
+        )
+        lo, hi = sorted(draw.integers(0, n_points + 1, size=2))
+        for points in (
+            draw.random(n_points) < 0.5,  # a mask
+            np.zeros(n_points, dtype=bool),  # an empty result
+            slice(lo, hi),  # a slice, empty when lo == hi
+            draw.integers(0, n_points, size=draw.integers(0, n_points + 1)),  # an index array
+        ):
+            part = copy.deepcopy(stack)
+            part.take(points)
+            want = np.unique(groups[points], return_inverse=True)[1]
+            assert part.groups.dtype == want.dtype == np.intp
+            assert np.array_equal(part.groups, want)
+            assert all(np.array_equal(a, b[points]) for a, b in zip(part.params(), stack.params()))

@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from expacc.models import LogisticRegression
-from expacc.numerics import Rng, sigmoid, softmax_rows
+from expacc.numerics import (
+    SHORT_AXIS,
+    Rng,
+    argmax_last,
+    by_column,
+    reduce_last,
+    sigmoid,
+    softmax_rows,
+)
 
 finite_rows = arrays(
     np.float64,
@@ -102,3 +110,103 @@ def test_rng_child_seed_is_the_seed_sequence_rule(seed, keys):
     child = Rng(seed).child(*keys)
     assert child.seed == int(want)
     assert np.array_equal(child.uniform(0, 1, size=8), Rng(int(want)).uniform(0, 1, size=8))
+
+
+# Awkward entries for the class-axis reductions: NaN, infinities, signed
+# zeros and repeated values (ties).
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 1.0, -1.0])
+
+
+def class_axis_values(shape, seed):
+    """Values spread over 16 decades, about a third replaced by `SPECIAL`."""
+    draw = np.random.default_rng(seed)
+    a = draw.normal(size=shape) * 10.0 ** draw.integers(-8, 8, size=shape)
+    special = draw.random(shape) < 0.35
+    a[special] = draw.choice(SPECIAL, size=int(special.sum()))
+    return a
+
+
+def assert_same_bits(ours, numpys):
+    assert type(ours) is type(numpys)
+    ours, numpys = np.asarray(ours), np.asarray(numpys)
+    assert (ours.shape, ours.dtype) == (numpys.shape, numpys.dtype)
+    assert ours.tobytes() == numpys.tobytes()
+
+
+# one row, a batch, a stack of batches (the bench's logreg shapes), and
+# zero-size leading axes
+LEADS = [(), (200,), (6, 40), (90, 64), (9, 384), (0,), (3, 0)]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("lead", LEADS)
+def test_class_axis_reductions_are_numpys_bits(k, lead):
+    # below SHORT_AXIS the column loop runs, from it on numpy's own call
+    for seed in range(3):
+        a = class_axis_values(lead + (k,), seed)
+        ties = np.random.default_rng(seed).choice([-1.0, -0.0, 0.0, 1.0], size=lead + (k,))
+        for values in (a, ties):
+            with np.errstate(invalid="ignore"):  # inf - inf in sums
+                assert_same_bits(reduce_last(np.add, values), values.sum(axis=-1))
+                assert_same_bits(
+                    np.sqrt(reduce_last(np.add, values * values)), np.linalg.norm(values, axis=-1)
+                )
+            assert_same_bits(argmax_last(values), values.argmax(axis=-1))
+            # numpy's own max gives a zero maximum either sign: with its SIMD
+            # loops turned off, the 3-column loop keeps the first of 0.0 and
+            # -0.0 and the 2-column (elementwise) loop the second.  Adding 0.0
+            # maps -0.0 to 0.0 and changes no other value.
+            assert_same_bits(reduce_last(np.maximum, values) + 0.0, values.max(axis=-1) + 0.0)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("lead", LEADS)
+def test_by_column_is_numpys_broadcast_bit_for_bit(k, lead):
+    a = class_axis_values(lead + (k,), k)
+    per_row = class_axis_values(lead + (1,), k + 1)  # one value per row
+    # one value per column for every row, as a bias is
+    per_col = class_axis_values(lead[:-1] + (1, k) if lead else (k,), k + 2)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for ufunc in (np.add, np.subtract, np.multiply, np.divide):
+            for b in (per_row, per_col):
+                want = ufunc(a, b)
+                assert_same_bits(by_column(ufunc, a, b), want)
+                in_place = a.copy()
+                assert by_column(ufunc, in_place, b, out=in_place) is in_place
+                assert_same_bits(in_place, want)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_softmax_rows_is_numpys_formula_bit_for_bit(k):
+    # the sign of a zero row maximum never reaches softmax: x - 0.0 and
+    # x - -0.0 differ only at x = -0.0, and exp maps both zeros to 1
+    a = class_axis_values((4, 30, k), k)
+    a[~np.isfinite(a)] = 0.0
+    ties = np.random.default_rng(k).choice([-1.0, -0.0, 0.0, 1.0], size=(4, 30, k))
+    for values in (a, ties):
+        e = np.exp(values - values.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert softmax_rows(values).tobytes() == want.tobytes()
+        assert softmax_rows(values[0, 0]).tobytes() == want[0, 0].tobytes()  # one row
+
+
+def test_an_empty_class_axis_goes_to_numpy():
+    a = np.zeros((3, 0))
+    assert_same_bits(reduce_last(np.add, a), a.sum(axis=-1))
+    with pytest.raises(ValueError):
+        reduce_last(np.maximum, a)
+    with pytest.raises(ValueError):
+        argmax_last(a)
+
+
+def test_short_axis_is_where_numpys_sum_stops_adding_in_order():
+    def in_order(a):
+        total = 0.0 + a[..., 0]
+        for j in range(1, a.shape[-1]):
+            total = total + a[..., j]
+        return total
+
+    for k in range(1, SHORT_AXIS + 1):
+        a = np.random.default_rng(k).normal(size=(2000, k)) * 10.0 ** np.arange(k)
+        same = in_order(a) == a.sum(axis=-1)
+        assert same.all() if k < SHORT_AXIS else not same.all(), k

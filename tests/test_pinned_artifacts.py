@@ -7,7 +7,10 @@ result fails the test suite and not only the benchmark's digests:
 
 - `logreg`: three losses, each over a three-point lr grid, on a small CSV;
 - `mlp`: two losses (a leerr with its own alpha) over a dropout grid, with
-  label noise, on a tiny two-hidden-layer network.
+  label noise, on a tiny two-hidden-layer network;
+- `logreg10`: three losses over a two-point lr grid on a ten-class CSV, so
+  its class axis is reduced by numpy's own calls, not column by column
+  (`numerics.SHORT_AXIS`).
 
 The shapes are small enough that the BLAS thread count does not change
 their matmuls.  The output directory is named through an environment
@@ -42,7 +45,18 @@ CONFIGS = {
         "noise": {"p": 0.1},
         "seed": 11,
     },
+    "logreg10": {
+        "model": {"kind": "logreg"},
+        "losses": ["neglog", "eerr", "leerr"],
+        "train": {"lr_grid": [0.02, 0.1], "batch_size": 16, "max_epochs": 8,
+                  "patience": 3},
+        "replication": {"scheme": "kfold", "folds": 3},
+        "seed": 9,
+    },
 }
+
+# rows and classes of each run's CSV
+SIZES = {"logreg": (150, 3), "mlp": (150, 3), "logreg10": (300, 10)}
 
 PINNED = {
     "logreg": {
@@ -99,13 +113,41 @@ PINNED = {
         "summary.csv":
             "a328365489dee727decd2c07e0d0faaf4eb2aa4bdb0fa1c5c9d524d1850ee2d8",
     },
+    "logreg10": {
+        "manifest.json":
+            "ae8280c0d7829ac9b245ee28f0bc641719dba3b73efa22ce2e8418a8a5808a57",
+        "metrics/eerr_fold00.csv":
+            "d5ebaad7fbf3dd5cedcbb9efe5e055eb3a6979d6d1effd20cbf52a2589b59df2",
+        "metrics/eerr_fold01.csv":
+            "9a6c264eaea2783da35f38d5f6c6dca6c5dbd9344c60276a3ccb74590e796db5",
+        "metrics/eerr_fold02.csv":
+            "e17b0105c95508f668a08a4155da0d9d34477c5156f1216392378fadbd6113b1",
+        "metrics/leerr_fold00.csv":
+            "2ca778ef48060bdf24862a3f248eff341691296d5428b34a6f86bc06953d6e8a",
+        "metrics/leerr_fold01.csv":
+            "510a70d4a9adb7b706137a918465caef0cebbb40da9d13d1fd92428253e92e22",
+        "metrics/leerr_fold02.csv":
+            "f2e6544c5d28f67c3e146991f18bcc1c04bb80f7b81d0fe3082e2c287010814a",
+        "metrics/neglog_fold00.csv":
+            "50a358794cfb020d85f7d91cd0e392d884078b3652c22e091cc5c812967f22e1",
+        "metrics/neglog_fold01.csv":
+            "a091f7fa005763794d47e0812315d855eafcf84a635f296f0ad702ecd0e4703a",
+        "metrics/neglog_fold02.csv":
+            "6b82193754933ba38082f318e46da0b52e52e892b48bacbb5f03d2cda0cad892",
+        "report.txt":
+            "bdafbae4f33045c426e0f49b12885257f4eb0ee4b22d5d8e23df449287bfa1b2",
+        "runs.csv":
+            "f87d5f317295706b0baca5eea85f8d9c575257451033da95a1cee67250bbf807",
+        "summary.csv":
+            "0862f50d354b5755a8fcbf6f6dbc82a756a1723e86b939f432155eb8769ed3de",
+    },
 }
 
 
 def write_experiment(root: Path, name: str) -> Path:
-    """A three-class CSV, its schema and the named config under `root`."""
+    """The named run's CSV (`SIZES`), its schema and its config under `root`."""
     rng = Rng(17)
-    n, d, k = 150, 4, 3
+    (n, k), d = SIZES[name], 4
     y = rng.integers(k, size=n)
     x = rng.normal(size=(n, d)) + rng.uniform(-1.5, 1.5, size=(k, d))[y]
     (root / "data.csv").write_text(
