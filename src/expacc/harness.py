@@ -3,18 +3,19 @@
 `train_run` trains one stack: grid points, each a (fold, loss, lr, dropout)
 of one train size, along a leading axis of one network, stepped in lockstep
 with one forward pass, loss call, backward pass and Adam step per minibatch.
-The points of a (fold, loss) cell form a group sharing that cell's run seed;
-a point that stops early leaves the stack, a diverging point fails its own
-group only, and each group's best point on dev wins its cell.  Each point's
-numbers are bit-identical to training it alone.
+Each point is a run of its own: a point that stops early or diverges leaves
+the stack, and each returns its own outcome, bit-identical to training it
+alone.
 
 `replicate` runs every (fold, loss) cell of a cross-validated comparison, for
 `expacc run` and `expacc gradnorms`, with the pairing guarantees the analysis
 needs: each fold's noisy labels are drawn once and shared by every loss and
 candidate, and every candidate of a cell trains from one initialization seed
-per (master seed, fold, loss).  Every split names rows of the pool, and a
-fold's dev and test rows are copied only while that fold is evaluated.  The
-points of equal-sized folds fill stacks of up to `STACK_PARAMS` parameters.
+per (master seed, fold, loss).  It is the one place that picks a cell's
+result from its candidates' outcomes.  Every split names rows of the pool,
+and a fold's dev and test rows are copied only while that fold is
+evaluated.  The points of equal-sized folds fill stacks of up to
+`STACK_PARAMS` parameters.
 """
 
 from __future__ import annotations
@@ -54,12 +55,8 @@ STACK_PARAMS = 2**17
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training step produces a non-finite loss; `point` is the
-    index of the grid point whose loss it was."""
-
-    def __init__(self, message: str, point: int = 0):
-        super().__init__(message)
-        self.point = point
+    """A training step produced a non-finite loss: the `error` of that
+    point's `RunResult`."""
 
 
 def should_stop(epoch: int, best_epoch: int, cfg: TrainConfig) -> bool:
@@ -126,10 +123,18 @@ class EpochRecord:
 
 @dataclass
 class RunResult:
+    """One point's run: its epochs, its best one and the test accuracy
+    there, and `error` when its loss went non-finite, after the epochs it
+    completed."""
+
     records: list
     best_epoch: int
-    test_error: float
     test_acc: float
+    error: TrainingDiverged | None = None
+
+    @property
+    def test_error(self) -> float:
+        return 1.0 - self.test_acc
 
     @property
     def best_dev_acc(self) -> float:
@@ -138,30 +143,11 @@ class RunResult:
 
 @dataclass
 class StackResult:
-    """What one `train_run` returns: every point's run, in point order, and
-    one verdict per group of points, in the order of the groups' first
-    points.  A group's verdict is the index of its point with the best dev
-    accuracy (ties go to the earliest point) or, when any of its points
-    diverged, the `TrainingDiverged` of the first of them in point order.
-
-    `best` and `winner` are the first group's (raising its divergence), so a
-    one-group stack reads like its cell.  `records` and `best_epoch` add up
-    over the stack: every epoch of every point, point-major, and the best
-    epochs of the groups' winners.
-    """
+    """What one `train_run` returns: every point's run, in point order.
+    `records` and `best_epoch` add up over the stack: every epoch of every
+    point, point-major, and every point's best epoch."""
 
     runs: list
-    verdicts: list
-
-    @property
-    def best(self) -> int:
-        if isinstance(self.verdicts[0], TrainingDiverged):
-            raise self.verdicts[0]
-        return self.verdicts[0]
-
-    @property
-    def winner(self) -> RunResult:
-        return self.runs[self.best]
 
     @property
     def records(self) -> list:
@@ -169,9 +155,7 @@ class StackResult:
 
     @property
     def best_epoch(self) -> int:
-        return sum(
-            self.runs[v].best_epoch for v in self.verdicts if not isinstance(v, TrainingDiverged)
-        )
+        return sum(run.best_epoch for run in self.runs)
 
 
 def accuracy(model, split: Rows):
@@ -223,15 +207,15 @@ def train_run(
     stopping rule.  `folds` numbers each point's fold (default: all 0) in
     non-decreasing order: `train` is one fold's `Rows` or the `Folds` of
     several, and `dev` and `test` are one split (`Dataset` or `Rows`) or a
-    list with one per fold.  Points with the same fold, loss and seed form a
-    group, whose random streams are the ones a run of its own from that seed
-    draws: one initialization, one minibatch permutation per epoch and one
-    dropout draw per layer per step, shared by its points.  Per step each
-    point gathers its group's rows of the pool through its fold's row index
-    (`take`: no split is copied whole, and only these rows become float
-    features), and one forward pass, `loss_grad_preact` call, backward pass
-    and Adam step serve all the points, each slice getting the bits of its
-    own run.  Dev and test accuracy is measured one fold at a time.
+    list with one per fold.  Each point draws the random streams a run of
+    its own from its seed draws: one initialization and one dropout draw per
+    layer per step.  Points with the same fold and seed share their one
+    minibatch permutation per epoch.  Per step each point gathers its rows
+    of the pool through its fold's row index (`take`: no split is copied
+    whole, and only these rows become float features), and one forward
+    pass, `loss_grad_preact` call, backward pass and Adam step serve all the
+    points, each slice getting the bits of its own run.  Dev and test
+    accuracy is measured one fold at a time.
 
     Stopping, per point: always at `max_epochs` when set; additionally once
     at least `min_epochs` have run and `patience` epochs have passed without
@@ -239,11 +223,8 @@ def train_run(
     `min_epochs`).  Ties in dev accuracy keep the earliest epoch.  A point
     that stops leaves the stack and is no longer stepped.
 
-    A non-finite loss fails the point's group, with a `TrainingDiverged` for
-    the group's first point, in point order, that diverges, as training the
-    group's points one by one in order would: the group's points after it
-    leave the stack at once, and the ones before it train on until they stop
-    or diverge themselves.  The other groups train on.
+    A non-finite loss ends that point's run with a `TrainingDiverged` as its
+    `error`, and the point leaves the stack; every other point trains on.
     """
     points = [cfg] if points is None else list(points)
     fold_of = np.zeros(len(points), dtype=np.intp) if folds is None else np.asarray(folds)
@@ -255,74 +236,67 @@ def train_run(
         raise ValueError("the points of a stack come fold by fold")
     for f in np.unique(fold_of):
         _check_nonempty(trains[f], devs[f], tests[f])
-    keys = {}  # (fold, loss, seed) -> group
-    group_of = np.array(
-        [keys.setdefault((f, p.loss, p.seed), len(keys)) for f, p in zip(fold_of, points)]
-    )
-    keys = list(keys)
-    roots = [Rng(seed) for _, _, seed in keys]
     pool, n, batch_size = trains[0].ds, trains.n, cfg.batch_size
     model = build_model(
-        model_kind, [r.child(_INIT) for r in roots], pool.d, pool.k, hidden,
-        [p.dropout for p in points], group_of,
+        model_kind, [Rng(p.seed).child(_INIT) for p in points], pool.d, pool.k, hidden,
+        [p.dropout for p in points],
     )
     best = copy.deepcopy(model)  # each point's parameters at its best epoch
-    batch_rngs = [r.child(_BATCH) for r in roots]
-    dropout_rngs = [r.child(_DROPOUT) for r in roots]
+    keys = {}  # (fold, seed) -> its minibatch order
+    order_of = np.array([keys.setdefault((f, p.seed), len(keys)) for f, p in zip(fold_of, points)])
+    keys = list(keys)
+    batch_rngs = [Rng(seed).child(_BATCH) for _, seed in keys]
+    dropout_rngs = (
+        [Rng(p.seed).child(_DROPOUT) for p in points] if any(p.dropout for p in points) else None
+    )
     opt = Adam([p.lr for p in points])
 
     live = np.arange(len(points))  # point index of each point in the stack
     records = [[] for _ in points]
     best_epoch = [0] * len(points)
     best_dev = [-math.inf] * len(points)
-    failures = {}  # group -> its TrainingDiverged
+    errors = [None] * len(points)
     order = np.empty((len(keys), n), dtype=np.intp)
     targets = np.empty((len(keys), n), dtype=np.int64)
     epoch = 0
     while live.size:
         epoch += 1
-        gl = group_of[live]
-        groups = np.unique(gl)  # the live groups, in the order model.groups numbers them
+        ol = order_of[live]
         specs = [points[j].loss for j in live]
-        # each live group's pool rows and labels in this epoch's shuffled order
-        for g in groups:
-            fold = trains[keys[g][0]]
-            order[g] = fold.index.take(np.concatenate(minibatches(batch_rngs[g], n, batch_size)))
-            targets[g] = fold.labels.take(order[g])
+        # each live order's pool rows and labels in this epoch's shuffled order
+        for o in np.unique(ol):
+            fold = trains[keys[o][0]]
+            order[o] = fold.index.take(np.concatenate(minibatches(batch_rngs[o], n, batch_size)))
+            targets[o] = fold.labels.take(order[o])
         loss_sum = np.zeros(live.size)
         hit_sum = np.zeros(live.size)
         norm_sum = np.zeros(live.size)
         for batch_no, lo in enumerate(range(0, n, batch_size)):
-            rows = order[gl, lo : lo + batch_size]
+            rows = order[ol, lo : lo + batch_size]
             xb = pool.features(rows)
-            yb = targets[gl, lo : lo + batch_size]
-            preact, trace = model.forward(xb, [dropout_rngs[g] for g in groups])
+            yb = targets[ol, lo : lo + batch_size]
+            drops = None if dropout_rngs is None else [dropout_rngs[j] for j in live]
+            preact, trace = model.forward(xb, drops)
             batch = loss_grad_preact(specs, preact, yb)
             grads = model.backward(trace, batch.grad_preact)
             loss_sum += batch.mean_loss * rows.shape[-1]
             hit_sum += (argmax_last(preact) == yb).sum(axis=-1)
             norm_sum += batch.per_instance_norms.sum(axis=-1)
-            bad = ~np.isfinite(batch.mean_loss)
-            if bad.any():
-                keep = np.ones(live.size, dtype=bool)
-                for g in np.unique(gl[bad]):
-                    first = int(live[bad & (gl == g)][0])
-                    failures[g] = TrainingDiverged(
-                        f"{points[first].loss.name}: non-finite loss at epoch {epoch}, "
-                        f"batch {batch_no}",
-                        first,
+            keep = np.isfinite(batch.mean_loss)
+            if not keep.all():
+                for j in live[~keep]:
+                    errors[j] = TrainingDiverged(
+                        f"{points[j].loss.name}: non-finite loss at epoch {epoch}, "
+                        f"batch {batch_no}"
                     )
-                    keep &= (gl != g) | (live < first)
-                live, loss_sum, hit_sum, norm_sum = (
-                    a[keep] for a in (live, loss_sum, hit_sum, norm_sum)
+                live, ol, loss_sum, hit_sum, norm_sum = (
+                    a[keep] for a in (live, ol, loss_sum, hit_sum, norm_sum)
                 )
                 grads = [g[keep] for g in grads]
                 model.take(keep)
                 opt.take(keep)
                 if not live.size:
                     break
-                gl = group_of[live]
-                groups = np.unique(gl)
                 specs = [points[j].loss for j in live]
             opt.step(model.params(), grads)
         if not live.size:
@@ -352,16 +326,10 @@ def train_run(
             opt.take(~stopped)
 
     test_acc = _fold_accuracy(best, fold_of, tests)
-    runs = [
-        RunResult(records[j], best_epoch[j], 1.0 - float(test_acc[j]), float(test_acc[j]))
+    return StackResult([
+        RunResult(records[j], best_epoch[j], float(test_acc[j]), errors[j])
         for j in range(len(points))
-    ]
-    verdicts = []
-    for g in range(len(keys)):
-        members = np.flatnonzero(group_of == g)
-        won = int(members[np.argmax([best_dev[j] for j in members])])
-        verdicts.append(failures.get(g, won))
-    return StackResult(runs, verdicts)
+    ])
 
 
 def grad_norm_probe(model, x: np.ndarray, labels, losses) -> dict:
@@ -445,7 +413,7 @@ def replicate(
     n_folds = len(plan.folds) if max_folds is None else min(max_folds, len(plan.folds))
     master = Rng(master_seed)
     splits = {}  # fold -> its (train, dev, test) rows
-    pieces = {}  # cell -> (config, run or expected failure) of each stack that trained it
+    pieces = {}  # cell -> (candidate, its run or expected failure), in candidate order
     for fold in range(n_folds):
         train_idx, dev_idx = plan.folds[fold]
         labels = inject_label_noise(master.child(_NOISE_KEY, fold), pool, noise_p)
@@ -460,9 +428,9 @@ def replicate(
             splits[fold] = fold_splits
         except DataError as exc:  # fails each cell of the fold, named by its first candidate
             pieces.update({(fold, name): [(c[0], exc)] for name, c in cfgs.items()})
-    # Each loss's points in a fold form one group with one run seed, keyed by
-    # the loss's canonical index, not dict position, so reordering cfgs
-    # cannot change any run.
+    # Every candidate of a (fold, loss) cell trains from the cell's one run
+    # seed, keyed by the loss's canonical index, not dict position, so
+    # reordering cfgs cannot change any run.
     points = [
         (fold, name, replace(c, seed=master.child(_RUN_KEY, fold, KINDS.index(name)).seed))
         for fold in splits
@@ -483,17 +451,15 @@ def replicate(
                 model_kind, Folds(train), dev, tests, stack[0][2], hidden,
                 [c for _, _, c in stack], [folds.index(fold) for fold, _, _ in stack],
             )
-            # the stack's groups are its cells, in the order of their first points
-            for cell, v in zip(dict.fromkeys(p[:2] for p in stack), result.verdicts):
-                pieces.setdefault(cell, []).append(
-                    (stack[v.point][2], v) if isinstance(v, TrainingDiverged)
-                    else (stack[v][2], result.runs[v])
-                )
+            for (fold, name, candidate), run in zip(stack, result.runs):
+                pieces.setdefault((fold, name), []).append((candidate, run.error or run))
 
     outcomes = []
     for fold in range(n_folds):
         for name in cfgs:
-            # expected failures are data: the row names the candidate that failed
+            # the first failure in candidate order fails the cell (expected
+            # failures are data: the row names that candidate); otherwise the
+            # best dev accuracy wins, ties going to the earliest candidate
             cell = pieces[fold, name]
             failed = [p for p in cell if isinstance(p[1], Exception)]
             point, run = failed[0] if failed else max(cell, key=lambda p: p[1].best_dev_acc)

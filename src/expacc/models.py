@@ -7,10 +7,10 @@ list of arrays, optimizer order), `forward` returning pre-activations plus a
 backprop trace, and `backward` turning a pre-activation gradient into
 parameter gradients.  Given a sequence of dropout rates, the network is a
 stack of networks with a leading grid axis on every parameter, which one
-forward and one backward pass train together.  The points of a stack fall
-into groups, each with its own random streams: one initialization draw and
-one dropout draw per layer per step for each group, shared by its points.
-`take` keeps some points of a stack and renumbers their groups from 0.
+forward and one backward pass train together.  Each point has its own
+random streams: its own initialization draw and its own dropout draw per
+layer per step, so its slice holds the bits of a network of its own.
+`take` keeps some points of a stack.
 A layer of fewer than `numerics.SHORT_AXIS` units (a two-class output) adds
 its bias column by column (`numerics.by_column`), with numpy's bits.
 """
@@ -71,14 +71,12 @@ class Mlp:
     plain forward pass.
 
     A sequence of dropout rates makes a stack of networks, one per grid
-    point: every parameter gets a leading axis of that length.  `groups`
-    gives each point's group, 0 to G-1 (by default all points are group
-    0), and `rng` is one `Rng` per group, or one for a single group: each
-    point starts from its group's initialization draw, and `forward`, given
-    the groups' dropout `Rng`s, masks each point with its group's draw.
-    `forward` and `backward` work for the stack and the single network
-    alike; each point's slice gets the bits a single network from its
-    group's streams would.
+    point: every parameter gets a leading axis of that length.  `rng` is
+    one `Rng` per point, or one for a single network: each point starts
+    from its own initialization draw, and `forward`, given the points'
+    dropout `Rng`s, masks each point with its own draw.  `forward` and
+    `backward` work for the stack and the single network alike; each
+    point's slice gets the bits a single network from its streams would.
     """
 
     def __init__(
@@ -88,27 +86,22 @@ class Mlp:
         n_classes: int,
         hidden=DEFAULT_HIDDEN,
         dropout=0.0,
-        groups=None,
     ):
         self.dropout = np.asarray(dropout, dtype=np.float64)
         grid = self.dropout.shape
-        self.groups = np.zeros(grid, dtype=np.intp) if groups is None else np.asarray(groups)
-        if self.groups.shape != grid:
-            raise ValueError(f"{self.groups.shape} groups for dropout rates of shape {grid}")
-        rngs = self._per_group(rng)
+        rngs = self._per_point(rng)
         sizes = [n_features, *hidden, n_classes]
         self.weights = [
-            np.stack([xavier_init(r, m, n) for r in rngs]).take(self.groups, axis=0)
+            np.stack([xavier_init(r, m, n) for r in rngs]).reshape(grid + (m, n))
             for m, n in zip(sizes, sizes[1:])
         ]
         self.biases = [np.zeros(grid + (n,)) for n in sizes[1:]]
 
-    def _per_group(self, rng) -> list:
-        """`rng` as one `Rng` per group of the stack."""
+    def _per_point(self, rng) -> list:
+        """`rng` as one `Rng` per point of the stack."""
         rngs = [rng] if isinstance(rng, Rng) else list(rng)
-        n_groups = self.groups.max(initial=0) + 1
-        if len(rngs) != n_groups:
-            raise ValueError(f"{len(rngs)} random streams for {n_groups} groups")
+        if len(rngs) != self.dropout.size:
+            raise ValueError(f"{len(rngs)} random streams for {self.dropout.size} points")
         return rngs
 
     def params(self):
@@ -116,32 +109,24 @@ class Mlp:
 
     def take(self, points) -> None:
         """Keep only the grid points `points` (an index or mask on the leading
-        axis) of a stack, in that order.  The groups left are renumbered
-        0, 1, ... in the order of their old numbers: each kept group's rank
-        among the old groups still present, as `np.unique(...,
-        return_inverse=True)` numbers them."""
+        axis) of a stack, in that order."""
         self.weights = [w[points] for w in self.weights]
         self.biases = [b[points] for b in self.biases]
         self.dropout = self.dropout[points]
-        kept = self.groups[points]
-        present = np.zeros(self.groups.max(initial=-1) + 1, dtype=bool)
-        present[kept] = True
-        self.groups = (np.cumsum(present, dtype=np.intp) - 1)[kept]
 
     @staticmethod
-    def _drop_mult(shape, p, rngs, groups=0):
+    def _drop_mult(shape, p, rngs):
         """Inverted-dropout multipliers for an (n, width) layer input: one
-        uniform draw per group's `Rng`, compared with each of its points'
-        keep rate `1 - p`."""
+        uniform draw per point's `Rng`, compared with that point's keep rate
+        `1 - p`."""
         keep = 1.0 - np.asarray(p)[..., None, None]
-        draws = [r.uniform(0.0, 1.0, size=shape) for r in rngs]
-        u = np.stack([draws[g] for g in np.ravel(groups)]).reshape(np.shape(groups) + shape)
-        return (u < keep) / keep
+        u = np.stack([r.uniform(0.0, 1.0, size=shape) for r in rngs])
+        return (u.reshape(np.shape(p) + shape) < keep) / keep
 
     def forward(self, x: np.ndarray, rng=None):
         """Pre-activations of `x` ((..., n, features): one batch for every
         point, or one per point) and the trace `backward` needs; `rng` (one
-        `Rng` per group, or one for a single group) turns dropout on."""
+        `Rng` per point, or one for a single network) turns dropout on."""
         h = np.asarray(x)
         if h.dtype.kind in "biu":
             # raw codes (IDX pixels) are not features: `Dataset.features` scales them
@@ -149,7 +134,7 @@ class Mlp:
         h = h.astype(np.float64, copy=False)
         # Masks are drawn only when some grid point drops units at all.
         drop = rng is not None and self.dropout.any()
-        rngs = self._per_group(rng) if drop else None
+        rngs = self._per_point(rng) if drop else None
         layer_inputs, relu_masks, drop_mults = [], [], []
         # Each layer: ReLU on the previous layer's output (not on x), dropout, linear map.
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -157,7 +142,7 @@ class Mlp:
                 mask = h > 0
                 relu_masks.append(mask)
                 h = h * mask
-            mult = self._drop_mult(h.shape[-2:], self.dropout, rngs, self.groups) if drop else None
+            mult = self._drop_mult(h.shape[-2:], self.dropout, rngs) if drop else None
             if mult is not None:
                 h = h * mult
             drop_mults.append(mult)
@@ -183,8 +168,8 @@ class LogisticRegression(Mlp):
     """Linear map to class pre-activations, a = x W + b: no hidden layers.
     `grid` is the shape of the stack's leading axis, () for one network."""
 
-    def __init__(self, rng, n_features: int, n_classes: int, grid=(), groups=None):
-        super().__init__(rng, n_features, n_classes, (), np.zeros(grid), groups)
+    def __init__(self, rng, n_features: int, n_classes: int, grid=()):
+        super().__init__(rng, n_features, n_classes, (), np.zeros(grid))
 
 
 def build_model(
@@ -194,15 +179,14 @@ def build_model(
     n_classes: int,
     hidden=DEFAULT_HIDDEN,
     dropout=0.0,
-    groups=None,
 ):
     """The network of a model kind; `logreg` ignores `hidden`.  A sequence of
-    dropout rates builds a stack of networks, one per grid point, whose
-    `groups` and per-group `rng`s are as `Mlp` takes them."""
+    dropout rates builds a stack of networks, one per grid point, each from
+    its own `Rng` in `rng`."""
     if kind == "logreg":
         if np.any(dropout):
             raise ValueError("dropout is only meaningful for mlp, not logreg")
-        return LogisticRegression(rng, n_features, n_classes, np.shape(dropout), groups)
+        return LogisticRegression(rng, n_features, n_classes, np.shape(dropout))
     if kind == "mlp":
-        return Mlp(rng, n_features, n_classes, hidden, dropout, groups)
+        return Mlp(rng, n_features, n_classes, hidden, dropout)
     raise ValueError(f"unknown model kind {kind!r}")

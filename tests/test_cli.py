@@ -549,14 +549,14 @@ def test_gradnorms_matches_the_first_fold_of_run(tmp_path):
 
 
 def test_gradnorms_fails_when_a_cell_fails(tmp_path, monkeypatch, capsys):
-    # the fold's stack returns eerr's group as diverged (points: neglog,
+    # the fold's stack returns eerr's run as diverged (points: neglog,
     # eerr, leerr, one each); the other cells train, but gradnorms fails
     train_run = expacc.harness.train_run
 
     def diverge_eerr(*args, **kwargs):
         stack = train_run(*args, **kwargs)
-        stack.verdicts[1] = expacc.harness.TrainingDiverged(
-            "eerr: non-finite loss at epoch 1, batch 0", 1
+        stack.runs[1].error = expacc.harness.TrainingDiverged(
+            "eerr: non-finite loss at epoch 1, batch 0"
         )
         return stack
 

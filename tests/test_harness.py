@@ -90,7 +90,7 @@ def test_same_seed_reproduces_run_exactly():
     a = train_run("logreg", train, dev, test, cfg)
     b = train_run("logreg", train, dev, test, cfg)
     assert a.best_epoch == b.best_epoch
-    assert a.winner.test_acc == b.winner.test_acc
+    assert a.runs[0].test_acc == b.runs[0].test_acc
     for ra, rb in zip(a.records, b.records):
         assert (ra.train_loss, ra.dev_acc, ra.grad_norm_mean) == (
             rb.train_loss,
@@ -104,7 +104,7 @@ def test_best_epoch_attains_max_dev_accuracy_and_model_reproduces_it():
     cfg = TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32, max_epochs=25, seed=4)
     # dev doubles as test, so the test measurement is the restored model's
     # dev accuracy
-    result = train_run("logreg", train, dev, dev, cfg).winner
+    result = train_run("logreg", train, dev, dev, cfg).runs[0]
     dev_curve = [r.dev_acc for r in result.records]
     assert result.records[result.best_epoch - 1].dev_acc == max(dev_curve)
     # ties break to the earliest epoch
@@ -119,9 +119,9 @@ def test_divergence_aborts_with_location():
     cfg = TrainConfig(loss=NEGLOG, lr=10.0, batch_size=8, max_epochs=50, seed=1)
     with np.errstate(all="ignore"):
         result = train_run("logreg", train, dev, test, cfg)
-    # the stack returns; its only group's verdict is the divergence
-    with pytest.raises(TrainingDiverged, match="epoch"):
-        result.winner
+    # the stack returns; its only run ends with the divergence
+    error = result.runs[0].error
+    assert isinstance(error, TrainingDiverged) and "epoch" in str(error)
 
 
 def test_mlp_trains_on_blobs():
@@ -133,7 +133,7 @@ def test_mlp_trains_on_blobs():
         "mlp", Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test),
         cfg, hidden=(16, 12, 8),
     )
-    assert result.winner.test_acc > 0.8
+    assert result.runs[0].test_acc > 0.8
 
 
 @pytest.mark.parametrize("kind, dropout", [("logreg", 0.0), ("mlp", 0.25)])
@@ -148,7 +148,7 @@ def test_training_on_pool_rows_matches_training_on_a_copied_split(kind, dropout)
     copied = ds.subset(train_idx)
     copy = train_run(kind, Rows(copied, np.arange(copied.n)), dev, test, cfg, hidden=(16, 8))
     assert rows.records == copy.records
-    assert (rows.best_epoch, rows.winner.test_acc) == (copy.best_epoch, copy.winner.test_acc)
+    assert (rows.best_epoch, rows.runs[0].test_acc) == (copy.best_epoch, copy.runs[0].test_acc)
 
 
 def blob_splits():
@@ -177,13 +177,12 @@ def test_each_stacked_point_is_bit_identical_to_its_own_run(kind, points):
     cell = train_run(kind, train, dev, test, cfg, (16, 8), points)
     assert len(cell.runs) == len(points)
     for point, run in zip(points, cell.runs):
-        alone = train_run(kind, train, dev, test, point, (16, 8)).winner
+        alone = train_run(kind, train, dev, test, point, (16, 8)).runs[0]
         assert run.records == alone.records
         assert (run.best_epoch, run.test_acc) == (alone.best_epoch, alone.test_acc)
     # the points stop on their own rule at different epochs
     assert len({len(run.records) for run in cell.runs}) > 1
-    dev_best = [run.best_dev_acc for run in cell.runs]
-    assert cell.best == dev_best.index(max(dev_best))
+    assert all(run.error is None for run in cell.runs)
 
 
 @pytest.mark.parametrize(
@@ -195,8 +194,7 @@ def test_each_stacked_point_is_bit_identical_to_its_own_run(kind, points):
 )
 def test_every_slice_of_a_mixed_loss_stack_is_its_own_run(kind, pairs):
     # three losses, each with its own seed, interleaved in point order: each
-    # (loss, point) slice gets the bits of its own one-point run, and each
-    # group's verdict is the winner of its own points
+    # (loss, point) slice gets the bits of its own one-point run
     train, dev, test = blob_splits()
     cfg = TrainConfig(loss=LEERR, batch_size=16, max_epochs=25, patience=3)
     specs = (NEGLOG, EERR, LossSpec("leerr", 0.2))
@@ -208,17 +206,12 @@ def test_every_slice_of_a_mixed_loss_stack_is_its_own_run(kind, pairs):
     stack = train_run(kind, train, dev, test, cfg, (16, 8), points)
     assert len(stack.runs) == len(points)
     for point, run in zip(points, stack.runs):
-        alone = train_run(kind, train, dev, test, point, (16, 8)).winner
+        alone = train_run(kind, train, dev, test, point, (16, 8)).runs[0]
         assert run.records == alone.records
         assert (run.best_epoch, run.test_acc) == (alone.best_epoch, alone.test_acc)
     assert len({len(run.records) for run in stack.runs}) > 1
-    assert len(stack.verdicts) == len(specs)
-    for i, verdict in enumerate(stack.verdicts):
-        members = list(range(i, len(points), len(specs)))
-        dev_best = [stack.runs[j].best_dev_acc for j in members]
-        assert verdict == members[dev_best.index(max(dev_best))]
     assert stack.records == [r for run in stack.runs for r in run.records]
-    assert stack.best_epoch == sum(stack.runs[v].best_epoch for v in stack.verdicts)
+    assert stack.best_epoch == sum(run.best_epoch for run in stack.runs)
 
 
 def test_a_diverging_loss_fails_only_its_own_cells():
@@ -280,36 +273,78 @@ def test_stopped_points_leave_the_stack(monkeypatch):
     assert len(sizes) == max(epochs) * batches
 
 
-def test_dev_accuracy_ties_go_to_the_earliest_point():
-    train, dev, test = small_splits(6)
-    cfg = TrainConfig(loss=EERR, batch_size=16, max_epochs=4, seed=2)
+def test_dev_accuracy_ties_go_to_the_earliest_point(monkeypatch):
+    stacks = []
+    train_run = expacc.harness.train_run
+
+    def recording(*args):
+        stacks.append(train_run(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(expacc.harness, "train_run", recording)
+    ds = two_gaussians(6, 120, 4, delta=2.0)
+    plan = make_folds(Rng(7), ds.n, "fixed", train_size=60, dev_size=30)
     # lr 0 and a vanishing lr leave the model where it started: equal dev
-    # accuracy, whichever comes first wins
-    for pairs in ([(0.0, 0.0), (1e-12, 0.0)], [(1e-12, 0.0), (0.0, 0.0)]):
-        cell = train_run("logreg", train, dev, test, cfg, points=grid(cfg, pairs))
-        assert cell.runs[0].best_dev_acc == cell.runs[1].best_dev_acc
-        assert cell.runs[0].records != cell.runs[1].records
-        assert cell.best == 0
+    # accuracy, whichever candidate comes first wins its cell
+    for lrs in ((0.0, 1e-12), (1e-12, 0.0)):
+        cfgs = [TrainConfig(loss=EERR, lr=lr, batch_size=16, max_epochs=4) for lr in lrs]
+        (cell,) = replicate("logreg", ds, plan, {"eerr": cfgs}, master_seed=2)
+        first, second = stacks[-1].runs
+        assert first.best_dev_acc == second.best_dev_acc
+        assert first.records != second.records
+        assert (cell.lr, cell.result) == (lrs[0], first)
 
 
 def test_divergence_fails_the_cell_with_the_first_point_in_candidate_order():
+    # every point of a stack ends with its own run's outcome: lr 1.0 diverges
+    # first, lr 0.5 later, and lr 0.1 never; `replicate` then fails the cell
+    # with lr 0.5's error (test_a_diverging_loss_fails_only_its_own_cells)
     train, dev, test = small_splits(5)
     train.ds.x[train.index[0], 0] = 1e308  # overflows once lr moves the weights far enough
     cfg = TrainConfig(loss=NEGLOG, batch_size=8, max_epochs=30, seed=1)
-    alone = {}
+    points = grid(cfg, [(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)])
     with np.errstate(all="ignore"):
-        for lr in (0.5, 1.0):
-            with pytest.raises(TrainingDiverged) as exc:
-                train_run("logreg", train, dev, test, replace(cfg, lr=lr)).winner
-            alone[lr] = str(exc.value)
-        # lr 1.0 diverges first, but lr 0.5 comes before it in the grid;
-        # lr 0.1 never diverges and trains on
-        points = grid(cfg, [(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)])
-        with pytest.raises(TrainingDiverged) as exc:
-            train_run("logreg", train, dev, test, cfg, points=points).winner
-    assert alone[1.0] == "neglog: non-finite loss at epoch 1, batch 6"
-    assert alone[0.5] == "neglog: non-finite loss at epoch 2, batch 6"
-    assert (exc.value.point, str(exc.value)) == (1, alone[0.5])
+        alone = [train_run("logreg", train, dev, test, point).runs[0] for point in points]
+        runs = train_run("logreg", train, dev, test, cfg, points=points).runs
+    assert alone[0].error is None
+    assert str(alone[1].error) == "neglog: non-finite loss at epoch 2, batch 6"
+    assert str(alone[2].error) == "neglog: non-finite loss at epoch 1, batch 6"
+    assert runs[0] == alone[0]
+    for run, own in zip(runs[1:], alone[1:]):
+        assert isinstance(run.error, TrainingDiverged)
+        assert (run.records, str(run.error)) == (own.records, str(own.error))
+
+
+@pytest.mark.parametrize(
+    "kind, splits, big, batch_size, settings, diverged",
+    [
+        # logreg: lr 1.0 diverges in epoch 1
+        ("logreg", lambda: small_splits(5), 1e308, 8,
+         [(1.0, 0.0, 1), (0.1, 0.0, 1), (3e-2, 0.0, 1)], "epoch 1, batch 6"),
+        # mlp: lr 1.0 with dropout diverges in epoch 2; the later points, the
+        # last of another cell (seed), keep drawing their own dropout masks
+        ("mlp", blob_splits, 1e306, 16,
+         [(1.0, 0.3, 8), (0.3, 0.3, 8), (1e-2, 0.0, 8), (1e-2, 0.3, 8), (1e-2, 0.3, 9)],
+         "epoch 2, batch 6"),
+    ],
+)
+def test_a_diverged_point_leaves_the_later_points_of_its_cell_training(
+    kind, splits, big, batch_size, settings, diverged
+):
+    # the first point diverges, and the others train on to their own stop,
+    # each with the bits of its own run
+    train, dev, test = splits()
+    train.ds.x[train.index[0], 0] = big  # overflows once lr moves the weights far enough
+    cfg = TrainConfig(loss=NEGLOG, batch_size=batch_size, max_epochs=12, patience=3)
+    points = [replace(cfg, lr=lr, dropout=dropout, seed=seed) for lr, dropout, seed in settings]
+    with np.errstate(all="ignore"):
+        alone = [train_run(kind, train, dev, test, point, (16, 8)).runs[0] for point in points]
+        runs = train_run(kind, train, dev, test, cfg, (16, 8), points).runs
+    assert str(runs[0].error) == str(alone[0].error) == f"neglog: non-finite loss at {diverged}"
+    assert runs[0].records == alone[0].records
+    assert all(run.error is None for run in runs[1:])
+    assert runs[1:] == alone[1:]
+    assert max(len(run.records) for run in runs[1:]) > len(runs[0].records) + 1
 
 
 def test_grad_norm_probe_ordering_and_scale():

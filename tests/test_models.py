@@ -169,16 +169,17 @@ def test_build_model_rejects_unknown_kind():
 
 def test_a_stack_of_networks_computes_each_network_bit_for_bit():
     dropouts = (0.0, 0.2, 0.5)
-    stack = build_model("mlp", Rng(30), 5, 3, hidden=(6, 4), dropout=dropouts)
+    seeds = (30, 40, 30)  # the first and last point start from one draw
+    stack = build_model("mlp", [Rng(s) for s in seeds], 5, 3, hidden=(6, 4), dropout=dropouts)
     x = Rng(31).normal(size=(7, 5))
-    preact, trace = stack.forward(x, Rng(32))
+    preact, trace = stack.forward(x, [Rng(s + 2) for s in seeds])
     g = Rng(33).normal(size=preact.shape)
     grads = stack.backward(trace, g)
     assert preact.shape == (3, 7, 3) and all(p.shape[0] == 3 for p in grads)
-    for j, dropout in enumerate(dropouts):
-        # same init draw, and the same uniform draws compared with its keep rate
-        single = build_model("mlp", Rng(30), 5, 3, hidden=(6, 4), dropout=dropout)
-        own, own_trace = single.forward(x, Rng(32) if dropout else None)
+    for j, (seed, dropout) in enumerate(zip(seeds, dropouts)):
+        # its own init draw, and its own uniform draws compared with its keep rate
+        single = build_model("mlp", Rng(seed), 5, 3, hidden=(6, 4), dropout=dropout)
+        own, own_trace = single.forward(x, Rng(seed + 2) if dropout else None)
         assert np.array_equal(preact[j], own)
         for a, b in zip(grads, single.backward(own_trace, g[j]), strict=True):
             assert np.array_equal(a[j], b)
@@ -187,14 +188,21 @@ def test_a_stack_of_networks_computes_each_network_bit_for_bit():
     assert all(p.shape[0] == 1 for p in stack.params())
 
 
-def test_take_renumbers_groups_as_unique_does():
+def test_a_stack_needs_one_random_stream_per_point():
+    with pytest.raises(ValueError, match="2 random streams for 3 points"):
+        build_model("mlp", [Rng(0), Rng(1)], 5, 3, hidden=(4,), dropout=(0.0, 0.1, 0.2))
+    stack = build_model("mlp", [Rng(0), Rng(1)], 5, 3, hidden=(4,), dropout=(0.1, 0.2))
+    with pytest.raises(ValueError, match="1 random streams for 2 points"):
+        stack.forward(np.ones((2, 5)), Rng(2))
+
+
+def test_take_keeps_the_points_it_names():
     draw = np.random.default_rng(0)
     for _ in range(200):
         n_points = int(draw.integers(1, 10))
-        groups = draw.integers(0, 4, size=n_points)  # any order, numbers may be missing
+        dropout = draw.random(n_points) / 2
         stack = build_model(
-            "logreg", [Rng(g) for g in range(groups.max() + 1)], 2, 2,
-            dropout=np.zeros(n_points), groups=groups,
+            "mlp", [Rng(j) for j in range(n_points)], 2, 2, hidden=(3,), dropout=dropout
         )
         lo, hi = sorted(draw.integers(0, n_points + 1, size=2))
         for points in (
@@ -205,7 +213,5 @@ def test_take_renumbers_groups_as_unique_does():
         ):
             part = copy.deepcopy(stack)
             part.take(points)
-            want = np.unique(groups[points], return_inverse=True)[1]
-            assert part.groups.dtype == want.dtype == np.intp
-            assert np.array_equal(part.groups, want)
+            assert np.array_equal(part.dropout, dropout[points])
             assert all(np.array_equal(a, b[points]) for a, b in zip(part.params(), stack.params()))
