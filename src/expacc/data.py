@@ -23,10 +23,11 @@ File formats accepted:
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -135,8 +136,12 @@ class Dataset:
         return x / self.scale
 
     def subset(self, indices, name: str | None = None) -> "Dataset":
+        """A copy of rows `indices`.  They passed this dataset's checks, so
+        the copy is built without running them again."""
         idx = np.asarray(indices)
-        return replace(self, x=self.x[idx], labels=self.labels[idx], name=name or self.name)
+        rows = copy.copy(self)
+        rows.x, rows.labels, rows.name = self.x[idx], self.labels[idx], name or self.name
+        return rows
 
 
 @dataclass

@@ -15,13 +15,16 @@ per (master seed, fold, loss).  It is the one place that picks a cell's
 result from its candidates' outcomes.  Every split names rows of the pool,
 and a fold's dev and test rows are copied only while that fold is
 evaluated.  The points of equal-sized folds fill stacks of up to
-`STACK_PARAMS` parameters.
+`STACK_PARAMS` parameters, and two or more stacks train side by side, one
+worker thread per usable core, with numpy's OpenBLAS pinned to one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,7 +128,8 @@ class EpochRecord:
 class RunResult:
     """One point's run: its epochs, its best one and the test accuracy
     there, and `error` when its loss went non-finite, after the epochs it
-    completed."""
+    completed.  A run that diverged in its first epoch has no best epoch
+    (0) and a NaN test accuracy."""
 
     records: list
     best_epoch: int
@@ -138,7 +142,9 @@ class RunResult:
 
     @property
     def best_dev_acc(self) -> float:
-        return self.records[self.best_epoch - 1].dev_acc
+        """Dev accuracy at the best epoch; NaN for a run that completed no
+        epoch."""
+        return self.records[self.best_epoch - 1].dev_acc if self.best_epoch else math.nan
 
 
 @dataclass
@@ -225,6 +231,8 @@ def train_run(
 
     A non-finite loss ends that point's run with a `TrainingDiverged` as its
     `error`, and the point leaves the stack; every other point trains on.
+    A point that diverged before completing an epoch has no best epoch, and
+    its test accuracy is NaN.
     """
     points = [cfg] if points is None else list(points)
     fold_of = np.zeros(len(points), dtype=np.intp) if folds is None else np.asarray(folds)
@@ -327,7 +335,8 @@ def train_run(
 
     test_acc = _fold_accuracy(best, fold_of, tests)
     return StackResult([
-        RunResult(records[j], best_epoch[j], float(test_acc[j]), errors[j])
+        RunResult(records[j], best_epoch[j], float(test_acc[j]) if best_epoch[j] else math.nan,
+                  errors[j])
         for j in range(len(points))
     ])
 
@@ -343,6 +352,89 @@ def grad_norm_probe(model, x: np.ndarray, labels, losses) -> dict:
         spec.name: float(loss_grad_preact(spec, preact, labels).per_instance_norms.mean())
         for spec in losses
     }
+
+
+# numpy's bundled OpenBLAS thread-count functions, by build
+_OPENBLAS_THREADS = (
+    "scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"
+)
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
+    or None where there is none."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_THREADS:
+            get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread for the block and restore its
+    count afterwards, also on error; yields False, pinning nothing, where
+    no setter is found."""
+    found = _openblas_threads()
+    if found is None:
+        yield False
+        return
+    get, set_ = found
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _train_stacks(jobs: list) -> list:
+    """`train_run(*job)` of every stack, in stack order.
+
+    A single stack trains in the calling thread at the BLAS default
+    thread count.  Two or more train with numpy's OpenBLAS pinned to one
+    thread, side by side on one worker thread per usable core (at most one
+    per stack; a stack is never split), so a matmul's bits depend on
+    neither the core count nor the BLAS thread count.  Where no OpenBLAS
+    setter is found they train one at a time.
+
+    Each worker runs in a copy of the caller's context, so numpy's error
+    state holds there too.  An exception in a stack cancels the stacks not
+    yet started and, once the running ones end, propagates with its
+    traceback (the first in stack order).
+    """
+    if len(jobs) < 2:
+        return [train_run(*job) for job in jobs]
+    with _one_blas_thread() as pinned:
+        workers = min(len(jobs), _usable_cores()) if pinned else 1
+        if workers == 1:
+            return [train_run(*job) for job in jobs]
+        import contextvars
+        from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="expacc-stack")
+        try:
+            futures = [
+                pool.submit(contextvars.copy_context().run, train_run, *job) for job in jobs
+            ]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
+        # the workers take stacks in order: a cancelled one follows every one that ran
+        return [f.result() for f in futures]
 
 
 @dataclass
@@ -390,7 +482,7 @@ def replicate(
     the remaining cells still run; any other exception is a bug and
     propagates.  The points of folds with equal train sizes fill one
     `train_run` after another, in point order, up to `STACK_PARAMS`
-    parameters each.
+    parameters each, and `_train_stacks` trains those stacks.
     """
     if not cfgs:
         raise ValueError("need at least one loss config")
@@ -442,17 +534,22 @@ def replicate(
         by_size.setdefault(splits[point[0]][0].n, []).append(point)
     sizes = [pool.d, *(hidden if model_kind == "mlp" else ()), pool.k]
     room = max(1, STACK_PARAMS // sum((m + 1) * n for m, n in zip(sizes, sizes[1:])))
-    for same_size in by_size.values():
-        for lo in range(0, len(same_size), room):
-            stack = same_size[lo : lo + room]
-            folds = list(dict.fromkeys(fold for fold, _, _ in stack))
-            train, dev, tests = zip(*(splits[fold] for fold in folds))
-            result = train_run(
-                model_kind, Folds(train), dev, tests, stack[0][2], hidden,
-                [c for _, _, c in stack], [folds.index(fold) for fold, _, _ in stack],
-            )
-            for (fold, name, candidate), run in zip(stack, result.runs):
-                pieces.setdefault((fold, name), []).append((candidate, run.error or run))
+    stacks = [
+        same_size[lo : lo + room]
+        for same_size in by_size.values()
+        for lo in range(0, len(same_size), room)
+    ]
+    jobs = []
+    for stack in stacks:
+        folds = list(dict.fromkeys(fold for fold, _, _ in stack))
+        train, dev, tests = zip(*(splits[fold] for fold in folds))
+        jobs.append((
+            model_kind, Folds(train), dev, tests, stack[0][2], hidden,
+            [c for _, _, c in stack], [folds.index(fold) for fold, _, _ in stack],
+        ))
+    for stack, result in zip(stacks, _train_stacks(jobs)):
+        for (fold, name, candidate), run in zip(stack, result.runs):
+            pieces.setdefault((fold, name), []).append((candidate, run.error or run))
 
     outcomes = []
     for fold in range(n_folds):

@@ -280,3 +280,24 @@ def test_folds_hold_train_rows_of_one_pool_and_one_size():
     for rows in ([Rows(ds, [0, 1]), Rows(ds, [2])], [Rows(ds, [0]), Rows(other, [1])], []):
         with pytest.raises(ValueError, match="one pool and one train size"):
             Folds(rows)
+
+
+@pytest.mark.parametrize("dtype, scale", [(np.float64, 1.0), (np.uint8, 255.0)])
+def test_subset_copies_the_gathered_rows_without_checking_them_again(dtype, scale, monkeypatch):
+    ds = Dataset(np.arange(12).reshape(6, 2).astype(dtype), [0, 1, 2, 0, 1, 2], 3, "pool", scale)
+    idx = np.array([4, 0, 4, 2])
+
+    def scan(self):
+        raise AssertionError("the subset re-ran Dataset's checks")
+
+    # the pool's rows passed `__post_init__` once; a subset copies them as they are
+    monkeypatch.setattr(Dataset, "__post_init__", scan)
+    monkeypatch.setattr(np, "isfinite", scan)
+    rows = ds.subset(idx)
+    assert type(rows) is Dataset and rows is not ds
+    assert rows.x.dtype == dtype and rows.x.flags.c_contiguous
+    assert np.array_equal(rows.x, ds.x[idx]) and not np.shares_memory(rows.x, ds.x)
+    assert np.array_equal(rows.labels, ds.labels[idx]) and rows.labels.dtype == np.int64
+    assert (rows.k, rows.scale, rows.name) == (3, scale, "pool")
+    assert ds.subset(idx, name="dev").name == "dev" and ds.name == "pool"
+    assert np.array_equal(rows.features(), ds.features(idx))

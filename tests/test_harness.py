@@ -124,6 +124,20 @@ def test_divergence_aborts_with_location():
     assert isinstance(error, TrainingDiverged) and "epoch" in str(error)
 
 
+def test_a_run_that_diverged_in_its_first_epoch_has_no_accuracy():
+    # every train row overflows at lr 10, so the loss is non-finite in the
+    # first epoch: no epoch completed, no weights were kept, nothing to test
+    train, dev, test = small_splits(5)
+    train.ds.x[train.index, 0] = 1e308
+    cfg = TrainConfig(loss=NEGLOG, lr=10.0, batch_size=8, max_epochs=5, seed=1)
+    with np.errstate(all="ignore"):
+        run = train_run("logreg", train, dev, test, cfg).runs[0]
+    assert "epoch 1," in str(run.error)
+    assert run.records == [] and run.best_epoch == 0
+    assert math.isnan(run.best_dev_acc)
+    assert math.isnan(run.test_acc) and math.isnan(run.test_error)
+
+
 def test_mlp_trains_on_blobs():
     ds = blobs(10, 400, d=6, k=3, spread=3.0)
     plan = make_folds(Rng(11), ds.n, "fixed", train_size=250, dev_size=75)
@@ -512,7 +526,10 @@ def test_every_cell_of_a_packed_replication_is_its_own_fold_run(kind, monkeypatc
         return out, stacks
 
     packed, stacks = run(expacc.harness.STACK_PARAMS)
-    assert [list(s) for s in stacks] == [[0] * per_fold, [0] * per_fold + [1] * per_fold]
+    # the stacks train side by side, so they are recorded in any order
+    assert sorted((list(s) for s in stacks), key=len) == [
+        [0] * per_fold, [0] * per_fold + [1] * per_fold
+    ]
     by_fold, stacks = run(per_point * per_fold)
     assert [list(s) for s in stacks] == [[0] * per_fold] * 3
     alone, stacks = run(1)

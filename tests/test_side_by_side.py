@@ -1,0 +1,227 @@
+"""Stacks of one replication training side by side.
+
+Two or more stacks train on one worker thread per usable core, with numpy's
+OpenBLAS pinned to one thread while they run; one stack trains in the
+calling thread at the BLAS default.  The stacks of these replications are
+recorded from worker threads, so no test here depends on the order in
+which they start.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+
+import expacc
+import expacc.harness
+from expacc.data import SplitPlan, make_folds
+from expacc.harness import TrainConfig, replicate
+from expacc.losses import LossSpec
+from expacc.numerics import Rng
+from helpers import blobs, two_gaussians, write_idx_pair
+
+NEGLOG, EERR = LossSpec("neglog"), LossSpec("eerr")
+BLAS = expacc.harness._openblas_threads()
+needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy bundles no OpenBLAS thread setter")
+
+
+def experiment():
+    """A tiny dropout MLP over two losses, two lrs and two folds."""
+    ds = blobs(41, 96, d=5, k=3, spread=2.0)
+    plan = make_folds(Rng(42), ds.n, "kfold", k=4)
+    cfgs = {
+        spec.name: [
+            TrainConfig(loss=spec, lr=lr, dropout=0.2, batch_size=16, max_epochs=3)
+            for lr in (1e-2, 0.1)
+        ]
+        for spec in (NEGLOG, EERR)
+    }
+    return ds, plan, cfgs
+
+
+def run(monkeypatch, cpus, budget=1):
+    """`experiment` on `cpus` usable cores; the default budget of one
+    parameter trains each of its 8 points as a stack of its own."""
+    ds, plan, cfgs = experiment()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(expacc.harness, "STACK_PARAMS", budget)
+        return replicate(
+            "mlp", ds, plan, cfgs, master_seed=4, noise_p=0.1, hidden=(6, 4), max_folds=2
+        )
+
+
+def recording(monkeypatch, record):
+    """Patch `train_run` to call `record(points)` before each stack."""
+    train_run = expacc.harness.train_run
+
+    def recorded(model_kind, train, dev, test, cfg, hidden, points, folds):
+        record(points)
+        return train_run(model_kind, train, dev, test, cfg, hidden, points, folds)
+
+    monkeypatch.setattr(expacc.harness, "train_run", recorded)
+
+
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS at two threads for the test, then at its count before."""
+    get, set_ = BLAS
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_stacks_side_by_side_give_the_outcomes_of_one_at_a_time(monkeypatch):
+    threads = []
+    recording(monkeypatch, lambda points: threads.append(threading.current_thread()))
+    one = run(monkeypatch, 1)
+    on_one, threads[:] = set(threads), []
+    two = run(monkeypatch, 2)
+    assert len(threads) == 8
+    assert on_one == {threading.main_thread()}
+    if BLAS is not None:
+        assert threading.main_thread() not in threads and len(set(threads)) <= 2
+    assert len(one) == 4 and all(o.ok for o in one)
+    assert one == two
+    # and the same bits as all eight points in one stack
+    assert one == run(monkeypatch, 2, budget=expacc.harness.STACK_PARAMS)
+
+
+@needs_blas
+def test_blas_runs_on_one_thread_while_two_or_more_stacks_train(monkeypatch, blas_at_two):
+    get = blas_at_two
+    seen = []
+    recording(monkeypatch, lambda points: seen.append(get()))
+    for cpus in (1, 2):
+        seen.clear()
+        run(monkeypatch, cpus)
+        assert seen == [1] * 8
+        assert get() == 2
+
+    def buggy_train_run(*args):
+        seen.append(get())
+        raise TypeError("bug in a stack")
+
+    monkeypatch.setattr(expacc.harness, "train_run", buggy_train_run)
+    seen.clear()
+    with pytest.raises(TypeError, match="bug in a stack"):
+        run(monkeypatch, 2)
+    assert seen and set(seen) == {1}
+    assert get() == 2
+
+
+def test_a_single_stack_starts_no_thread_and_leaves_blas_alone(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a single stack started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    count = (lambda: None) if BLAS is None else BLAS[0]
+    before = count()
+    seen = []
+    recording(monkeypatch, lambda points: seen.append((len(points), count())))
+    out = run(monkeypatch, 2, budget=expacc.harness.STACK_PARAMS)
+    assert all(o.ok for o in out)
+    assert seen == [(8, before)]
+    assert count() == before
+
+
+def test_a_bug_in_one_stack_propagates_and_cancels_the_stacks_not_started(monkeypatch):
+    _, plan, _ = experiment()
+    started = []
+    train_run = expacc.harness.train_run
+
+    def buggy_train_run(model_kind, train, dev, test, cfg, hidden, points, folds):
+        fold = next(f for f, (idx, _) in enumerate(plan.folds) if np.array_equal(idx, train[0].index))
+        started.append((fold, points[0].loss.name, points[0].lr))
+        if started[-1] == (0, "neglog", 1e-2):  # the first stack
+            raise TypeError("bug in the first stack")
+        time.sleep(0.2)
+        return train_run(model_kind, train, dev, test, cfg, hidden, points, folds)
+
+    monkeypatch.setattr(expacc.harness, "train_run", buggy_train_run)
+    with pytest.raises(TypeError, match="bug in the first stack") as excinfo:
+        run(monkeypatch, 2)
+    # the traceback reaches into the stack's own frame
+    assert excinfo.traceback[-1].name == "buggy_train_run"
+    assert (0, "neglog", 1e-2) in started
+    # the workers take stacks in order: those that ran are the first ones,
+    # and the rest never started
+    order = [(f, name, lr) for f in (0, 1) for name in ("neglog", "eerr") for lr in (1e-2, 0.1)]
+    assert sorted(started, key=order.index) == order[: len(started)]
+    assert len(started) < len(order)
+
+
+def test_a_diverging_stack_fails_only_its_own_cell(monkeypatch):
+    # one row near the float64 limit in fold 1's train split overflows
+    # neglog at lr 1; each point trains as its own stack, side by side
+    ds = two_gaussians(37, 120, 4, delta=2.0)
+    perm = Rng(38).permutation(ds.n)
+    plan = SplitPlan([(perm[40 * i : 40 * i + 30], perm[40 * i + 30 : 40 * i + 40]) for i in range(3)])
+    cfgs = {
+        spec.name: [TrainConfig(loss=spec, lr=lr, batch_size=8, max_epochs=20) for lr in lrs]
+        for spec, lrs in ((NEGLOG, (0.1, 1.0)), (EERR, (1e-3, 1e-2)))
+    }
+    ds.x[plan.folds[1][0][0], 0] = 1e308
+    # the caller's numpy error state holds in the worker threads: with it
+    # lost, the overflow warning would raise there
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        packed = replicate("logreg", ds, plan, cfgs, master_seed=3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)
+        alone = replicate("logreg", ds, plan, cfgs, master_seed=3)
+    assert [(o.fold, o.loss) for o in alone if not o.ok] == [(1, "neglog")]
+    assert "non-finite loss" in alone[2].error
+    assert alone == packed
+
+
+def write_wide_experiment(root: Path) -> None:
+    """An IDX pool and a config whose two losses train as two stacks of a
+    784-300-10 MLP at batch 64."""
+    root.mkdir()
+    rng = Rng(3)
+    n = 256
+    labels = rng.integers(10, size=n).tolist()
+    write_idx_pair(root, rng.integers(256, size=(n, 28, 28)), labels)
+    config = {
+        "dataset": {
+            "name": "wide",
+            "train_images": "images-idx3-ubyte",
+            "train_labels": "labels-idx1-ubyte",
+        },
+        "model": {"kind": "mlp", "hidden": [300]},
+        "losses": ["neglog", "eerr"],
+        "train": {"lr": 1e-3, "batch_size": 64, "max_epochs": 1},
+        "replication": {"scheme": "kfold", "folds": 2, "max_folds": 1},
+        "seed": 3,
+        "out_dir": "out",
+    }
+    (root / "config.yaml").write_text(yaml.safe_dump(config, sort_keys=True))
+
+
+def test_a_multi_stack_run_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # the 64x784 @ 784x300 product changes bits with OpenBLAS's thread
+    # count; pinned to one thread while the stacks train, it does not
+    write_wide_experiment(tmp_path / "wide")
+    src = str(Path(expacc.__file__).parents[1])
+    manifests = []
+    for threads in ("1", "2"):
+        where = tmp_path / threads
+        shutil.copytree(tmp_path / "wide", where)
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        subprocess.run([sys.executable, "-m", "expacc", "run", "config.yaml"], cwd=where,
+                       env=env, check=True, capture_output=True)
+        manifests.append((where / "out" / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
