@@ -12,9 +12,9 @@ Run:  python demos/02_gradient_norms_at_init.py
 
 import numpy as np
 
-from expacc.data import Dataset, Rows, make_folds
-from expacc.harness import TrainConfig, grad_norm_probe, train_run
-from expacc.losses import LossSpec
+from expacc.data import Dataset, Folds, Rows, make_folds
+from expacc.harness import TrainConfig, train_run
+from expacc.losses import LossSpec, loss_grad_preact
 from expacc.models import build_model
 from expacc.numerics import Rng
 
@@ -31,8 +31,13 @@ def pixel_like_dataset(seed=0, n=6000, d=784, k=10):
 
 def main():
     ds = pixel_like_dataset()
-    model = build_model("logreg", Rng(1), ds.d, ds.k)
-    norms = grad_norm_probe(model, ds.features(), ds.labels, LOSSES)
+    # every loss sees the same forward pass, so they are compared at one
+    # parameter state
+    preact, _ = build_model("logreg", Rng(1), ds.d, ds.k).forward(ds.features())
+    norms = {
+        spec.name: loss_grad_preact(spec, preact, ds.labels).per_instance_norms.mean()
+        for spec in LOSSES
+    }
     print("mean gradient norms w.r.t. pre-activations at initialization:")
     for name, value in norms.items():
         print(f"  {name:<8} {value:.4f}")
@@ -41,14 +46,14 @@ def main():
 
     plan = make_folds(Rng(2), ds.n, "fixed", train_size=4500, dev_size=1500)
     train_idx, dev_idx = plan.folds[0]
+    # the dev rows double as the test rows
+    train, dev = Folds([Rows(ds, train_idx)]), [Rows(ds, dev_idx)]
     print("per-epoch mean gradient norms while actually training:")
     print(f"{'epoch':>5}" + "".join(f"{s.name:>12}" for s in LOSSES))
     columns = {}
     for spec in LOSSES:
         cfg = TrainConfig(loss=spec, lr=1e-4, batch_size=64, max_epochs=8, seed=3)
-        result = train_run(
-            "logreg", Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(dev_idx), cfg
-        )
+        result = train_run("logreg", train, dev, dev, cfg)
         columns[spec.name] = [r.grad_norm_mean for r in result.records]
     for e in range(8):
         print(f"{e + 1:>5}" + "".join(f"{columns[s.name][e]:>12.4f}" for s in LOSSES))

@@ -26,7 +26,6 @@ from .harness import (
     TrainConfig,
     TrainingDiverged,
     accuracy,
-    grad_norm_probe,
     replicate,
     train_run,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "build_model",
     "builtin_schema",
     "emit_loss_curves",
-    "grad_norm_probe",
     "inject_label_noise",
     "load_mnist",
     "load_uci_csv",

@@ -55,6 +55,12 @@ class ConfigError(Exception):
 
 # The grid keys of the `train` section and the single value each replaces.
 _GRIDS = {"lr_grid": "lr", "dropout_grid": "dropout"}
+# scheme -> {each `replication` key it reads: (its make_folds argument, minimum)}
+_SCHEMES = {
+    "kfold": {"folds": ("k", 2)},
+    "five_by_two": {},
+    "fixed": {"train_size": ("train_size", 1), "dev_size": ("dev_size", 1)},
+}
 
 
 @dataclass
@@ -234,6 +240,8 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
     model_kind = model.get("kind", "logreg")
     if model_kind not in ("logreg", "mlp"):
         raise ConfigError("model.kind", f"expected 'logreg' or 'mlp', got {model_kind!r}")
+    if model_kind == "logreg" and "hidden" in model:
+        raise ConfigError("model.hidden", "ignored: a logreg model has no hidden layers")
     hidden = model.get("hidden", DEFAULT_HIDDEN)
     if not isinstance(hidden, (list, tuple)):
         raise ConfigError("model.hidden", f"expected a list of layer sizes, got {hidden!r}")
@@ -256,18 +264,17 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
         "replication",
     )
     scheme = _need(replication, "scheme", "replication")
-    scheme_args = {}
-    if scheme == "kfold":
-        scheme_args["k"] = _count(_need(replication, "folds", "replication"),
-                                  "replication.folds", minimum=2)
-    elif scheme == "fixed":
-        scheme_args["train_size"] = _count(
-            _need(replication, "train_size", "replication"), "replication.train_size")
-        scheme_args["dev_size"] = _count(
-            _need(replication, "dev_size", "replication"), "replication.dev_size")
-    elif scheme != "five_by_two":
+    if not isinstance(scheme, str) or scheme not in _SCHEMES:
         raise ConfigError("replication.scheme",
                           f"expected kfold, five_by_two, or fixed, got {scheme!r}")
+    ignored = sorted(set(replication) - {"scheme", "max_folds", *_SCHEMES[scheme]})
+    if ignored:
+        raise ConfigError(f"replication.{ignored[0]}",
+                          f"ignored: scheme {scheme} does not use it")
+    scheme_args = {
+        arg: _count(_need(replication, key, "replication"), f"replication.{key}", minimum)
+        for key, (arg, minimum) in _SCHEMES[scheme].items()
+    }
     max_folds = replication.get("max_folds")
     if max_folds is not None:
         max_folds = _count(max_folds, "replication.max_folds")

@@ -14,11 +14,11 @@ File formats accepted:
   uint8 view of the file's bytes, `Dataset.scale` is 255), and
   `Dataset.features` scales only the rows it is asked for to [0, 1].
 * UCI-style headerless delimited text.  A small schema descriptor (YAML)
-  names the label column, optional dropped columns, the label vocabulary,
-  and the expected (instances, features, classes) counts.  Features are
-  z-scored per column against the loaded pool's own statistics (population
-  variance), so the pool ends up mean 0 / variance 1 and any later split of
-  it reuses those statistics.
+  names the label column, optional dropped columns (both must lie inside
+  every row), the label vocabulary, and the expected (instances, features,
+  classes) counts.  Features are z-scored per column against the loaded
+  pool's own statistics (population variance), so the pool ends up mean 0 /
+  variance 1 and any later split of it reuses those statistics.
 """
 
 from __future__ import annotations
@@ -135,12 +135,12 @@ class Dataset:
         x = self.x if index is None else self.x.take(index, axis=0)
         return x / self.scale
 
-    def subset(self, indices, name: str | None = None) -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         """A copy of rows `indices`.  They passed this dataset's checks, so
         the copy is built without running them again."""
         idx = np.asarray(indices)
         rows = copy.copy(self)
-        rows.x, rows.labels, rows.name = self.x[idx], self.labels[idx], name or self.name
+        rows.x, rows.labels = self.x[idx], self.labels[idx]
         return rows
 
 
@@ -174,14 +174,6 @@ class Rows:
     @property
     def n(self) -> int:
         return self.index.size
-
-    @property
-    def d(self) -> int:
-        return self.ds.d
-
-    @property
-    def k(self) -> int:
-        return self.ds.k
 
 
 class Folds(tuple):
@@ -334,7 +326,16 @@ def load_uci_csv(path: str, schema: UciSchema) -> Dataset:
             if not line:
                 continue
             cells = _split_row(line, schema.delimiter)
-            label_idx = schema.label_column % len(cells)
+            width = len(cells)
+            outside = [c for c in schema.drop_columns if not 0 <= c < width]
+            if not -width <= schema.label_column < width:
+                outside = [schema.label_column]
+            if outside:
+                raise CsvCellError(
+                    f"{path}:{lineno}: schema column {outside[0]} lies outside the "
+                    f"row's {width} cells"
+                )
+            label_idx = schema.label_column % width
             label = cells[label_idx].strip()
             if keep is not None and label not in keep:
                 continue
@@ -390,9 +391,9 @@ def inject_label_noise(rng: Rng, ds: Dataset, p: float) -> np.ndarray:
 
     The redraw may coincide with the original label, so the expected fraction
     of changed labels is p * (k-1)/k.  The result is a new array (`ds.labels`
-    itself when p is 0) that pairs with the unchanged features of `ds`, as
-    `Rows` labels or a dev `Dataset`'s.  Apply this to training/development
-    pools only; held-out test datasets stay untouched by construction.
+    itself when p is 0) that pairs with the unchanged features of `ds` as
+    `Rows` labels.  Apply this to training/development pools only; held-out
+    test datasets stay untouched by construction.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must lie in [0, 1], got {p}")

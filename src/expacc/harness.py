@@ -3,17 +3,18 @@
 `train_run` trains one stack: grid points, each a (fold, loss, lr, dropout)
 of one train size, along a leading axis of one network, stepped in lockstep
 with one forward pass, loss call, backward pass and Adam step per minibatch.
-Each point is a run of its own: a point that stops early or diverges leaves
-the stack, and each returns its own outcome, bit-identical to training it
-alone.
+It takes the one form `replicate` builds: a `Folds` of train `Rows` and one
+dev and one test `Rows` per fold.  Each point is a run of its own: a point
+that stops early or diverges leaves the stack, and each returns its own
+outcome, bit-identical to training it alone.
 
 `replicate` runs every (fold, loss) cell of a cross-validated comparison, for
 `expacc run` and `expacc gradnorms`, with the pairing guarantees the analysis
 needs: each fold's noisy labels are drawn once and shared by every loss and
 candidate, and every candidate of a cell trains from one initialization seed
 per (master seed, fold, loss).  It is the one place that picks a cell's
-result from its candidates' outcomes.  Every split names rows of the pool,
-and a fold's dev and test rows are copied only while that fold is
+result from its candidates' outcomes.  Every split is a `Rows`: rows of
+the pool, or of the external test set, copied only while their fold is
 evaluated.  The points of equal-sized folds fill stacks of up to
 `STACK_PARAMS` parameters, and two or more stacks train side by side, one
 worker thread per usable core, with numpy's OpenBLAS pinned to one thread.
@@ -43,7 +44,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "accuracy",
-    "grad_norm_probe",
     "replicate",
     "should_stop",
     "train_run",
@@ -183,12 +183,6 @@ def _fold_accuracy(model, folds, splits) -> np.ndarray:
     return np.concatenate(acc)
 
 
-def _per_fold(split) -> list:
-    """A split, or a list of them (one per fold), as a list of `Rows`."""
-    splits = split if isinstance(split, (list, tuple)) else [split]
-    return [s if isinstance(s, Rows) else Rows(s, np.arange(s.n)) for s in splits]
-
-
 def _check_nonempty(*splits) -> None:
     for part, split in zip(("train", "dev", "test"), splits):
         if split.n == 0:
@@ -197,7 +191,7 @@ def _check_nonempty(*splits) -> None:
 
 def train_run(
     model_kind: str,
-    train: Rows | Folds,
+    train: Folds,
     dev,
     test,
     cfg: TrainConfig,
@@ -211,17 +205,17 @@ def train_run(
     `points` lists the stack's TrainConfigs, by default `[cfg]`.  They share
     `cfg.batch_size`; each brings its own loss, lr, dropout, seed and
     stopping rule.  `folds` numbers each point's fold (default: all 0) in
-    non-decreasing order: `train` is one fold's `Rows` or the `Folds` of
-    several, and `dev` and `test` are one split (`Dataset` or `Rows`) or a
-    list with one per fold.  Each point draws the random streams a run of
-    its own from its seed draws: one initialization and one dropout draw per
-    layer per step.  Points with the same fold and seed share their one
-    minibatch permutation per epoch.  Per step each point gathers its rows
-    of the pool through its fold's row index (`take`: no split is copied
-    whole, and only these rows become float features), and one forward
-    pass, `loss_grad_preact` call, backward pass and Adam step serve all the
-    points, each slice getting the bits of its own run.  Dev and test
-    accuracy is measured one fold at a time.
+    non-decreasing order.  Every split is a `Rows`: `train` is the `Folds`
+    of the stack's folds, and `dev` and `test` are sequences with one `Rows`
+    per fold.  Each point draws the random streams a run of its own from its
+    seed draws: one initialization and one dropout draw per layer per step.
+    Points with the same fold and seed share their one minibatch permutation
+    per epoch.  Per step each point gathers its rows of the pool through its
+    fold's row index (`take`: no split is copied whole, and only these rows
+    become float features), and one forward pass, `loss_grad_preact` call,
+    backward pass and Adam step serve all the points, each slice getting the
+    bits of its own run.  Dev and test accuracy is measured one fold at a
+    time.
 
     Stopping, per point: always at `max_epochs` when set; additionally once
     at least `min_epochs` have run and `patience` epochs have passed without
@@ -236,15 +230,13 @@ def train_run(
     """
     points = [cfg] if points is None else list(points)
     fold_of = np.zeros(len(points), dtype=np.intp) if folds is None else np.asarray(folds)
-    trains = train if isinstance(train, Folds) else Folds([train])
-    devs, tests = _per_fold(dev), _per_fold(test)
     if any(p.batch_size != cfg.batch_size for p in points):
         raise ValueError(f"the points of a stack share one batch_size, {cfg.batch_size}")
     if (np.diff(fold_of) < 0).any():
         raise ValueError("the points of a stack come fold by fold")
     for f in np.unique(fold_of):
-        _check_nonempty(trains[f], devs[f], tests[f])
-    pool, n, batch_size = trains[0].ds, trains.n, cfg.batch_size
+        _check_nonempty(train[f], dev[f], test[f])
+    pool, n, batch_size = train[0].ds, train.n, cfg.batch_size
     model = build_model(
         model_kind, [Rng(p.seed).child(_INIT) for p in points], pool.d, pool.k, hidden,
         [p.dropout for p in points],
@@ -273,7 +265,7 @@ def train_run(
         specs = [points[j].loss for j in live]
         # each live order's pool rows and labels in this epoch's shuffled order
         for o in np.unique(ol):
-            fold = trains[keys[o][0]]
+            fold = train[keys[o][0]]
             order[o] = fold.index.take(np.concatenate(minibatches(batch_rngs[o], n, batch_size)))
             targets[o] = fold.labels.take(order[o])
         loss_sum = np.zeros(live.size)
@@ -310,7 +302,7 @@ def train_run(
         if not live.size:
             break
 
-        dev_acc = _fold_accuracy(model, fold_of[live], devs)
+        dev_acc = _fold_accuracy(model, fold_of[live], dev)
         stopped = np.zeros(live.size, dtype=bool)
         for j, point in enumerate(live):
             records[point].append(
@@ -333,25 +325,12 @@ def train_run(
             model.take(~stopped)
             opt.take(~stopped)
 
-    test_acc = _fold_accuracy(best, fold_of, tests)
+    test_acc = _fold_accuracy(best, fold_of, test)
     return StackResult([
         RunResult(records[j], best_epoch[j], float(test_acc[j]) if best_epoch[j] else math.nan,
                   errors[j])
         for j in range(len(points))
     ])
-
-
-def grad_norm_probe(model, x: np.ndarray, labels, losses) -> dict:
-    """Mean per-instance pre-activation gradient norm at current parameters.
-
-    All losses see the same forward pass without dropout, so the comparison
-    is between losses, not between parameter states.
-    """
-    preact, _ = model.forward(x)
-    return {
-        spec.name: float(loss_grad_preact(spec, preact, labels).per_instance_norms.mean())
-        for spec in losses
-    }
 
 
 # numpy's bundled OpenBLAS thread-count functions, by build
@@ -504,6 +483,7 @@ def replicate(
 
     n_folds = len(plan.folds) if max_folds is None else min(max_folds, len(plan.folds))
     master = Rng(master_seed)
+    test_rows = None if test is None else Rows(test, np.arange(test.n))
     splits = {}  # fold -> its (train, dev, test) rows
     pieces = {}  # cell -> (candidate, its run or expected failure), in candidate order
     for fold in range(n_folds):
@@ -513,7 +493,7 @@ def replicate(
         # convention, on the held-out half, which is both dev and test, with
         # its original (clean) labels.
         held_out = dev_idx if plan.test is None else plan.test
-        fold_test = Rows(pool, held_out) if test is None else test
+        fold_test = Rows(pool, held_out) if test_rows is None else test_rows
         fold_splits = (Rows(pool, train_idx, labels), Rows(pool, dev_idx, labels), fold_test)
         try:
             _check_nonempty(*fold_splits)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expacc import Dataset
+from expacc import Dataset, Folds, Rows
 from expacc.losses import loss_grad_preact
 from expacc.numerics import Rng
 
@@ -47,6 +47,11 @@ def blobs(seed: int, n: int, d: int, k: int, spread: float = 1.0, name: str = "b
     y = rng.integers(k, size=n)
     x = centers[y] + rng.normal(size=(n, d))
     return Dataset(x, y, k, name)
+
+
+def one_fold(ds: Dataset, train_idx, dev_idx, test_idx):
+    """The (train, dev, test) splits `train_run` takes for one fold of `ds`."""
+    return Folds([Rows(ds, train_idx)]), [Rows(ds, dev_idx)], [Rows(ds, test_idx)]
 
 
 def fd_loss_grad(spec, a: np.ndarray, r: int, h: float = 1e-5) -> np.ndarray:

@@ -19,7 +19,7 @@ from expacc.data import Folds, Rows, make_folds
 from expacc.harness import TrainConfig, train_run
 from expacc.losses import LossSpec
 from expacc.numerics import Rng
-from helpers import two_gaussians
+from helpers import one_fold, two_gaussians
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -51,10 +51,9 @@ def test_the_step_count_of_a_grid_cell_is_its_points_steps(tracer):
     # epochs x batches; for a stacked grid that is the sum over its points
     ds = two_gaussians(3, 150, 4, delta=1.5)
     plan = make_folds(Rng(4), ds.n, "fixed", train_size=100, dev_size=25)
-    train_idx, dev_idx = plan.folds[0]
     cfg = TrainConfig(loss=LossSpec("leerr"), batch_size=32, max_epochs=20, patience=2)
     args = (
-        "logreg", Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test),
+        "logreg", *one_fold(ds, *plan.folds[0], plan.test),
         cfg, (), [replace(cfg, lr=lr) for lr in (1e-3, 3e-2, 0.3)],
     )
     counts = Counter()

@@ -228,11 +228,29 @@ def test_config_non_finite_number_names_its_key_before_data_loads(
         ({"losses": [{"kind": "leerr", "alpha": "0.3"}]}, "losses[0].alpha"),
         ({"losses": [{"kind": "leerr", "alpha": True}]}, "losses[0].alpha"),
         ({"losses": [{"kind": "eerr", "alpha": None}]}, "losses[0].alpha"),
+        # a key the chosen model or scheme would ignore
+        ({"model": {"kind": "logreg", "hidden": [4]}}, "model.hidden"),
+        ({"replication": {"scheme": "five_by_two", "folds": 3}}, "replication.folds"),
+        ({"replication": {"scheme": "kfold", "folds": 3, "train_size": 9}},
+         "replication.train_size"),
+        ({"replication": {"scheme": "five_by_two", "dev_size": 9}}, "replication.dev_size"),
+        # each other value the config check rejects
+        ({"model": {"kind": "cnn"}}, "model.kind"),
+        ({"model": [1]}, "model"),
+        ({"losses": []}, "losses"),
+        ({"losses": ["neglog", "neglog"]}, "losses"),
+        ({"losses": [3]}, "losses[0]"),
+        ({"train": {"lr_grid": [], "max_epochs": 2}}, "train.lr_grid"),
+        ({"noise": {"p": "x"}}, "noise.p"),
+        ({"seed": -1}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"out_dir": ""}, "out_dir"),
     ],
 )
 def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, overrides, field):
     # a wrong type is a config error (exit 2), not a TypeError (exit 1), and
-    # a string or a bool is not silently taken as a number
+    # a string or a bool is not silently taken as a number; so is every other
+    # value the config check rejects, and a key that would be ignored
     with pytest.raises(ConfigError) as exc:
         validate_config(dict(CONFIG_BASE, **overrides))
     assert exc.value.field == field

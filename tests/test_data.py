@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -137,6 +138,27 @@ def test_uci_distinct_load_errors(tmp_path):
         load_uci_csv(empty, UciSchema(name="e"))
 
 
+@pytest.mark.parametrize(
+    "schema, column",
+    [
+        ({"label_column": 3}, 3),
+        ({"label_column": -4}, -4),
+        ({"drop_columns": (-2,)}, -2),
+        ({"drop_columns": (0, 7)}, 7),
+    ],
+)
+def test_uci_schema_column_outside_a_row_names_line_and_column(tmp_path, schema, column):
+    # such a label column would wrap round to another one and such a dropped
+    # column would drop nothing; the feature count shows neither
+    path = tmp_path / "three.csv"
+    path.write_text("\n1.0,2.0,0\n3.0,4.0,1\n")
+    with pytest.raises(CsvCellError, match=re.escape(f"{path}:2: schema column {column} ")):
+        load_uci_csv(path, UciSchema(name="three", **schema))
+    # the first and the last column in either numbering lie inside
+    for inside in ({"label_column": -3}, {"label_column": 2}, {"drop_columns": (0, 2)}):
+        assert load_uci_csv(path, UciSchema(name="three", **inside)).n == 2
+
+
 def test_uci_expected_count_enforcement(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("1.0,0\n2.0,1\n")
@@ -259,7 +281,7 @@ def test_kfold_disjoint_coverage_property(n, k, seed):
 def test_rows_name_pool_rows_without_copying_them():
     ds = Dataset(np.arange(12.0).reshape(6, 2), [0, 1, 2, 0, 1, 2], 3, "pool")
     rows = Rows(ds, np.array([4, 0, 2]))
-    assert (rows.n, rows.d, rows.k) == (3, 2, 3)
+    assert rows.n == 3
     assert rows.ds is ds
     assert np.array_equal(ds.x[rows.index], ds.subset([4, 0, 2]).x)
     for bad in (np.array([True, False] * 3), np.zeros((2, 2), dtype=int), np.array([0.5])):
@@ -299,5 +321,4 @@ def test_subset_copies_the_gathered_rows_without_checking_them_again(dtype, scal
     assert np.array_equal(rows.x, ds.x[idx]) and not np.shares_memory(rows.x, ds.x)
     assert np.array_equal(rows.labels, ds.labels[idx]) and rows.labels.dtype == np.int64
     assert (rows.k, rows.scale, rows.name) == (3, scale, "pool")
-    assert ds.subset(idx, name="dev").name == "dev" and ds.name == "pool"
     assert np.array_equal(rows.features(), ds.features(idx))

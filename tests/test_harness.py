@@ -11,15 +11,14 @@ from expacc.harness import (
     FoldOutcome,
     TrainConfig,
     TrainingDiverged,
-    grad_norm_probe,
     replicate,
     should_stop,
     train_run,
 )
-from expacc.losses import LossSpec
+from expacc.losses import LossSpec, loss_grad_preact
 from expacc.models import build_model
 from expacc.numerics import Rng
-from helpers import blobs, two_gaussians
+from helpers import blobs, one_fold, two_gaussians
 
 NEGLOG, EERR, LEERR = LossSpec("neglog"), LossSpec("eerr"), LossSpec("leerr")
 
@@ -27,8 +26,7 @@ NEGLOG, EERR, LEERR = LossSpec("neglog"), LossSpec("eerr"), LossSpec("leerr")
 def small_splits(seed=0, n=120, d=4):
     ds = two_gaussians(seed, n, d, delta=2.0)
     plan = make_folds(Rng(seed + 1), n, "fixed", train_size=60, dev_size=30)
-    train_idx, dev_idx = plan.folds[0]
-    return Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test)
+    return one_fold(ds, *plan.folds[0], plan.test)
 
 
 def test_config_validation():
@@ -115,7 +113,8 @@ def test_best_epoch_attains_max_dev_accuracy_and_model_reproduces_it():
 
 def test_divergence_aborts_with_location():
     train, dev, test = small_splits(5)
-    train.ds.x[train.index[0], 0] = 1e308  # overflows the pre-activations once lr moves weights
+    # overflows the pre-activations once lr moves weights
+    train[0].ds.x[train[0].index[0], 0] = 1e308
     cfg = TrainConfig(loss=NEGLOG, lr=10.0, batch_size=8, max_epochs=50, seed=1)
     with np.errstate(all="ignore"):
         result = train_run("logreg", train, dev, test, cfg)
@@ -128,7 +127,7 @@ def test_a_run_that_diverged_in_its_first_epoch_has_no_accuracy():
     # every train row overflows at lr 10, so the loss is non-finite in the
     # first epoch: no epoch completed, no weights were kept, nothing to test
     train, dev, test = small_splits(5)
-    train.ds.x[train.index, 0] = 1e308
+    train[0].ds.x[train[0].index, 0] = 1e308
     cfg = TrainConfig(loss=NEGLOG, lr=10.0, batch_size=8, max_epochs=5, seed=1)
     with np.errstate(all="ignore"):
         run = train_run("logreg", train, dev, test, cfg).runs[0]
@@ -141,12 +140,8 @@ def test_a_run_that_diverged_in_its_first_epoch_has_no_accuracy():
 def test_mlp_trains_on_blobs():
     ds = blobs(10, 400, d=6, k=3, spread=3.0)
     plan = make_folds(Rng(11), ds.n, "fixed", train_size=250, dev_size=75)
-    train_idx, dev_idx = plan.folds[0]
     cfg = TrainConfig(loss=LEERR, lr=1e-2, batch_size=32, max_epochs=30, dropout=0.1, seed=2)
-    result = train_run(
-        "mlp", Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test),
-        cfg, hidden=(16, 12, 8),
-    )
+    result = train_run("mlp", *one_fold(ds, *plan.folds[0], plan.test), cfg, hidden=(16, 12, 8))
     assert result.runs[0].test_acc > 0.8
 
 
@@ -156,11 +151,12 @@ def test_training_on_pool_rows_matches_training_on_a_copied_split(kind, dropout)
     ds = blobs(31, 300, d=6, k=3, spread=2.0)
     plan = make_folds(Rng(32), ds.n, "fixed", train_size=200, dev_size=50)
     train_idx, dev_idx = plan.folds[0]
-    dev, test = ds.subset(dev_idx), ds.subset(plan.test)
+    train, dev, test = one_fold(ds, train_idx, dev_idx, plan.test)
     cfg = TrainConfig(loss=LEERR, lr=1e-2, batch_size=16, max_epochs=6, dropout=dropout, seed=7)
-    rows = train_run(kind, Rows(ds, train_idx), dev, test, cfg, hidden=(16, 8))
+    rows = train_run(kind, train, dev, test, cfg, hidden=(16, 8))
     copied = ds.subset(train_idx)
-    copy = train_run(kind, Rows(copied, np.arange(copied.n)), dev, test, cfg, hidden=(16, 8))
+    copy = train_run(kind, Folds([Rows(copied, np.arange(copied.n))]), dev, test, cfg,
+                     hidden=(16, 8))
     assert rows.records == copy.records
     assert (rows.best_epoch, rows.runs[0].test_acc) == (copy.best_epoch, copy.runs[0].test_acc)
 
@@ -168,8 +164,7 @@ def test_training_on_pool_rows_matches_training_on_a_copied_split(kind, dropout)
 def blob_splits():
     ds = blobs(33, 300, d=6, k=3, spread=2.0)
     plan = make_folds(Rng(34), ds.n, "fixed", train_size=200, dev_size=50)
-    train_idx, dev_idx = plan.folds[0]
-    return Rows(ds, train_idx), ds.subset(dev_idx), ds.subset(plan.test)
+    return one_fold(ds, *plan.folds[0], plan.test)
 
 
 def grid(cfg, pairs):
@@ -262,7 +257,7 @@ def test_a_stack_takes_its_points_fold_by_fold():
     train, dev, test = small_splits(7)
     cfg = TrainConfig(loss=NEGLOG, batch_size=16, max_epochs=1)
     with pytest.raises(ValueError, match="fold by fold"):
-        train_run("logreg", Folds([train, train]), [dev, dev], [test, test], cfg,
+        train_run("logreg", Folds(train * 2), dev * 2, test * 2, cfg,
                   points=[cfg, cfg, cfg], folds=[0, 1, 0])
 
 
@@ -314,7 +309,7 @@ def test_divergence_fails_the_cell_with_the_first_point_in_candidate_order():
     # first, lr 0.5 later, and lr 0.1 never; `replicate` then fails the cell
     # with lr 0.5's error (test_a_diverging_loss_fails_only_its_own_cells)
     train, dev, test = small_splits(5)
-    train.ds.x[train.index[0], 0] = 1e308  # overflows once lr moves the weights far enough
+    train[0].ds.x[train[0].index[0], 0] = 1e308  # overflows once lr moves the weights far enough
     cfg = TrainConfig(loss=NEGLOG, batch_size=8, max_epochs=30, seed=1)
     points = grid(cfg, [(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)])
     with np.errstate(all="ignore"):
@@ -348,7 +343,7 @@ def test_a_diverged_point_leaves_the_later_points_of_its_cell_training(
     # the first point diverges, and the others train on to their own stop,
     # each with the bits of its own run
     train, dev, test = splits()
-    train.ds.x[train.index[0], 0] = big  # overflows once lr moves the weights far enough
+    train[0].ds.x[train[0].index[0], 0] = big  # overflows once lr moves the weights far enough
     cfg = TrainConfig(loss=NEGLOG, batch_size=batch_size, max_epochs=12, patience=3)
     points = [replace(cfg, lr=lr, dropout=dropout, seed=seed) for lr, dropout, seed in settings]
     with np.errstate(all="ignore"):
@@ -361,12 +356,15 @@ def test_a_diverged_point_leaves_the_later_points_of_its_cell_training(
     assert max(len(run.records) for run in runs[1:]) > len(runs[0].records) + 1
 
 
-def test_grad_norm_probe_ordering_and_scale():
+def test_grad_norm_ordering_and_scale_at_init():
     # at a fresh initialization the eerr norm is the neglog norm damped by
     # p_r, so their ratio is roughly the class count
     ds = blobs(12, 2000, d=100, k=10, spread=0.3)
-    model = build_model("logreg", Rng(13), ds.d, ds.k)
-    norms = grad_norm_probe(model, ds.x, ds.labels, [NEGLOG, EERR, LEERR])
+    preact, _ = build_model("logreg", Rng(13), ds.d, ds.k).forward(ds.x)
+    norms = {
+        spec.name: loss_grad_preact(spec, preact, ds.labels).per_instance_norms.mean()
+        for spec in (NEGLOG, EERR, LEERR)
+    }
     assert norms["eerr"] <= norms["neglog"]
     assert norms["neglog"] / norms["eerr"] >= 5.0
     # leerr = eerr + alpha*neglog componentwise, so its norm is bounded by the sum
@@ -374,8 +372,6 @@ def test_grad_norm_probe_ordering_and_scale():
 
 
 def test_grad_norms_vanish_when_perfectly_classified():
-    from expacc.losses import loss_grad_preact
-
     ds = blobs(14, 50, d=4, k=3, spread=1.0)
     # huge correct-class scores: p_r ~ 1 for every instance
     preact = np.zeros((ds.n, ds.k))
@@ -432,9 +428,9 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
     copies = []
     subset = Dataset.subset
 
-    def counting_subset(ds, indices, name=None):
+    def counting_subset(ds, indices):
         copies.append(len(indices))
-        return subset(ds, indices, name)
+        return subset(ds, indices)
 
     stacks = []
     train_run = expacc.harness.train_run
@@ -480,6 +476,27 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
         assert np.array_equal(test[fold].index, dev_idx)
         assert np.array_equal(dev[fold].labels, labels)
         assert test[fold].labels is ds.labels
+
+
+def test_replicate_tests_every_fold_on_one_rows_of_the_external_test_set(monkeypatch):
+    tests = []
+    train_run = expacc.harness.train_run
+
+    def recording(model_kind, train, dev, test, cfg, hidden, points, folds):
+        tests.extend(test)
+        return train_run(model_kind, train, dev, test, cfg, hidden, points, folds)
+
+    monkeypatch.setattr(expacc.harness, "train_run", recording)
+    ds = two_gaussians(41, 120, 3, delta=2.0)
+    test = two_gaussians(42, 50, 3, delta=2.0, name="test")
+    plan = make_folds(Rng(43), ds.n, "kfold", k=3)
+    cfgs = {"neglog": [TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=2)]}
+    out = replicate("logreg", ds, plan, cfgs, test=test, noise_p=0.2)
+    assert all(o.ok for o in out) and len(tests) == 3
+    # the test set is wrapped once, whole and under its own clean labels
+    assert all(t is tests[0] for t in tests)
+    assert tests[0].ds is test and tests[0].labels is test.labels
+    assert np.array_equal(tests[0].index, np.arange(test.n))
 
 
 def recording_stacks(monkeypatch):
