@@ -38,25 +38,20 @@ def main():
 
     plan = make_folds(Rng(43), pool.n, "five_by_two")
     # one candidate per learning rate; each fold keeps the best on dev
-    cfgs = {
-        spec.name: [
-            TrainConfig(loss=spec, lr=lr, batch_size=64, min_epochs=30, patience=10)
-            for lr in (1e-3, 1e-2, 1e-1)
-        ]
+    cfgs = [
+        TrainConfig(loss=spec, lr=lr, batch_size=64, min_epochs=30, patience=10)
         for spec in LOSSES
-    }
+        for lr in (1e-3, 1e-2, 1e-1)
+    ]
     outcomes = replicate("logreg", pool, plan, cfgs, master_seed=44)
+    cells = {spec.name: [o for o in outcomes if o.loss == spec.name] for spec in LOSSES}
 
     print("per-fold test errors (tuned lr in parentheses):")
-    for name in cfgs:
-        cells = [o for o in outcomes if o.loss == name]
-        row = "  ".join(f"{o.result.test_error:.3f}({o.lr:g})" for o in cells)
+    for name, folds in cells.items():
+        row = "  ".join(f"{o.result.test_error:.3f}({o.lr:g})" for o in folds)
         print(f"  {name:<8} {row}")
 
-    results = {
-        name: [o.result.test_error for o in outcomes if o.loss == name]
-        for name in cfgs
-    }
+    results = {name: [o.result.test_error for o in row] for name, row in cells.items()}
     print()
     print(render_report(summarize(results), title="5x2-fold comparison"))
     print("all three should hover near the 0.200 Bayes floor; the paired "

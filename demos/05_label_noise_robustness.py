@@ -28,19 +28,16 @@ def clustered(seed, n, d, k, spread):
 
 
 def mean_errors(pool, plan, noise_p):
-    cfgs = {
-        spec.name: [TrainConfig(
-            loss=spec, lr=5e-3, batch_size=32, patience=8, max_epochs=60,
-            dropout=0.1,
-        )]
+    cfgs = [
+        TrainConfig(loss=spec, lr=5e-3, batch_size=32, patience=8, max_epochs=60, dropout=0.1)
         for spec in LOSSES
-    }
+    ]
     outcomes = replicate(
         "mlp", pool, plan, cfgs, master_seed=7, noise_p=noise_p, hidden=(16, 12, 8)
     )
     return {
-        name: float(np.mean([o.result.test_error for o in outcomes if o.loss == name]))
-        for name in cfgs
+        spec.name: float(np.mean([o.result.test_error for o in outcomes if o.loss == spec.name]))
+        for spec in LOSSES
     }
 
 

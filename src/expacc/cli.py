@@ -7,9 +7,9 @@ Subcommands:
     expacc gradnorms <config.yaml>  per-epoch gradient-norm CSV on one fold
 
 Configs are YAML with a fixed key schema (see `validate_config`, which also
-expands the `train` grids into one list of candidate `TrainConfig`s that
-every loss trains, so the comparison is paired and every setting is checked
-before any data loads); paths may use environment variables and are
+expands the `train` grids into one flat list of candidate `TrainConfig`s,
+the same for every loss, so the comparison is paired and every setting is
+checked before any data loads); paths may use environment variables and are
 resolved relative to the config file.  `run` and `gradnorms` share one
 path: load the config, its data and its fold plan, then `replicate`;
 `gradnorms` stops after the first fold.  Each subcommand renders all of its
@@ -53,8 +53,6 @@ class ConfigError(Exception):
         super().__init__(f"{field_path}: {message}")
 
 
-# The grid keys of the `train` section and the single value each replaces.
-_GRIDS = {"lr_grid": "lr", "dropout_grid": "dropout"}
 # scheme -> {each `replication` key it reads: (its make_folds argument, minimum)}
 _SCHEMES = {
     "kfold": {"folds": ("k", 2)},
@@ -68,7 +66,7 @@ class ExperimentConfig:
     dataset: dict
     model_kind: str
     hidden: tuple
-    train_cfgs: dict  # loss name -> the shared candidate TrainConfigs, in config order
+    train_cfgs: list  # every loss's candidate TrainConfigs, loss-major, in config order
     scheme: str
     scheme_args: dict
     max_folds: int | None
@@ -123,50 +121,35 @@ def _count(value, path: str, minimum: int = 1) -> int:
     return value
 
 
+# The single-value keys of the `train` section and their checkers; the grid
+# keys and the single value each replaces; the keys a null unsets.
+_TRAIN = {
+    "lr": _rate,
+    "batch_size": _count,
+    "max_epochs": _count,
+    "min_epochs": lambda value, path: _count(value, path, minimum=0),
+    "patience": _count,
+    "dropout": _dropout,
+}
+_GRIDS = {"lr_grid": "lr", "dropout_grid": "dropout"}
+_NULLABLE = {"max_epochs", "patience", *_GRIDS}
+
+
 def _parse_loss(entry, path: str) -> LossSpec:
     if isinstance(entry, str):
-        kind, alpha = entry, DEFAULT_ALPHA
-    elif isinstance(entry, dict):
-        _check_keys(entry, {"kind", "alpha"}, path)
-        kind = _need(entry, "kind", path)
-        alpha = entry.get("alpha", DEFAULT_ALPHA)
-    else:
+        entry = {"kind": entry}
+    elif not isinstance(entry, dict):
         raise ConfigError(path, f"expected a loss name or mapping, got {entry!r}")
+    _check_keys(entry, {"kind", "alpha"}, path)
+    kind = _need(entry, "kind", path)
     if kind not in KINDS:
         raise ConfigError(path, f"unknown loss name {kind!r}, expected one of {list(KINDS)}")
+    if kind != "leerr" and "alpha" in entry:
+        raise ConfigError(f"{path}.alpha", f"ignored: only leerr reads alpha, not {kind}")
+    alpha = entry.get("alpha", DEFAULT_ALPHA)
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
         raise ConfigError(f"{path}.alpha", f"expected a number, got {alpha!r}")
     return _config_error(f"{path}.alpha", LossSpec, kind, float(alpha))
-
-
-def _parse_train(raw: dict) -> dict:
-    _check_keys(raw, {"lr", "batch_size", "max_epochs", "min_epochs", "patience",
-                      "dropout", *_GRIDS}, "train")
-    out = {}
-    if "lr" in raw:
-        out["lr"] = _rate(raw["lr"], "train.lr")
-    if "batch_size" in raw:
-        out["batch_size"] = _count(raw["batch_size"], "train.batch_size")
-    if "max_epochs" in raw and raw["max_epochs"] is not None:
-        out["max_epochs"] = _count(raw["max_epochs"], "train.max_epochs")
-    if "min_epochs" in raw:
-        out["min_epochs"] = _count(raw["min_epochs"], "train.min_epochs", minimum=0)
-    if "patience" in raw and raw["patience"] is not None:
-        out["patience"] = _count(raw["patience"], "train.patience")
-    if "dropout" in raw:
-        out["dropout"] = _dropout(raw["dropout"], "train.dropout")
-    for grid, key in _GRIDS.items():
-        if grid in raw and raw[grid] is not None:
-            if key in out:
-                raise ConfigError(
-                    f"train.{key}", f"ignored: train.{grid} replaces it; set one or the other"
-                )
-            values = raw[grid]
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"train.{grid}", "expected a non-empty list")
-            checker = _rate if key == "lr" else _dropout
-            out[grid] = [checker(v, f"train.{grid}[{i}]") for i, v in enumerate(values)]
-    return out
 
 
 def _config_error(path: str, build, *args, **kwargs):
@@ -177,24 +160,35 @@ def _config_error(path: str, build, *args, **kwargs):
         raise ConfigError(path, str(exc)) from None
 
 
-def _build_cfgs(losses, train: dict) -> dict:
-    """Every loss's candidate TrainConfigs, all built (so checked) before any
-    data loads.  One candidate list comes from `train`: its values without
-    the grids make one config (a rejected combination names `train`), then
-    each grid sets its field to every listed value, lr-major, so ties in dev
-    accuracy go to the earliest point; a rejected value names its grid
-    entry.  Every loss trains the same candidates, so the comparison is
-    paired."""
-    base = {k: v for k, v in train.items() if k not in _GRIDS}
+def _train_cfgs(losses, raw: dict) -> list:
+    """Every loss's candidate TrainConfigs, loss-major: the same candidates
+    for each, so the comparison is paired.  The single values of `train`
+    make one config (a rejected combination names `train`), then each grid
+    sets its field to every listed value, lr-major, so ties in dev accuracy
+    go to the earliest point; a rejected value names its grid entry."""
+    _check_keys(raw, {*_TRAIN, *_GRIDS}, "train")
+    given = {k: v for k, v in raw.items() if v is not None or k not in _NULLABLE}
+    base = {key: check(given[key], f"train.{key}") for key, check in _TRAIN.items()
+            if key in given}
     candidates = [_config_error("train", TrainConfig, loss=losses[0], **base)]
+    if "min_epochs" in base and "patience" not in base:
+        raise ConfigError("train.min_epochs", "ignored: only the train.patience rule reads it")
     for grid, key in _GRIDS.items():
-        if grid in train:
-            candidates = [
-                _config_error(f"train.{grid}[{i}]", replace, cfg, **{key: value})
-                for cfg in candidates
-                for i, value in enumerate(train[grid])
-            ]
-    return {spec.name: [replace(c, loss=spec) for c in candidates] for spec in losses}
+        if grid not in given:
+            continue
+        if key in base:
+            raise ConfigError(
+                f"train.{key}", f"ignored: train.{grid} replaces it; set one or the other"
+            )
+        if not isinstance(given[grid], list) or not given[grid]:
+            raise ConfigError(f"train.{grid}", "expected a non-empty list")
+        values = [_TRAIN[key](v, f"train.{grid}[{i}]") for i, v in enumerate(given[grid])]
+        candidates = [
+            _config_error(f"train.{grid}[{i}]", replace, cfg, **{key: value})
+            for cfg in candidates
+            for i, value in enumerate(values)
+        ]
+    return [replace(cfg, loss=spec) for spec in losses for cfg in candidates]
 
 
 def _check_dataset(dataset: dict) -> None:
@@ -255,7 +249,11 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
     if len(set(names)) != len(names):
         raise ConfigError("losses", f"duplicate loss names in {names}")
 
-    train = _parse_train(raw.get("train") or {})
+    train = raw.get("train") or {}
+    train_cfgs = _train_cfgs(losses, train)
+    if model_kind == "logreg" and any(c.dropout for c in train_cfgs):
+        key = "dropout" if train.get("dropout_grid") is None else "dropout_grid"
+        raise ConfigError(f"train.{key}", "dropout requires model.kind = mlp")
 
     replication = _need(raw, "replication", "")
     _check_keys(
@@ -290,11 +288,6 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
     out_dir = _need(raw, "out_dir", "")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir", "expected a non-empty path")
-
-    train_cfgs = _build_cfgs(losses, train)
-    if model_kind == "logreg" and any(c.dropout for c in train_cfgs[names[0]]):
-        key = "dropout_grid" if "dropout_grid" in train else "dropout"
-        raise ConfigError(f"train.{key}", "dropout requires model.kind = mlp")
 
     return ExperimentConfig(
         dataset=dataset,
@@ -501,13 +494,12 @@ def cmd_run(config_path: str, seed_override: int | None = None) -> str:
                   _fmt(r.grad_norm_mean)] for r in o.result.records),
             )
 
-    by_cell = {(o.loss, o.fold): o for o in outcomes}
     dropped = sorted({o.fold for o in outcomes if not o.ok})
     complete_folds = sorted({o.fold for o in outcomes} - set(dropped))
-    results = {
-        name: [by_cell[(name, f)].result.test_error for f in complete_folds]
-        for name in cfg.train_cfgs
-    }
+    results = {}  # loss name -> its test errors on the complete folds, in fold order
+    for o in outcomes:
+        if o.fold not in dropped:
+            results.setdefault(o.loss, []).append(o.result.test_error)
     report_lines = []
     if dropped:
         report_lines.append(f"note: folds {dropped} failed and are excluded from the comparison")

@@ -436,7 +436,7 @@ def replicate(
     model_kind: str,
     pool: Dataset,
     plan: SplitPlan,
-    cfgs: dict,
+    cfgs: list,
     *,
     test: Dataset | None = None,
     master_seed: int = 0,
@@ -446,12 +446,13 @@ def replicate(
 ):
     """Run every fold of `plan` for every loss in `cfgs`.
 
-    `cfgs` maps loss name -> the non-empty list of candidate TrainConfigs
-    for that loss (each one's `loss` must be the key's; all candidates of
-    all losses may differ only in `loss`, `lr` and `dropout`).  Every
-    (fold, loss, candidate) is one point; the candidates of a (fold, loss)
-    cell train from that cell's one run seed, and the cell keeps the one
-    with the best dev accuracy, ties going to the earliest.
+    `cfgs` is the non-empty list of candidate TrainConfigs, sharing one
+    `batch_size`.  A cell is a (fold, loss name): its candidates are that
+    loss's configs in list order (one `LossSpec` per name), and the losses
+    come in the order of their first config.  Every (fold, loss, candidate)
+    is one point; a cell's candidates train from its one run seed, and the
+    cell keeps the one with the best dev accuracy, ties going to the
+    earliest.
     `noise_p` is the label-noise level of the training/development pool:
     the corrupted labels are drawn per fold from the master seed, so every
     loss of a fold sees the same ones.  A candidate that diverges fails its
@@ -460,24 +461,19 @@ def replicate(
     candidate that failed (the first to diverge, in candidate order), while
     the remaining cells still run; any other exception is a bug and
     propagates.  The points of folds with equal train sizes fill one
-    `train_run` after another, in point order, up to `STACK_PARAMS`
-    parameters each, and `_train_stacks` trains those stacks.
+    `train_run` after another, in (fold, loss, candidate) order, up to
+    `STACK_PARAMS` parameters each, and `_train_stacks` trains those stacks.
     """
-    if not cfgs:
-        raise ValueError("need at least one loss config")
-    for name, candidates in cfgs.items():
-        if not candidates:
-            raise ValueError(f"no candidate config for loss {name!r}")
-    base = next(iter(cfgs.values()))[0]
-    for name, candidates in cfgs.items():
-        for cfg in candidates:
-            if cfg.loss.name != name or cfg.loss != candidates[0].loss:
-                raise ValueError(f"config key {name!r} does not match loss {cfg.loss!r}")
-            if replace(cfg, loss=base.loss, lr=base.lr, dropout=base.dropout) != base:
-                raise ValueError(
-                    "candidates differ in more than loss, lr and dropout: "
-                    "they train together in stacks"
-                )
+    by_loss = {}  # loss name -> its candidates, in list order
+    for cfg in cfgs:
+        by_loss.setdefault(cfg.loss.name, []).append(cfg)
+    if not by_loss:
+        raise ValueError("need at least one candidate config")
+    specs = list(dict.fromkeys(cfg.loss for cfg in cfgs))
+    if len(specs) > len(by_loss):
+        raise ValueError(f"two losses share one name in {specs}")
+    if len({cfg.batch_size for cfg in cfgs}) > 1:
+        raise ValueError("candidates differ in batch_size: they train together in stacks")
     if not 0.0 <= noise_p <= 1.0:
         raise ValueError(f"noise_p must lie in [0, 1], got {noise_p}")
 
@@ -499,14 +495,14 @@ def replicate(
             _check_nonempty(*fold_splits)
             splits[fold] = fold_splits
         except DataError as exc:  # fails each cell of the fold, named by its first candidate
-            pieces.update({(fold, name): [(c[0], exc)] for name, c in cfgs.items()})
+            pieces.update({(fold, name): [(c[0], exc)] for name, c in by_loss.items()})
     # Every candidate of a (fold, loss) cell trains from the cell's one run
-    # seed, keyed by the loss's canonical index, not dict position, so
-    # reordering cfgs cannot change any run.
+    # seed, keyed by the loss's canonical index, not list position, so the
+    # order of the losses in cfgs cannot change any run.
     points = [
         (fold, name, replace(c, seed=master.child(_RUN_KEY, fold, KINDS.index(name)).seed))
         for fold in splits
-        for name, candidates in cfgs.items()
+        for name, candidates in by_loss.items()
         for c in candidates
     ]
     by_size = {}
@@ -533,7 +529,7 @@ def replicate(
 
     outcomes = []
     for fold in range(n_folds):
-        for name in cfgs:
+        for name in by_loss:
             # the first failure in candidate order fails the cell (expected
             # failures are data: the row names that candidate); otherwise the
             # best dev accuracy wins, ties going to the earliest candidate

@@ -209,13 +209,11 @@ def _uci_replicates(name, losses, master_seed=11):
     path = require_uci(name)
     pool = load_uci_csv(path, builtin_schema(name))
     plan = make_folds(Rng(master_seed).child(2), pool.n, "five_by_two")
-    cfgs = {
-        spec.name: [
-            TrainConfig(loss=spec, lr=lr, batch_size=64, min_epochs=100, patience=15)
-            for lr in (1e-4, 1e-3, 1e-2)
-        ]
+    cfgs = [
+        TrainConfig(loss=spec, lr=lr, batch_size=64, min_epochs=100, patience=15)
         for spec in losses
-    }
+        for lr in (1e-4, 1e-3, 1e-2)
+    ]
     outcomes = replicate("logreg", pool, plan, cfgs, master_seed=master_seed)
     assert all(o.ok for o in outcomes), [o.error for o in outcomes if not o.ok]
     return {
@@ -256,15 +254,15 @@ def mnist_pool_and_test():
 
 def _mnist_mlp_means(pool, test, noise_p, master_seed=21):
     plan = make_folds(Rng(master_seed).child(2), pool.n, "kfold", k=10)
-    cfgs = {
-        spec.name: [TrainConfig(
+    cfgs = [
+        TrainConfig(
             loss=spec, lr=1e-3, batch_size=64, patience=30,
             # desk-scale cap; the patience rule stops runs well before this
             max_epochs=150,
             dropout=0.2,
-        )]
+        )
         for spec in (NEGLOG, LEERR)
-    }
+    ]
     outcomes = replicate(
         "mlp", pool, plan, cfgs, test=test,
         master_seed=master_seed, noise_p=noise_p, max_folds=3,

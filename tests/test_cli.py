@@ -146,7 +146,7 @@ def test_config_logreg_dropout_names_the_train_key(train, field):
     # a zero rate is no dropout, so logreg accepts it as a value or a grid
     raw = dict(CONFIG_BASE, model={"kind": "logreg"}, train={**train, "max_epochs": 5})
     if field is None:
-        assert {c.dropout for c in validate_config(raw).train_cfgs["eerr"]} == {0.0}
+        assert {c.dropout for c in validate_config(raw).train_cfgs} == {0.0}
         return
     with pytest.raises(ConfigError, match="dropout requires model.kind = mlp") as exc:
         validate_config(raw)
@@ -245,6 +245,12 @@ def test_config_non_finite_number_names_its_key_before_data_loads(
         ({"seed": -1}, "seed"),
         ({"seed": True}, "seed"),
         ({"out_dir": ""}, "out_dir"),
+        # an alpha that neglog or eerr would ignore, and min_epochs, which
+        # only the patience rule reads
+        ({"losses": [{"kind": "eerr", "alpha": 0.3}]}, "losses[0].alpha"),
+        ({"train": {"min_epochs": 3, "max_epochs": 5}}, "train.min_epochs"),
+        # null unsets only max_epochs, patience and the grids
+        ({"train": {"lr": None, "max_epochs": 5}}, "train.lr"),
     ],
 )
 def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, overrides, field):
@@ -282,17 +288,29 @@ def test_config_grids_expand_lr_major_into_candidates():
                "max_epochs": 5},
     )
     cfgs = validate_config(raw).train_cfgs
-    assert list(cfgs) == ["neglog", "eerr"]
-    assert [(c.lr, c.dropout) for c in cfgs["neglog"]] == [
+    # loss-major: every loss trains the same candidates, which differ only in `loss`
+    assert [c.loss.name for c in cfgs] == ["neglog"] * 4 + ["eerr"] * 4
+    assert [(c.lr, c.dropout) for c in cfgs[:4]] == [
         (0.01, 0.0), (0.01, 0.5), (0.1, 0.0), (0.1, 0.5)
     ]
-    # every loss trains the same candidates: they differ only in `loss`
-    for name, candidates in cfgs.items():
-        assert {c.loss.name for c in candidates} == {name}
-        assert [replace(c, loss=None) for c in candidates] == [
-            replace(c, loss=None) for c in cfgs["neglog"]
-        ]
-    assert {c.batch_size for c in cfgs["eerr"]} == {8}
+    assert [replace(c, loss=None) for c in cfgs[4:]] == [replace(c, loss=None) for c in cfgs[:4]]
+    assert {c.batch_size for c in cfgs} == {8}
+
+
+def test_config_null_unsets_max_epochs_patience_and_the_grids():
+    train = {"max_epochs": None, "patience": 3, "lr_grid": None, "dropout_grid": None}
+    cfgs = validate_config(dict(CONFIG_BASE, train=train)).train_cfgs
+    assert [replace(c, loss=None) for c in cfgs] == [TrainConfig(loss=None, patience=3)] * 2
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).parent.parent.joinpath("configs").glob("*.yaml")),
+    ids=lambda path: path.name,
+)
+def test_every_shipped_config_validates(path, tmp_path, monkeypatch):
+    # validation reads no data: the data directory may be empty
+    monkeypatch.setenv("EXPACC_DATA_DIR", str(tmp_path))
+    assert load_config(str(path)).train_cfgs
 
 
 CSV_DATASET = {"name": "synth", "path": "synth.csv", "schema": "synth_schema.yaml"}

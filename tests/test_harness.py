@@ -236,14 +236,12 @@ def test_a_diverging_loss_fails_only_its_own_cells():
 
     with np.errstate(all="ignore"):
         neglog, eerr = replicate(
-            "logreg", ds, plan,
-            {"neglog": cfgs(NEGLOG, (0.1, 0.5, 1.0)), "eerr": cfgs(EERR, (1e-3, 1e-2))},
+            "logreg", ds, plan, cfgs(NEGLOG, (0.1, 0.5, 1.0)) + cfgs(EERR, (1e-3, 1e-2)),
             master_seed=3,
         )
-        eerr_alone = replicate("logreg", ds, plan, {"eerr": cfgs(EERR, (1e-3, 1e-2))},
-                               master_seed=3)[0]
+        eerr_alone = replicate("logreg", ds, plan, cfgs(EERR, (1e-3, 1e-2)), master_seed=3)[0]
         alone = {
-            lr: replicate("logreg", ds, plan, {"neglog": cfgs(NEGLOG, (lr,))}, master_seed=3)[0]
+            lr: replicate("logreg", ds, plan, cfgs(NEGLOG, (lr,)), master_seed=3)[0]
             for lr in (0.5, 1.0)
         }
     assert alone[1.0].error == "neglog: non-finite loss at epoch 1, batch 3"
@@ -297,7 +295,7 @@ def test_dev_accuracy_ties_go_to_the_earliest_point(monkeypatch):
     # accuracy, whichever candidate comes first wins its cell
     for lrs in ((0.0, 1e-12), (1e-12, 0.0)):
         cfgs = [TrainConfig(loss=EERR, lr=lr, batch_size=16, max_epochs=4) for lr in lrs]
-        (cell,) = replicate("logreg", ds, plan, {"eerr": cfgs}, master_seed=2)
+        (cell,) = replicate("logreg", ds, plan, cfgs, master_seed=2)
         first, second = stacks[-1].runs
         assert first.best_dev_acc == second.best_dev_acc
         assert first.records != second.records
@@ -384,32 +382,49 @@ def test_replicate_pairing_and_order_independence():
     ds = two_gaussians(20, 200, 4, delta=1.5)
     plan = make_folds(Rng(21), ds.n, "five_by_two")
 
-    def cfg(spec):
-        return [TrainConfig(loss=spec, lr=1e-2, batch_size=32, max_epochs=10)]
+    def run(*points):
+        cfgs = [TrainConfig(loss=spec, lr=lr, batch_size=32, max_epochs=10) for spec, lr in points]
+        return replicate("logreg", ds, plan, cfgs, master_seed=5, noise_p=0.1)
 
-    forward = replicate(
-        "logreg", ds, plan, {"neglog": cfg(NEGLOG), "eerr": cfg(EERR)}, master_seed=5,
-        noise_p=0.1,
-    )
-    backward = replicate(
-        "logreg", ds, plan, {"eerr": cfg(EERR), "neglog": cfg(NEGLOG)}, master_seed=5,
-        noise_p=0.1,
-    )
+    forward = run((NEGLOG, 1e-2), (NEGLOG, 0.1), (EERR, 1e-2), (EERR, 0.1))
+    backward = run((EERR, 1e-2), (EERR, 0.1), (NEGLOG, 1e-2), (NEGLOG, 0.1))
+    # a loss's candidates are its configs in list order, wherever they stand
+    # in the list; the losses come in the order of their first config
+    interleaved = run((NEGLOG, 1e-2), (EERR, 1e-2), (NEGLOG, 0.1), (EERR, 0.1))
+    assert interleaved == forward
     key = lambda o: (o.loss, o.fold)
     fw = {key(o): o.result.test_error for o in forward}
     bw = {key(o): o.result.test_error for o in backward}
     assert fw == bw
     assert len(fw) == 20
+    assert [o.loss for o in backward[:2]] == ["eerr", "neglog"]
+
+
+def test_candidates_may_differ_in_their_stopping_rule(monkeypatch):
+    # a loss's candidates share a stack, each training to its own stop: every
+    # cell equals the cell of its candidates trained one point per stack
+    ds = two_gaussians(44, 120, 4, delta=2.0)
+    plan = make_folds(Rng(45), ds.n, "kfold", k=3)
+    cfgs = [
+        TrainConfig(loss=spec, lr=lr, batch_size=16, max_epochs=max_epochs, patience=patience)
+        for spec in (NEGLOG, EERR)
+        for lr, max_epochs, patience in ((1e-2, 3, None), (0.1, 12, 2), (0.3, None, 4))
+    ]
+    stacks = recording_stacks(monkeypatch)
+    packed = replicate("logreg", ds, plan, cfgs, master_seed=6)
+    assert [list(folds) for folds in stacks] == [[0] * 6 + [1] * 6 + [2] * 6]
+    monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)
+    alone = replicate("logreg", ds, plan, cfgs, master_seed=6)
+    assert len(stacks) == 1 + 18
+    assert all(o.ok for o in packed)
+    assert packed == alone
+    assert len({len(o.result.records) for o in packed}) > 1
 
 
 def test_replicate_tuning_grid_selects_by_dev_accuracy():
     ds = two_gaussians(24, 240, 4, delta=2.0)
     plan = make_folds(Rng(25), ds.n, "fixed", train_size=150, dev_size=60)
-    cfgs = {
-        "neglog": [
-            TrainConfig(loss=NEGLOG, lr=lr, batch_size=32, max_epochs=15) for lr in (1e-9, 5e-2)
-        ]
-    }
+    cfgs = [TrainConfig(loss=NEGLOG, lr=lr, batch_size=32, max_epochs=15) for lr in (1e-9, 5e-2)]
     out = replicate("logreg", ds, plan, cfgs, master_seed=2)
     assert len(out) == 1
     # the tiny lr leaves the model at its random initialization; the grid
@@ -444,10 +459,11 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
     monkeypatch.setattr(expacc.harness, "train_run", recording_train_run)
     ds = two_gaussians(22, 120, 3, delta=2.0)
     plan = make_folds(Rng(23), ds.n, "kfold", k=3)
-    cfgs = {
-        spec.name: [TrainConfig(loss=spec, lr=lr, max_epochs=2) for lr in (1e-2, 1e-1)]
+    cfgs = [
+        TrainConfig(loss=spec, lr=lr, max_epochs=2)
         for spec in (NEGLOG, EERR)
-    }
+        for lr in (1e-2, 1e-1)
+    ]
     out = replicate("logreg", ds, plan, cfgs, noise_p=0.1, max_folds=2)
     assert [(o.fold, o.loss) for o in out] == [
         (0, "neglog"), (0, "eerr"), (1, "neglog"), (1, "eerr")
@@ -490,7 +506,7 @@ def test_replicate_tests_every_fold_on_one_rows_of_the_external_test_set(monkeyp
     ds = two_gaussians(41, 120, 3, delta=2.0)
     test = two_gaussians(42, 50, 3, delta=2.0, name="test")
     plan = make_folds(Rng(43), ds.n, "kfold", k=3)
-    cfgs = {"neglog": [TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=2)]}
+    cfgs = [TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=2)]
     out = replicate("logreg", ds, plan, cfgs, test=test, noise_p=0.2)
     assert all(o.ok for o in out) and len(tests) == 3
     # the test set is wrapped once, whole and under its own clean labels
@@ -522,15 +538,12 @@ def test_every_cell_of_a_packed_replication_is_its_own_fold_run(kind, monkeypatc
     plan = make_folds(Rng(36), ds.n, "kfold", k=3)
     assert [len(train) for train, _ in plan.folds] == [80, 81, 81]
     dropouts = (0.0, 0.3) if kind == "mlp" else (0.0,)
-    cfgs = {
-        spec.name: [
-            TrainConfig(loss=spec, lr=lr, dropout=dropout, batch_size=16, max_epochs=12,
-                        patience=2)
-            for lr in (1e-2, 0.1)
-            for dropout in dropouts
-        ]
+    cfgs = [
+        TrainConfig(loss=spec, lr=lr, dropout=dropout, batch_size=16, max_epochs=12, patience=2)
         for spec in (NEGLOG, EERR, LEERR)
-    }
+        for lr in (1e-2, 0.1)
+        for dropout in dropouts
+    ]
     per_fold = 3 * 2 * len(dropouts)
     sizes = [4, 6, 4, 3] if kind == "mlp" else [4, 3]
     per_point = sum((m + 1) * n for m, n in zip(sizes, sizes[1:]))
@@ -562,10 +575,11 @@ def test_a_diverging_point_fails_only_its_own_fold_cell(monkeypatch):
     perm = Rng(38).permutation(ds.n)
     folds = [(perm[40 * i : 40 * i + 30], perm[40 * i + 30 : 40 * i + 40]) for i in range(3)]
     plan = SplitPlan(folds)
-    cfgs = {
-        spec.name: [TrainConfig(loss=spec, lr=lr, batch_size=8, max_epochs=20) for lr in lrs]
+    cfgs = [
+        TrainConfig(loss=spec, lr=lr, batch_size=8, max_epochs=20)
         for spec, lrs in ((NEGLOG, (0.1, 1.0)), (EERR, (1e-3, 1e-2)))
-    }
+        for lr in lrs
+    ]
     clean = replicate("logreg", ds, plan, cfgs, master_seed=3)
     ds.x[folds[1][0][0], 0] = 1e308
     stacks = recording_stacks(monkeypatch)
@@ -588,17 +602,16 @@ def test_a_diverging_point_fails_only_its_own_fold_cell(monkeypatch):
 def test_a_fold_with_an_empty_split_fails_only_its_own_cells(part):
     ds = two_gaussians(39, 120, 4, delta=2.0)
     plan = make_folds(Rng(40), ds.n, "kfold", k=4)
-    cfgs = {
-        spec.name: [TrainConfig(loss=spec, lr=1e-2, batch_size=16, max_epochs=4)]
-        for spec in (NEGLOG, EERR)
-    }
+    cfgs = [
+        TrainConfig(loss=spec, lr=1e-2, batch_size=16, max_epochs=4) for spec in (NEGLOG, EERR)
+    ]
     good = replicate("logreg", ds, plan, cfgs, master_seed=5)
     # an empty train or dev split in fold 2
     broken = list(plan.folds[2])
     broken[part] = np.array([], dtype=int)
     plan.folds[2] = tuple(broken)
     bad = replicate("logreg", ds, plan, cfgs, master_seed=5)
-    assert [(o.fold, o.ok) for o in bad] == [(f, f != 2) for f in range(4) for _ in cfgs]
+    assert [(o.fold, o.ok) for o in bad] == [(f, f != 2) for f in range(4) for _ in (NEGLOG, EERR)]
     assert {o.error for o in bad if not o.ok} == {
         f"{('train', 'dev')[part]} split is empty"
     }
@@ -608,31 +621,24 @@ def test_a_fold_with_an_empty_split_fails_only_its_own_cells(part):
 def test_replicate_rejects_malformed_candidate_lists():
     ds = two_gaussians(28, 60, 3, delta=1.0)
     plan = make_folds(Rng(29), ds.n, "kfold", k=2)
-    with pytest.raises(ValueError, match="no candidate"):
-        replicate("logreg", ds, plan, {"neglog": []})
-    with pytest.raises(ValueError, match="does not match"):
-        replicate("logreg", ds, plan, {"neglog": [TrainConfig(loss=EERR, max_epochs=1)]})
-    # a fold trains all candidates as one stack over loss, lr and dropout only
-    mixed = [TrainConfig(loss=NEGLOG, max_epochs=1), TrainConfig(loss=NEGLOG, max_epochs=2)]
-    with pytest.raises(ValueError, match="more than loss, lr and dropout"):
-        replicate("logreg", ds, plan, {"neglog": mixed})
-    across = {
-        "neglog": [TrainConfig(loss=NEGLOG, max_epochs=1)],
-        "eerr": [TrainConfig(loss=EERR, max_epochs=1, batch_size=32)],
-    }
-    with pytest.raises(ValueError, match="more than loss, lr and dropout"):
-        replicate("logreg", ds, plan, across)
-    # one loss per key: two leerr alphas would be two groups
+    with pytest.raises(ValueError, match="at least one candidate"):
+        replicate("logreg", ds, plan, [])
+    # one loss per name: two leerr alphas would be two losses in one cell
     alphas = [TrainConfig(loss=spec, max_epochs=1) for spec in (LEERR, LossSpec("leerr", 0.3))]
-    with pytest.raises(ValueError, match="does not match"):
-        replicate("logreg", ds, plan, {"leerr": alphas})
+    with pytest.raises(ValueError, match="share one name"):
+        replicate("logreg", ds, plan, alphas)
+    # the candidates of every loss train together in stacks of one batch size
+    sizes = [TrainConfig(loss=NEGLOG, max_epochs=1), TrainConfig(loss=EERR, max_epochs=1,
+                                                                 batch_size=32)]
+    with pytest.raises(ValueError, match="batch_size"):
+        replicate("logreg", ds, plan, sizes)
 
 
 def test_replicate_continues_past_failing_fold():
     ds = two_gaussians(26, 80, 3, delta=1.0)
     plan = make_folds(Rng(27), ds.n, "kfold", k=4)
     plan.folds[1] = (plan.folds[1][0], np.array([], dtype=int))  # breaks one fold
-    cfgs = {"neglog": [TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=3)]}
+    cfgs = [TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=3)]
     out = replicate("logreg", ds, plan, cfgs, master_seed=3)
     assert sum(not o.ok for o in out) == 1
     assert sum(o.ok for o in out) == 3
@@ -648,7 +654,7 @@ def test_replicate_reraises_programming_errors(monkeypatch):
     monkeypatch.setattr(expacc.harness, "train_run", broken)
     ds = two_gaussians(26, 80, 3, delta=1.0)
     plan = make_folds(Rng(27), ds.n, "kfold", k=4)
-    cfgs = {"neglog": [TrainConfig(loss=NEGLOG, max_epochs=1)]}
+    cfgs = [TrainConfig(loss=NEGLOG, max_epochs=1)]
     with pytest.raises(TypeError, match="bug in train_run"):
         replicate("logreg", ds, plan, cfgs)
 
@@ -658,7 +664,7 @@ def test_replicate_rejects_noise_level_outside_unit_interval():
     # becoming a failed-fold row
     ds = two_gaussians(28, 60, 3, delta=1.0)
     plan = make_folds(Rng(29), ds.n, "kfold", k=2)
-    cfgs = {"neglog": [TrainConfig(loss=NEGLOG, max_epochs=1)]}
+    cfgs = [TrainConfig(loss=NEGLOG, max_epochs=1)]
     with pytest.raises(ValueError, match="noise_p"):
         replicate("logreg", ds, plan, cfgs, noise_p=1.5)
 
@@ -668,7 +674,7 @@ def test_replicate_noise_keeps_test_labels_clean():
     # a run at noise_p=1 still evaluates against the original dev labels
     ds = two_gaussians(30, 100, 3, delta=3.0)
     plan = make_folds(Rng(31), ds.n, "five_by_two")
-    cfgs = {"neglog": [TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32, max_epochs=10)]}
+    cfgs = [TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32, max_epochs=10)]
     out = replicate("logreg", ds, plan, cfgs, master_seed=4, noise_p=1.0, max_folds=2)
     # pure-noise training performs near chance on clean labels, but the
     # errors are measured against clean labels, not the redrawn ones;

@@ -31,18 +31,17 @@ def test_five_by_two_replication_recovers_bayes_error():
 
     pool = two_gaussians(42, 1200, d=6, delta=delta)
     plan = make_folds(Rng(43), pool.n, "five_by_two")
-    cfgs = {
-        spec.name: [
-            TrainConfig(loss=spec, lr=lr, batch_size=64, min_epochs=30, patience=10)
-            for lr in (1e-3, 1e-2, 1e-1)
-        ]
-        for spec in (NEGLOG, EERR, LEERR)
-    }
+    specs = (NEGLOG, EERR, LEERR)
+    cfgs = [
+        TrainConfig(loss=spec, lr=lr, batch_size=64, min_epochs=30, patience=10)
+        for spec in specs
+        for lr in (1e-3, 1e-2, 1e-1)
+    ]
     outcomes = replicate("logreg", pool, plan, cfgs, master_seed=44)
     assert all(o.ok for o in outcomes)
     results = {
-        name: [o.result.test_error for o in outcomes if o.loss == name]
-        for name in cfgs
+        spec.name: [o.result.test_error for o in outcomes if o.loss == spec.name]
+        for spec in specs
     }
     for name, errors in results.items():
         assert len(errors) == 10
@@ -53,7 +52,7 @@ def test_five_by_two_replication_recovers_bayes_error():
 
     report = summarize(results)
     assert report.n_replicates == 10
-    assert {e.loss for e in report.entries} == set(cfgs)
+    assert {e.loss for e in report.entries} == set(results)
 
 
 def test_mlp_noise_robustness_direction_on_synthetic_blobs():
@@ -63,22 +62,20 @@ def test_mlp_noise_robustness_direction_on_synthetic_blobs():
     plan = make_folds(Rng(51), pool.n, "kfold", k=3)
 
     def run(noise_p):
-        cfgs = {
-            spec.name: [TrainConfig(
-                loss=spec, lr=5e-3, batch_size=32, patience=8, max_epochs=60,
-                dropout=0.1,
-            )]
+        cfgs = [
+            TrainConfig(loss=spec, lr=5e-3, batch_size=32, patience=8, max_epochs=60,
+                        dropout=0.1)
             for spec in (NEGLOG, LEERR)
-        }
+        ]
         outcomes = replicate(
             "mlp", pool, plan, cfgs, master_seed=52, noise_p=noise_p, hidden=(16, 12, 8)
         )
         assert all(o.ok for o in outcomes)
         return {
-            name: float(np.mean(
-                [o.result.test_error for o in outcomes if o.loss == name]
+            cfg.loss.name: float(np.mean(
+                [o.result.test_error for o in outcomes if o.loss == cfg.loss.name]
             ))
-            for name in cfgs
+            for cfg in cfgs
         }
 
     clean = run(0.0)

@@ -17,7 +17,7 @@ from expacc.losses import LossSpec
 from expacc.numerics import Rng
 from helpers import write_idx_pair
 
-CFGS = {"neglog": [TrainConfig(loss=LossSpec("neglog"), lr=1e-3, max_epochs=1)]}
+CFGS = [TrainConfig(loss=LossSpec("neglog"), lr=1e-3, max_epochs=1)]
 
 
 def mnist_shaped_pool(n=4000, d=784, k=10):

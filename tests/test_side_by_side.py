@@ -37,13 +37,11 @@ def experiment():
     """A tiny dropout MLP over two losses, two lrs and two folds."""
     ds = blobs(41, 96, d=5, k=3, spread=2.0)
     plan = make_folds(Rng(42), ds.n, "kfold", k=4)
-    cfgs = {
-        spec.name: [
-            TrainConfig(loss=spec, lr=lr, dropout=0.2, batch_size=16, max_epochs=3)
-            for lr in (1e-2, 0.1)
-        ]
+    cfgs = [
+        TrainConfig(loss=spec, lr=lr, dropout=0.2, batch_size=16, max_epochs=3)
         for spec in (NEGLOG, EERR)
-    }
+        for lr in (1e-2, 0.1)
+    ]
     return ds, plan, cfgs
 
 
@@ -166,10 +164,11 @@ def test_a_diverging_stack_fails_only_its_own_cell(monkeypatch):
     ds = two_gaussians(37, 120, 4, delta=2.0)
     perm = Rng(38).permutation(ds.n)
     plan = SplitPlan([(perm[40 * i : 40 * i + 30], perm[40 * i + 30 : 40 * i + 40]) for i in range(3)])
-    cfgs = {
-        spec.name: [TrainConfig(loss=spec, lr=lr, batch_size=8, max_epochs=20) for lr in lrs]
+    cfgs = [
+        TrainConfig(loss=spec, lr=lr, batch_size=8, max_epochs=20)
         for spec, lrs in ((NEGLOG, (0.1, 1.0)), (EERR, (1e-3, 1e-2)))
-    }
+        for lr in lrs
+    ]
     ds.x[plan.folds[1][0][0], 0] = 1e308
     # the caller's numpy error state holds in the worker threads: with it
     # lost, the overflow warning would raise there
