@@ -14,8 +14,8 @@ needs: each fold's noisy labels are drawn once and shared by every loss and
 candidate, and every candidate of a cell trains from one initialization seed
 per (master seed, fold, loss).  It is the one place that picks a cell's
 result from its candidates' outcomes.  Every split is a `Rows`: rows of
-the pool, or of the external test set, copied only while their fold is
-evaluated.  The points of equal-sized folds fill stacks of up to
+the pool, or of the external test set, that become float features only to
+be evaluated.  The points of equal-sized folds fill stacks of up to
 `STACK_PARAMS` parameters, and two or more stacks train side by side, one
 worker thread per usable core, with numpy's OpenBLAS pinned to one thread.
 """
@@ -164,23 +164,98 @@ class StackResult:
         return sum(run.best_epoch for run in self.runs)
 
 
-def accuracy(model, split: Rows):
-    """Argmax accuracy without dropout on the rows `split` names, copied for
-    this evaluation only: a float, or one per grid point of a stacked model."""
-    rows = split.ds.subset(split.index)
-    preact, _ = model.forward(rows.features())
-    return (argmax_last(preact) == split.labels.take(split.index)).mean(axis=-1)
+def accuracy(model, x, labels):
+    """Argmax accuracy without dropout of features `x` against `labels`: a
+    float, or one per grid point of a stacked model.  `x` and `labels` hold
+    one set of rows for every point, or one per point."""
+    preact, _ = model.forward(x)
+    return (argmax_last(preact) == labels).mean(axis=-1)
 
 
-def _fold_accuracy(model, folds, splits) -> np.ndarray:
-    """Each point's accuracy on its fold's split; `folds` never decreases, so
-    each fold's points are evaluated together, as a view of the stack."""
-    acc = []
-    for f, lo, count in zip(*np.unique(folds, return_index=True, return_counts=True)):
-        part = copy.copy(model)
-        part.take(slice(lo, lo + count))
-        acc.append(accuracy(part, splits[f]))
-    return np.concatenate(acc)
+class _Evaluation:
+    """Dev and test accuracy of a stack's points, one evaluation group at a
+    time.
+
+    The groups are fixed when the stack starts.  Consecutive folds with
+    equal dev and equal test sizes join one group while its points x eval
+    rows (the larger of the two sizes) x features stay within
+    `STACK_PARAMS`.  A group of several folds copies each fold's dev and
+    test rows once, into one float array per split, and evaluates its live
+    points in one forward of (points, rows, features), each point's rows
+    gathered from its fold's block.  A group of one fold copies its rows for
+    each evaluation and shares them across the fold's points, so a large
+    fold holds no copy between evaluations.
+    """
+
+    def __init__(self, fold_of, dev, test, d):
+        self.splits = (dev, test)
+        counts = np.bincount(fold_of)
+        groups = []  # the folds of each group
+        for f in np.flatnonzero(counts):
+            rows = max(dev[f].n, test[f].n)
+            last = groups[-1] if groups else None
+            if (
+                last is not None
+                and (dev[last[0]].n, test[last[0]].n) == (dev[f].n, test[f].n)
+                and (counts[last].sum() + counts[f]) * rows * d <= STACK_PARAMS
+            ):
+                last.append(f)
+            else:
+                groups.append([f])
+        group, place = np.zeros(counts.size, np.intp), np.zeros(counts.size, np.intp)
+        for g, folds in enumerate(groups):
+            group[folds], place[folds] = g, np.arange(len(folds))
+        self.group_of, self.place_of = group[fold_of], place[fold_of]
+        self.folds = groups
+        self.held = [
+            [self._held(split, folds) for split in self.splits] if len(folds) > 1 else None
+            for folds in groups
+        ]
+
+    @staticmethod
+    def _copy(rows: Rows):
+        """The float features and labels of `rows`, copied through
+        `Dataset.subset`."""
+        return rows.ds.subset(rows.index).features(), rows.labels.take(rows.index)
+
+    def _held(self, split, folds):
+        """The features and labels of `folds`' rows of `split`, one row
+        block per fold."""
+        x = np.empty((len(folds), split[folds[0]].n, split[folds[0]].ds.d))
+        labels = np.empty(x.shape[:2], dtype=np.int64)
+        for i, f in enumerate(folds):
+            x[i], labels[i] = self._copy(split[f])
+        return x, labels
+
+    def parts(self, model, live) -> list:
+        """The points `live` of `model`'s stack by group: (group, a network
+        of its points that views their parameters, each point's fold in the
+        group).  Valid until the stack's parameters are replaced."""
+        group = self.group_of[live]
+        cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), live.size]
+        parts = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = model
+            if hi - lo < live.size:
+                part = copy.copy(model)
+                part.take(slice(lo, hi))
+            parts.append((group[lo], part, self.place_of[live[lo:hi]]))
+        return parts
+
+    def accuracy(self, parts, split: int) -> np.ndarray:
+        """Each point's accuracy on its fold's dev (`split` 0) or test (1)
+        rows, in the order of `parts`."""
+        acc = []
+        for g, part, place in parts:
+            held = self.held[g]
+            if held is None:
+                # one fold: its rows, copied for this evaluation only (no
+                # name holds the copy, so it is freed before the next one)
+                acc.append(accuracy(part, *self._copy(self.splits[split][self.folds[g][0]])))
+            else:
+                x, labels = held[split]
+                acc.append(accuracy(part, x.take(place, axis=0), labels.take(place, axis=0)))
+        return np.concatenate(acc)
 
 
 def _check_nonempty(*splits) -> None:
@@ -214,8 +289,10 @@ def train_run(
     fold's row index (`take`: no split is copied whole, and only these rows
     become float features), and one forward pass, `loss_grad_preact` call,
     backward pass and Adam step serve all the points, each slice getting the
-    bits of its own run.  Dev and test accuracy is measured one fold at a
-    time.
+    bits of its own run.  Dev and test accuracy is measured by evaluation
+    group (`_Evaluation`): small consecutive folds copy their rows once per
+    stack and evaluate their live points in one forward, and a larger fold
+    copies its rows for each evaluation.
 
     Stopping, per point: always at `max_epochs` when set; additionally once
     at least `min_epochs` have run and `patience` epochs have passed without
@@ -250,11 +327,14 @@ def train_run(
         [Rng(p.seed).child(_DROPOUT) for p in points] if any(p.dropout for p in points) else None
     )
     opt = Adam([p.lr for p in points])
+    coefs = np.array([p.loss.coefficients for p in points])  # each live point's loss
+    evaluation = _Evaluation(fold_of, dev, test, pool.d)
 
     live = np.arange(len(points))  # point index of each point in the stack
+    parts = evaluation.parts(model, live)
     records = [[] for _ in points]
-    best_epoch = [0] * len(points)
-    best_dev = [-math.inf] * len(points)
+    best_epoch = np.zeros(len(points), dtype=np.intp)
+    best_dev = np.full(len(points), -math.inf)
     errors = [None] * len(points)
     order = np.empty((len(keys), n), dtype=np.intp)
     targets = np.empty((len(keys), n), dtype=np.int64)
@@ -262,7 +342,6 @@ def train_run(
     while live.size:
         epoch += 1
         ol = order_of[live]
-        specs = [points[j].loss for j in live]
         # each live order's pool rows and labels in this epoch's shuffled order
         for o in np.unique(ol):
             fold = train[keys[o][0]]
@@ -277,7 +356,7 @@ def train_run(
             yb = targets[ol, lo : lo + batch_size]
             drops = None if dropout_rngs is None else [dropout_rngs[j] for j in live]
             preact, trace = model.forward(xb, drops)
-            batch = loss_grad_preact(specs, preact, yb)
+            batch = loss_grad_preact(coefs, preact, yb)
             grads = model.backward(trace, batch.grad_preact)
             loss_sum += batch.mean_loss * rows.shape[-1]
             hit_sum += (argmax_last(preact) == yb).sum(axis=-1)
@@ -289,47 +368,45 @@ def train_run(
                         f"{points[j].loss.name}: non-finite loss at epoch {epoch}, "
                         f"batch {batch_no}"
                     )
-                live, ol, loss_sum, hit_sum, norm_sum = (
-                    a[keep] for a in (live, ol, loss_sum, hit_sum, norm_sum)
+                live, ol, coefs, loss_sum, hit_sum, norm_sum = (
+                    a[keep] for a in (live, ol, coefs, loss_sum, hit_sum, norm_sum)
                 )
                 grads = [g[keep] for g in grads]
                 model.take(keep)
                 opt.take(keep)
                 if not live.size:
                     break
-                specs = [points[j].loss for j in live]
+                parts = evaluation.parts(model, live)
             opt.step(model.params(), grads)
         if not live.size:
             break
 
-        dev_acc = _fold_accuracy(model, fold_of[live], dev)
-        stopped = np.zeros(live.size, dtype=bool)
-        for j, point in enumerate(live):
-            records[point].append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=float(loss_sum[j] / n),
-                    train_acc=float(hit_sum[j] / n),
-                    dev_acc=float(dev_acc[j]),
-                    grad_norm_mean=float(norm_sum[j] / n),
-                )
-            )
-            if dev_acc[j] > best_dev[point]:
-                best_dev[point] = dev_acc[j]
-                best_epoch[point] = epoch
-                for kept, p in zip(best.params(), model.params()):
-                    kept[point] = p[j]
-            stopped[j] = should_stop(epoch, best_epoch[point], points[point])
+        dev_acc = evaluation.accuracy(parts, 0)
+        improved = dev_acc > best_dev[live]
+        if improved.any():
+            better = live[improved]
+            best_dev[better] = dev_acc[improved]
+            best_epoch[better] = epoch
+            for kept, p in zip(best.params(), model.params()):
+                kept[better] = p[improved]
+        columns = (loss_sum / n, hit_sum / n, dev_acc, norm_sum / n)
+        for point, *record in zip(live.tolist(), *(c.tolist() for c in columns)):
+            records[point].append(EpochRecord(epoch, *record))
+        stopped = np.array([
+            should_stop(epoch, at, points[point])
+            for point, at in zip(live.tolist(), best_epoch[live].tolist())
+        ])
         if stopped.any():
-            live = live[~stopped]
+            live, coefs = live[~stopped], coefs[~stopped]
             model.take(~stopped)
             opt.take(~stopped)
+            if live.size:
+                parts = evaluation.parts(model, live)
 
-    test_acc = _fold_accuracy(best, fold_of, test)
+    test_acc = evaluation.accuracy(evaluation.parts(best, np.arange(len(points))), 1).tolist()
     return StackResult([
-        RunResult(records[j], best_epoch[j], float(test_acc[j]) if best_epoch[j] else math.nan,
-                  errors[j])
-        for j in range(len(points))
+        RunResult(records[j], at, test_acc[j] if at else math.nan, errors[j])
+        for j, at in enumerate(best_epoch.tolist())
     ])
 
 

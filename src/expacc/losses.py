@@ -72,6 +72,8 @@ class LossSpec:
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.kind == "leerr" and not self.alpha > 0:
             raise ValueError(f"leerr needs alpha > 0, got {self.alpha}")
+        if self.kind != "leerr" and self.alpha != DEFAULT_ALPHA:
+            raise ValueError(f"{self.kind} ignores alpha: only leerr reads it, got {self.alpha}")
 
     @property
     def name(self) -> str:
@@ -139,8 +141,9 @@ def loss_grad_preact(spec, preact_batch: np.ndarray, true_classes) -> LossBatchR
     networks, and `mean_loss` and the rows of `per_instance_norms` are per
     leading index.  `true_classes` is (n,), shared by every slice, or one
     row per slice (`preact_batch`'s shape without k).  `spec` is one
-    `LossSpec` for every slice or, for a 3-D stack, one per point.  Each
-    slice gets the bits a 2-D batch of its own would.
+    `LossSpec` for every slice or, for a 3-D stack, a (points, 2) array of
+    each point's `LossSpec.coefficients`.  Each slice gets the bits a 2-D
+    batch of its own would.
     """
     a = np.asarray(preact_batch, dtype=np.float64)
     if a.ndim < 2:
@@ -154,9 +157,11 @@ def loss_grad_preact(spec, preact_batch: np.ndarray, true_classes) -> LossBatchR
     if isinstance(spec, LossSpec):
         coef_a, coef_b = spec.coefficients
     else:
-        coefs = np.array([s.coefficients for s in spec]).reshape(-1, 2)
-        if a.ndim != 3 or len(coefs) != len(a):
-            raise ValueError(f"{len(coefs)} loss specs for a batch of shape {a.shape}")
+        coefs = np.asarray(spec, dtype=np.float64)
+        if a.ndim != 3 or coefs.shape != (len(a), 2):
+            raise ValueError(
+                f"loss coefficients of shape {coefs.shape} for a batch of shape {a.shape}"
+            )
         coef_a, coef_b = coefs[:, :1], coefs[:, 1:]
 
     p = softmax_rows(a)

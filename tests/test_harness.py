@@ -250,6 +250,49 @@ def test_a_diverging_loss_fails_only_its_own_cells():
     assert eerr.ok and eerr == eerr_alone
 
 
+def test_packed_and_one_fold_evaluation_agree_bit_for_bit(monkeypatch):
+    # three folds of one stack: the default budget evaluates them as one
+    # group, each point on rows gathered from its fold's one copy; a budget
+    # of one parameter gives each fold its own group, which copies the fold's
+    # rows per evaluation.  One row near the float64 limit lies in fold 1's
+    # train rows only, and overflows neglog at lr 1 there
+    ds = two_gaussians(37, 120, 4, delta=2.0)
+    blocks = Rng(38).permutation(ds.n).reshape(3, 40)
+    ds.x[blocks[1, 0], 0] = 1e308
+    train = Folds([Rows(ds, b[:24]) for b in blocks])
+    dev, test = [Rows(ds, b[24:32]) for b in blocks], [Rows(ds, b[32:]) for b in blocks]
+    cfg = TrainConfig(loss=NEGLOG, batch_size=8, max_epochs=20, patience=3)
+    points = [
+        replace(cfg, loss=spec, lr=lr, seed=fold)
+        for fold in range(3)
+        for spec, lrs in ((NEGLOG, (0.1, 1.0)), (EERR, (1e-3, 3e-2)), (LEERR, (1e-2,)))
+        for lr in lrs
+    ]
+    folds = [fold for fold in range(3) for _ in range(5)]
+    copies = []
+    subset = Dataset.subset
+
+    def counting_subset(ds, indices):
+        copies.append(len(indices))
+        return subset(ds, indices)
+
+    monkeypatch.setattr(Dataset, "subset", counting_subset)
+    with np.errstate(all="ignore"):
+        packed = train_run("logreg", train, dev, test, cfg, points=points, folds=folds)
+        assert copies == [8] * 6  # each fold's dev and test rows, once
+        monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)
+        one_fold = train_run("logreg", train, dev, test, cfg, points=points, folds=folds)
+    assert len(copies) > 6 + 2 * 3
+    for run, alone in zip(packed.runs, one_fold.runs, strict=True):
+        assert run.records == alone.records
+        assert run.best_epoch == alone.best_epoch
+        assert np.array_equal(run.test_acc, alone.test_acc, equal_nan=True)
+        assert repr(run.error) == repr(alone.error)
+    # points stop at different epochs, and exactly one diverges
+    assert len({len(run.records) for run in packed.runs}) > 2
+    assert [j for j, run in enumerate(packed.runs) if run.error] == [6]
+
+
 def test_a_stack_takes_its_points_fold_by_fold():
     # each fold's points must be one slice of the stack
     train, dev, test = small_splits(7)
@@ -469,9 +512,9 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
         (0, "neglog"), (0, "eerr"), (1, "neglog"), (1, "eerr")
     ]
     assert len(noisy) == 2
-    # dev and test name pool rows, copied only while one fold is evaluated:
-    # two dev evaluations and one test evaluation of 40 rows per fold
-    assert copies == [40] * 6
+    # dev and test name pool rows; the two small folds evaluate as one group,
+    # which copies each fold's 40 dev and 40 test rows once per stack
+    assert copies == [40] * 4
     # both folds train 80 rows, so one train_run stacks both losses and both
     # lrs of both folds, fold by fold
     assert len(stacks) == 1

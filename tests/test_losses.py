@@ -26,6 +26,12 @@ def test_loss_spec_validation():
         for alpha in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha"):
                 LossSpec(kind, alpha=alpha)
+    # only leerr reads alpha: another kind takes none but the default, so two
+    # specs of one kind are always equal
+    for kind in ("neglog", "eerr"):
+        with pytest.raises(ValueError, match="ignores alpha"):
+            LossSpec(kind, alpha=0.3)
+        assert LossSpec(kind, alpha=0.1) == LossSpec(kind)
 
 
 def test_loss_value_anchors():
@@ -118,6 +124,24 @@ def test_batch_reduction_is_the_mean():
     assert full.per_instance_norms.mean() == pytest.approx(
         np.mean([s.per_instance_norms.mean() for s in singles]), abs=1e-14
     )
+
+
+def test_each_slice_of_a_coefficient_stack_gets_its_own_spec_bits():
+    # a (points, 2) array of coefficients, one row per point, mixes kinds in
+    # one call; each slice is the call its own LossSpec makes alone
+    specs = [NEGLOG, EERR, LEERR, LossSpec("leerr", 0.3), NEGLOG]
+    rng = np.random.default_rng(9)
+    a = rng.uniform(-6.0, 6.0, (len(specs), 37, 3))
+    r = rng.integers(0, 3, (len(specs), 37))
+    stack = loss_grad_preact(np.array([s.coefficients for s in specs]), a, r)
+    for i, spec in enumerate(specs):
+        alone = loss_grad_preact(spec, a[i], r[i])
+        assert stack.mean_loss[i] == alone.mean_loss
+        assert np.array_equal(stack.grad_preact[i], alone.grad_preact)
+        assert np.array_equal(stack.per_instance_norms[i], alone.per_instance_norms)
+    for coefs, batch in ((np.zeros((4, 2)), a), (np.zeros((5, 3)), a), (np.zeros((5, 2)), a[0])):
+        with pytest.raises(ValueError, match="coefficients"):
+            loss_grad_preact(coefs, batch, r[0])
 
 
 def test_curve_table_a_anchors():
