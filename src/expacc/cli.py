@@ -31,11 +31,12 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .data import builtin_schema, load_mnist, load_uci_csv, make_folds, UciSchema
+from .data import DataError, builtin_schema, load_mnist, load_uci_csv, make_folds, UciSchema
 from .harness import _PLAN_KEY, TrainConfig, replicate
 from .losses import KINDS, DEFAULT_ALPHA, LossSpec, emit_loss_curves
 from .models import DEFAULT_HIDDEN
@@ -545,8 +546,8 @@ def cmd_gradnorms(config_path: str, seed_override: int | None = None) -> str:
     """
     cfg, seed, _, outcomes = _replicate_config(config_path, seed_override, max_folds=1)
     failed = [f"fold 0 / {o.loss}: {o.error}" for o in outcomes if not o.ok]
-    if failed:
-        raise RuntimeError("; ".join(failed))
+    if failed:  # an expected failure (divergence, bad data), reported without a traceback
+        raise DataError("; ".join(failed))
     columns = {o.loss: [r.grad_norm_mean for r in o.result.records] for o in outcomes}
 
     n_epochs = max(len(v) for v in columns.values())
@@ -592,6 +593,8 @@ def main(argv=None) -> int:
         print(f"config error in {getattr(args, 'config', '?')}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        if not isinstance(exc, (DataError, OSError)):  # a bug: show where it happened
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -46,6 +46,7 @@ __all__ = [
     "IdxTruncatedError",
     "Rows",
     "SplitPlan",
+    "TooFewInstancesError",
     "UciSchema",
     "UnknownLabelError",
     "builtin_schema",
@@ -88,6 +89,10 @@ class EmptyDataError(DataError):
     pass
 
 
+class TooFewInstancesError(DataError):
+    pass
+
+
 @dataclass
 class Dataset:
     """Stored features (one instance per row) with integer class labels.
@@ -117,7 +122,7 @@ class Dataset:
         if self.x.dtype == np.float64 and not np.isfinite(self.x).all():
             raise ValueError(f"{self.name}: non-finite feature values")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.k):
-            raise ValueError(f"{self.name}: labels outside 0..{self.k - 1}")
+            raise UnknownLabelError(f"{self.name}: labels outside 0..{self.k - 1}")
 
     @property
     def n(self) -> int:
@@ -346,9 +351,11 @@ def load_uci_csv(path: str, schema: UciSchema) -> Dataset:
                 try:
                     feats.append(float(cell))
                 except ValueError:
+                    feats.append(math.nan)
+                if not math.isfinite(feats[-1]):
                     raise CsvCellError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {col}"
-                    ) from None
+                        f"{path}:{lineno}: non-numeric or non-finite cell {cell!r} in column {col}"
+                    )
             rows.append(feats)
             raw_labels.append(label)
 
@@ -436,7 +443,7 @@ def make_folds(rng: Rng, n: int, scheme: str, **kw) -> SplitPlan:
         if k < 2:
             raise ValueError(f"kfold needs k >= 2, got {k}")
         if n < k:
-            raise ValueError(f"kfold(k={k}) needs at least {k} instances, got {n}")
+            raise TooFewInstancesError(f"kfold(k={k}) needs at least {k} instances, got {n}")
         perm = rng.permutation(n)
         pieces = np.array_split(perm, k)
         folds = []
@@ -449,7 +456,7 @@ def make_folds(rng: Rng, n: int, scheme: str, **kw) -> SplitPlan:
     if scheme == "five_by_two":
         _reject_extra(kw, scheme)
         if n < 2:
-            raise ValueError(f"five_by_two needs at least 2 instances, got {n}")
+            raise TooFewInstancesError(f"five_by_two needs at least 2 instances, got {n}")
         folds = []
         for _ in range(5):
             perm = rng.permutation(n)
@@ -465,7 +472,7 @@ def make_folds(rng: Rng, n: int, scheme: str, **kw) -> SplitPlan:
         if train_size < 1 or dev_size < 1:
             raise ValueError("fixed split sizes must be >= 1")
         if train_size + dev_size > n:
-            raise ValueError(
+            raise TooFewInstancesError(
                 f"fixed split needs {train_size + dev_size} instances, pool has {n}"
             )
         perm = rng.permutation(n)

@@ -15,15 +15,18 @@ candidate, and every candidate of a cell trains from one initialization seed
 per (master seed, fold, loss).  It is the one place that picks a cell's
 result from its candidates' outcomes.  Every split is a `Rows`: rows of
 the pool, or of the external test set, that become float features only to
-be evaluated.  The points of equal-sized folds fill stacks of up to
-`STACK_PARAMS` parameters, and two or more stacks train side by side, one
-worker thread per usable core, with numpy's OpenBLAS pinned to one thread.
+be evaluated.  The points of equal-sized folds fill balanced stacks of up
+to `STACK_PARAMS` parameters; where that leaves a worker idle, they split into
+up to one stack per worker while each stack still gathers `STACK_PARAMS`
+floats per step.  Two or more stacks train side by side, one worker thread
+per usable core, with numpy's OpenBLAS pinned to one thread.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -53,7 +56,9 @@ __all__ = [
 _INIT, _BATCH, _DROPOUT = 0, 1, 2
 # Child-stream keys drawn from a master seed.
 _NOISE_KEY, _RUN_KEY, _PLAN_KEY = 0, 1, 2
-# Float64 parameters (1 MiB) per stack of `replicate`; a larger point trains alone.
+# Float64 values (1 MiB): the parameters of a stack of `replicate` (a larger
+# point trains alone), the fewest floats a stack split over idle workers
+# gathers per step, and the eval rows x features of an evaluation group.
 STACK_PARAMS = 2**17
 
 
@@ -180,9 +185,10 @@ class _Evaluation:
     equal dev and equal test sizes join one group while its points x eval
     rows (the larger of the two sizes) x features stay within
     `STACK_PARAMS`.  A group of several folds copies each fold's dev and
-    test rows once, into one float array per split, and evaluates its live
-    points in one forward of (points, rows, features), each point's rows
-    gathered from its fold's block.  A group of one fold copies its rows for
+    test rows once, into one float array per split (test rows that are the
+    dev rows share dev's copy), and evaluates its live points in one
+    forward of (points, rows, features), each point's rows gathered from
+    its fold's block.  A group of one fold copies its rows for
     each evaluation and shares them across the fold's points, so a large
     fold holds no copy between evaluations.
     """
@@ -207,10 +213,7 @@ class _Evaluation:
             group[folds], place[folds] = g, np.arange(len(folds))
         self.group_of, self.place_of = group[fold_of], place[fold_of]
         self.folds = groups
-        self.held = [
-            [self._held(split, folds) for split in self.splits] if len(folds) > 1 else None
-            for folds in groups
-        ]
+        self.held = [self._held(folds) if len(folds) > 1 else None for folds in groups]
 
     @staticmethod
     def _copy(rows: Rows):
@@ -218,13 +221,24 @@ class _Evaluation:
         `Dataset.subset`."""
         return rows.ds.subset(rows.index).features(), rows.labels.take(rows.index)
 
-    def _held(self, split, folds):
-        """The features and labels of `folds`' rows of `split`, one row
-        block per fold."""
-        x = np.empty((len(folds), split[folds[0]].n, split[folds[0]].ds.d))
+    def _held(self, folds) -> list:
+        """The dev and the test features and labels of `folds`.  Test rows
+        that are the dev rows of the same pool (a plan with no test set)
+        share dev's features and keep their own labels."""
+        dev, test = ([split[f] for f in folds] for split in self.splits)
+        held = [self._block(dev)]
+        if all(t.ds is r.ds and np.array_equal(t.index, r.index) for t, r in zip(test, dev)):
+            held.append((held[0][0], np.stack([t.labels.take(t.index) for t in test])))
+        else:
+            held.append(self._block(test))
+        return held
+
+    def _block(self, rows):
+        """The features and labels of `rows`, one row block per `Rows`."""
+        x = np.empty((len(rows), rows[0].n, rows[0].ds.d))
         labels = np.empty(x.shape[:2], dtype=np.int64)
-        for i, f in enumerate(folds):
-            x[i], labels[i] = self._copy(split[f])
+        for i, r in enumerate(rows):
+            x[i], labels[i] = self._copy(r)
         return x, labels
 
     def parts(self, model, live) -> list:
@@ -416,9 +430,10 @@ _OPENBLAS_THREADS = (
 )
 
 
+@functools.cache
 def _openblas_threads():
     """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
-    or None where there is none."""
+    or None where there is none; looked up once."""
     import ctypes
     import glob
 
@@ -436,17 +451,17 @@ def _openblas_threads():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Pin numpy's OpenBLAS to one thread for the block and restore its
-    count afterwards, also on error; yields False, pinning nothing, where
-    no setter is found."""
+    count afterwards, also on error; pins nothing where no setter is
+    found."""
     found = _openblas_threads()
     if found is None:
-        yield False
+        yield
         return
     get, set_ = found
     before = get()
     set_(1)
     try:
-        yield True
+        yield
     finally:
         set_(before)
 
@@ -455,6 +470,12 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _workers() -> int:
+    """The worker threads `_train_stacks` trains stacks on: one per usable
+    core where numpy's OpenBLAS can be pinned to one thread, else 1."""
+    return _usable_cores() if _openblas_threads() is not None else 1
 
 
 def _train_stacks(jobs: list) -> list:
@@ -474,8 +495,8 @@ def _train_stacks(jobs: list) -> list:
     """
     if len(jobs) < 2:
         return [train_run(*job) for job in jobs]
-    with _one_blas_thread() as pinned:
-        workers = min(len(jobs), _usable_cores()) if pinned else 1
+    with _one_blas_thread():
+        workers = min(len(jobs), _workers())
         if workers == 1:
             return [train_run(*job) for job in jobs]
         import contextvars
@@ -537,9 +558,18 @@ def replicate(
     reported as a `FoldOutcome` with the error and the settings of the
     candidate that failed (the first to diverge, in candidate order), while
     the remaining cells still run; any other exception is a bug and
-    propagates.  The points of folds with equal train sizes fill one
-    `train_run` after another, in (fold, loss, candidate) order, up to
-    `STACK_PARAMS` parameters each, and `_train_stacks` trains those stacks.
+    propagates.  The points of folds with equal train sizes fill, in
+    (fold, loss, candidate) order, as few `train_run` stacks of up to
+    `STACK_PARAMS` parameters as hold them, of sizes differing by at most
+    one, and `_train_stacks` trains those stacks.  When that gives fewer
+    stacks than `_train_stacks` has workers (`_workers`), each train size's
+    points split, in the same order, into up to one stack per worker, again
+    of sizes differing by at most one, as long as each stack's per-step
+    gather (points x `batch_size` x features floats) is at least
+    `STACK_PARAMS`: on two cores, 9 MNIST logreg points (784 features,
+    batch 64) train as stacks of 5 and 4, and a pima grid's 90 points (8
+    features) stay one stack.  Split stacks train at one BLAS thread, as
+    every multi-stack run does.
     """
     by_loss = {}  # loss name -> its candidates, in list order
     for cfg in cfgs:
@@ -587,11 +617,20 @@ def replicate(
         by_size.setdefault(splits[point[0]][0].n, []).append(point)
     sizes = [pool.d, *(hidden if model_kind == "mlp" else ()), pool.k]
     room = max(1, STACK_PARAMS // sum((m + 1) * n for m, n in zip(sizes, sizes[1:])))
-    stacks = [
-        same_size[lo : lo + room]
-        for same_size in by_size.values()
-        for lo in range(0, len(same_size), room)
-    ]
+    # A size class fills as few stacks as hold it in `room`, of sizes that
+    # differ by at most one.  While that leaves workers idle, it splits into
+    # up to one stack per worker, each still gathering at least STACK_PARAMS
+    # floats per step (points x batch rows x features).
+    workers = _workers()
+    fewest = -(-STACK_PARAMS // max(1, cfgs[0].batch_size * pool.d))
+    packed = [-(-len(same_size) // room) for same_size in by_size.values()]
+    idle = sum(packed) < workers
+    stacks = []
+    for same_size, count in zip(by_size.values(), packed):
+        n = max(count, min(workers, len(same_size) // fewest)) if idle else count
+        q, r = divmod(len(same_size), n)
+        cuts = [i * q + min(i, r) for i in range(n + 1)]
+        stacks += [same_size[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     jobs = []
     for stack in stacks:
         folds = list(dict.fromkeys(fold for fold, _, _ in stack))

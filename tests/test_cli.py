@@ -27,6 +27,7 @@ from expacc.cli import (
 from expacc.harness import TrainConfig
 from expacc.losses import LossSpec
 from expacc.numerics import Rng
+from helpers import write_idx_pair
 
 
 def write_synthetic_experiment(tmp_path: Path, **config_overrides) -> Path:
@@ -599,7 +600,8 @@ def test_gradnorms_fails_when_a_cell_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(expacc.harness, "train_run", diverge_eerr)
     config = write_synthetic_experiment(tmp_path)
     assert main(["gradnorms", str(config)]) == 1
-    assert "fold 0 / eerr: eerr: non-finite loss" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fold 0 / eerr: eerr: non-finite loss" in err and "Traceback" not in err
 
 
 def test_failed_cell_row_reports_the_candidate_that_failed(tmp_path, monkeypatch):
@@ -644,6 +646,47 @@ def test_main_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(config), "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_a_bug_exits_1_with_its_traceback_and_bad_data_with_one_line(
+    tmp_path, monkeypatch, capsys
+):
+    config = write_synthetic_experiment(tmp_path)
+
+    def buggy_train_run(*args, **kwargs):
+        raise TypeError("bug in a stack")
+
+    monkeypatch.setattr(expacc.harness, "train_run", buggy_train_run)
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "buggy_train_run" in err
+    assert err.splitlines()[-1] == "error: bug in a stack"
+    # expected failures, a missing file and bad data, keep their one line:
+    # a pool too small for its plan, an IDX label outside 0..9 and a nan cell
+    monkeypatch.undo()
+    few = write_synthetic_experiment(
+        tmp_path / "few", replication={"scheme": "kfold", "folds": 200}
+    )
+    write_idx_pair(tmp_path, np.zeros((12, 2, 2)), [12] + [0] * 11)
+    idx = write_synthetic_experiment(
+        tmp_path / "idx", dataset={
+            "name": "digits",
+            "train_images": str(tmp_path / "images-idx3-ubyte"),
+            "train_labels": str(tmp_path / "labels-idx1-ubyte"),
+        }
+    )
+    data = tmp_path / "synth.csv"
+    text = data.read_text()
+    data.write_text("nan" + text[text.index(","):])  # the first row's first cell
+    expected = [
+        "missing.yaml", "needs at least 200 instances, got 160",
+        "digits: labels outside 0..9", "synth.csv:1: non-numeric or non-finite cell 'nan'",
+    ]
+    for path, message in zip((tmp_path / "missing.yaml", few, idx, config), expected):
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
 
 
 def test_import_and_curves_load_no_scipy(tmp_path):

@@ -15,6 +15,7 @@ from expacc.data import (
     IdxMagicError,
     IdxTruncatedError,
     Rows,
+    TooFewInstancesError,
     UciSchema,
     UnknownLabelError,
     builtin_schema,
@@ -53,6 +54,12 @@ def test_idx_magic_number_mismatch(tmp_path):
         load_mnist(lbl, lbl)  # image magic expected, label file given
     with pytest.raises(IdxMagicError, match="0x00000801"):
         load_mnist(img, img)
+
+
+def test_idx_label_outside_the_ten_digits(tmp_path):
+    img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [3, 12])
+    with pytest.raises(UnknownLabelError, match=r"labels outside 0\.\.9"):
+        load_mnist(img, lbl)
 
 
 def test_idx_truncated_file(tmp_path):
@@ -126,6 +133,10 @@ def test_uci_distinct_load_errors(tmp_path):
     bad_cell.write_text("1.0,x,0\n")
     with pytest.raises(CsvCellError, match="non-numeric"):
         load_uci_csv(bad_cell, UciSchema(name="bad"))
+    for cell in ("nan", "inf"):  # float() parses them
+        bad_cell.write_text(f"1.0,{cell},0\n")
+        with pytest.raises(CsvCellError, match=f"{re.escape(str(bad_cell))}:1: .*non-finite"):
+            load_uci_csv(bad_cell, UciSchema(name="bad"))
 
     unknown = tmp_path / "unknown.csv"
     unknown.write_text("1.0,2.0,maybe\n")
@@ -257,11 +268,14 @@ def test_fixed_split_remainder_becomes_test():
 
 
 def test_fold_errors():
-    with pytest.raises(ValueError, match="kfold"):
+    # a pool too small for the plan is bad data
+    with pytest.raises(TooFewInstancesError, match="kfold"):
         make_folds(Rng(0), 3, "kfold", k=5)
+    with pytest.raises(TooFewInstancesError, match="five_by_two"):
+        make_folds(Rng(0), 1, "five_by_two")
     with pytest.raises(ValueError, match="unknown scheme"):
         make_folds(Rng(0), 10, "loocv")
-    with pytest.raises(ValueError, match="fixed split needs"):
+    with pytest.raises(TooFewInstancesError, match="fixed split needs"):
         make_folds(Rng(0), 10, "fixed", train_size=8, dev_size=5)
 
 

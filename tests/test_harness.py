@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -513,8 +514,9 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
     ]
     assert len(noisy) == 2
     # dev and test name pool rows; the two small folds evaluate as one group,
-    # which copies each fold's 40 dev and 40 test rows once per stack
-    assert copies == [40] * 4
+    # which copies each fold's 40 dev rows once per stack, and with no test
+    # set, test is those rows under clean labels, sharing the copy
+    assert copies == [40] * 2
     # both folds train 80 rows, so one train_run stacks both losses and both
     # lrs of both folds, fold by fold
     assert len(stacks) == 1
@@ -594,6 +596,9 @@ def test_every_cell_of_a_packed_replication_is_its_own_fold_run(kind, monkeypatc
     def run(budget):
         with monkeypatch.context() as patch:
             patch.setattr(expacc.harness, "STACK_PARAMS", budget)
+            # on one core no stack splits over idle workers, so the budget
+            # alone sets the stacks
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
             stacks = recording_stacks(patch)
             out = replicate(kind, ds, plan, cfgs, master_seed=8, noise_p=0.1, hidden=(6, 4))
         return out, stacks

@@ -6,9 +6,11 @@ one byte each, and only the rows a step or an evaluation reads become float
 features.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import expacc.harness
 from expacc.data import Dataset, load_mnist, make_folds
@@ -74,3 +76,44 @@ def test_idx_pool_keeps_one_byte_per_pixel(tmp_path):
     assert np.array_equal(pool.features(idx), codes.astype(np.float64) / 255.0)
     dev = pool.subset(idx)
     assert dev.x.dtype == np.uint8 and dev.scale == pool.scale
+
+
+@pytest.mark.skipif(
+    expacc.harness._openblas_threads() is None,
+    reason="numpy bundles no OpenBLAS thread setter, so no stack splits",
+)
+def test_a_split_stack_holds_at_most_one_more_evaluation_copy(monkeypatch):
+    # 9 MNIST-shaped logreg points (3 folds x 3 losses) split into two
+    # stacks on two cores; each stack copies the test set for an evaluation
+    # (its `subset` and its float features), so two stacks evaluating at
+    # once hold one copy more than one stack does, and never two more
+    pool, test = mnist_shaped_pool(n=1000), mnist_shaped_pool(n=2000)
+    plan = make_folds(Rng(1), pool.n, "kfold", k=10)
+    cfgs = [
+        TrainConfig(loss=LossSpec(kind), lr=1e-3, batch_size=64, max_epochs=1)
+        for kind in ("neglog", "eerr", "leerr")
+    ]
+    train_run = expacc.harness.train_run
+    peaks, stacks = [], []
+
+    def recording(*job):
+        stacks.append(len(job[6]))
+        return train_run(*job)
+
+    monkeypatch.setattr(expacc.harness, "train_run", recording)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = replicate(
+                "logreg", pool, plan, cfgs, test=test, master_seed=2, noise_p=0.05, max_folds=3
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert all(o.ok for o in out)
+    assert sorted(stacks) == [4, 5, 9]
+    copy = 2 * test.x.nbytes
+    assert peaks[0] > copy  # the one stack's evaluation copy is the largest term
+    assert peaks[1] - peaks[0] < 1.5 * copy

@@ -2,7 +2,8 @@
 
 Two or more stacks train on one worker thread per usable core, with numpy's
 OpenBLAS pinned to one thread while they run; one stack trains in the
-calling thread at the BLAS default.  The stacks of these replications are
+calling thread at the BLAS default, unless it gathers enough floats per step
+to split over idle cores.  The stacks of these replications are
 recorded from worker threads, so no test here depends on the order in
 which they start.
 """
@@ -181,6 +182,62 @@ def test_a_diverging_stack_fails_only_its_own_cell(monkeypatch):
     assert [(o.fold, o.loss) for o in alone if not o.ok] == [(1, "neglog")]
     assert "non-finite loss" in alone[2].error
     assert alone == packed
+
+
+def stack_sizes(monkeypatch, ds, plan, cfgs, cpus):
+    """The outcomes of `replicate` on `cpus` usable cores, and the point
+    count of each stack it trained, smallest first."""
+    sizes = []
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        recording(patch, lambda points: sizes.append(len(points)))
+        out = replicate("logreg", ds, plan, cfgs, master_seed=5)
+    return out, sorted(sizes)
+
+
+def mnist_shaped():
+    """9 logreg points (3 folds x 3 losses) on 784 features at batch 64:
+    each step gathers 9 x 64 x 784 floats, and half a stack still more
+    than `STACK_PARAMS`."""
+    ds = blobs(51, 150, d=784, k=10, spread=0.5)
+    plan = make_folds(Rng(52), ds.n, "kfold", k=3)
+    cfgs = [
+        TrainConfig(loss=spec, lr=1e-3, batch_size=64, max_epochs=1)
+        for spec in (NEGLOG, EERR, LossSpec("leerr"))
+    ]
+    return ds, plan, cfgs
+
+
+@needs_blas
+def test_a_wide_single_stack_splits_into_balanced_stacks_over_idle_cores(monkeypatch):
+    ds, plan, cfgs = mnist_shaped()
+    one, sizes = stack_sizes(monkeypatch, ds, plan, cfgs, 1)
+    assert sizes == [9]
+    two, sizes = stack_sizes(monkeypatch, ds, plan, cfgs, 2)
+    assert sizes == [4, 5]
+    assert len(one) == 9 and all(o.ok for o in one)
+    assert one == two
+
+
+def test_a_narrow_single_stack_stays_whole_on_two_cores(monkeypatch):
+    # pima's shape: 90 points of 8 features gather 46,080 floats per step,
+    # so each half would gather less than STACK_PARAMS
+    ds = two_gaussians(53, 40, 8, delta=2.0)
+    plan = make_folds(Rng(54), ds.n, "five_by_two")
+    cfgs = [
+        TrainConfig(loss=spec, lr=lr, batch_size=64, max_epochs=1)
+        for spec in (NEGLOG, EERR, LossSpec("leerr"))
+        for lr in (1e-4, 1e-3, 1e-2)
+    ]
+    out, sizes = stack_sizes(monkeypatch, ds, plan, cfgs, 2)
+    assert sizes == [90] and len(out) == 30
+
+
+def test_without_a_blas_thread_setter_a_wide_stack_stays_whole(monkeypatch):
+    ds, plan, cfgs = mnist_shaped()
+    monkeypatch.setattr(expacc.harness, "_openblas_threads", lambda: None)
+    _, sizes = stack_sizes(monkeypatch, ds, plan, cfgs, 2)
+    assert sizes == [9]
 
 
 def write_wide_experiment(root: Path) -> None:
