@@ -135,10 +135,15 @@ class Dataset:
     def features(self, index=None) -> np.ndarray:
         """The float64 features of rows `index` (default: all), in that order.
 
-        `x / 1.0` is `x` bit for bit, so float datasets take the same path.
+        Codes become `code / scale` for the gathered rows only.  Float
+        features at scale 1 are the gathered rows as they are, with no
+        division pass, or a copy of `x` when `index` is None, so the caller
+        always owns what it gets.
         """
         x = self.x if index is None else self.x.take(index, axis=0)
-        return x / self.scale
+        if x.dtype != np.float64 or self.scale != 1.0:
+            return x / self.scale
+        return x.copy() if index is None else x
 
     def subset(self, indices) -> "Dataset":
         """A copy of rows `indices`.  They passed this dataset's checks, so

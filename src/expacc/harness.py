@@ -303,10 +303,13 @@ def train_run(
     fold's row index (`take`: no split is copied whole, and only these rows
     become float features), and one forward pass, `loss_grad_preact` call,
     backward pass and Adam step serve all the points, each slice getting the
-    bits of its own run.  Dev and test accuracy is measured by evaluation
-    group (`_Evaluation`): small consecutive folds copy their rows once per
-    stack and evaluate their live points in one forward, and a larger fold
-    copies its rows for each evaluation.
+    bits of its own run.  The stack's parameters are one block
+    (`Mlp.theta`, a row per point), so the Adam step, dropping a point and
+    keeping a point's best parameters each touch one array.  Dev and test
+    accuracy is measured by evaluation group (`_Evaluation`): small
+    consecutive folds copy their rows once per stack and evaluate their live
+    points in one forward, and a larger fold copies its rows for each
+    evaluation.
 
     Stopping, per point: always at `max_epochs` when set; additionally once
     at least `min_epochs` have run and `patience` epochs have passed without
@@ -325,7 +328,8 @@ def train_run(
         raise ValueError(f"the points of a stack share one batch_size, {cfg.batch_size}")
     if (np.diff(fold_of) < 0).any():
         raise ValueError("the points of a stack come fold by fold")
-    for f in np.unique(fold_of):
+    # distinct values in order by `dict.fromkeys`: `np.unique` imports numpy.ma
+    for f in dict.fromkeys(fold_of.tolist()):
         _check_nonempty(train[f], dev[f], test[f])
     pool, n, batch_size = train[0].ds, train.n, cfg.batch_size
     model = build_model(
@@ -357,7 +361,7 @@ def train_run(
         epoch += 1
         ol = order_of[live]
         # each live order's pool rows and labels in this epoch's shuffled order
-        for o in np.unique(ol):
+        for o in dict.fromkeys(ol.tolist()):
             fold = train[keys[o][0]]
             order[o] = fold.index.take(np.concatenate(minibatches(batch_rngs[o], n, batch_size)))
             targets[o] = fold.labels.take(order[o])
@@ -371,7 +375,7 @@ def train_run(
             drops = None if dropout_rngs is None else [dropout_rngs[j] for j in live]
             preact, trace = model.forward(xb, drops)
             batch = loss_grad_preact(coefs, preact, yb)
-            grads = model.backward(trace, batch.grad_preact)
+            grad = model.backward(trace, batch.grad_preact)
             loss_sum += batch.mean_loss * rows.shape[-1]
             hit_sum += (argmax_last(preact) == yb).sum(axis=-1)
             norm_sum += batch.per_instance_norms.sum(axis=-1)
@@ -385,13 +389,13 @@ def train_run(
                 live, ol, coefs, loss_sum, hit_sum, norm_sum = (
                     a[keep] for a in (live, ol, coefs, loss_sum, hit_sum, norm_sum)
                 )
-                grads = [g[keep] for g in grads]
+                grad = grad[keep]
                 model.take(keep)
                 opt.take(keep)
                 if not live.size:
                     break
                 parts = evaluation.parts(model, live)
-            opt.step(model.params(), grads)
+            opt.step([model.theta], [grad])
         if not live.size:
             break
 
@@ -401,8 +405,7 @@ def train_run(
             better = live[improved]
             best_dev[better] = dev_acc[improved]
             best_epoch[better] = epoch
-            for kept, p in zip(best.params(), model.params()):
-                kept[better] = p[improved]
+            best.theta[better] = model.theta[improved]
         columns = (loss_sum / n, hit_sum / n, dev_acc, norm_sum / n)
         for point, *record in zip(live.tolist(), *(c.tolist() for c in columns)):
             records[point].append(EpochRecord(epoch, *record))

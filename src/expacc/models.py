@@ -2,27 +2,31 @@
 
 One network class, `Mlp`: a ReLU feedforward network with inverted dropout
 on the input and on every hidden layer.  Logistic regression is that network
-with no hidden layers (`LogisticRegression`).  The surface: `params()` (flat
-list of arrays, optimizer order), `forward` returning pre-activations plus a
-backprop trace, and `backward` turning a pre-activation gradient into
-parameter gradients.  Given a sequence of dropout rates, the network is a
-stack of networks with a leading grid axis on every parameter, which one
-forward and one backward pass train together.  Each point has its own
+with no hidden layers (`LogisticRegression`).  The surface: `theta` (every
+parameter in one block), `params()` (its per-layer views, optimizer order),
+`forward` returning pre-activations plus a backprop trace, and `backward`
+turning a pre-activation gradient into a gradient block of `theta`'s layout,
+which `split` cuts into per-layer views.  Given a sequence of dropout rates,
+the network is a stack of networks with a leading grid axis on every
+parameter, which one forward and one backward pass train together; `theta`
+holds one row per point.  Each point has its own
 random streams: its own initialization draw and its own dropout draw per
 layer per step, so its slice holds the bits of a network of its own.
 `take` keeps some points of a stack.
 A layer of fewer than `numerics.SHORT_AXIS` units (a two-class output) adds
-its bias column by column (`numerics.by_column`), with numpy's bits.
+its bias column by column (`numerics.by_column`) and sums its bias gradient
+in one accumulate (`numerics.sum_rows`), with numpy's bits.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, by_column
+from .numerics import Rng, by_column, sum_rows
 
 __all__ = [
     "DEFAULT_HIDDEN",
@@ -77,6 +81,12 @@ class Mlp:
     dropout `Rng`s, masks each point with its own draw.  `forward` and
     `backward` work for the stack and the single network alike; each
     point's slice gets the bits a single network from its streams would.
+
+    The parameters live in one block, `theta`: one row per point (a vector
+    for a single network) holding W0, b0, W1, b1, ... flattened in that
+    order.  `weights`, `biases` and `params()` are views into it, so an
+    update of `theta` in place updates them; assigning `theta` rebuilds
+    them on the new block, and so do `take` and a deep copy.
     """
 
     def __init__(
@@ -90,12 +100,39 @@ class Mlp:
         self.dropout = np.asarray(dropout, dtype=np.float64)
         grid = self.dropout.shape
         rngs = self._per_point(rng)
-        sizes = [n_features, *hidden, n_classes]
-        self.weights = [
-            np.stack([xavier_init(r, m, n) for r in rngs]).reshape(grid + (m, n))
-            for m, n in zip(sizes, sizes[1:])
-        ]
-        self.biases = [np.zeros(grid + (n,)) for n in sizes[1:]]
+        layers = list(zip([n_features, *hidden], [*hidden, n_classes]))
+        shapes = [shape for m, n in layers for shape in ((m, n), (n,))]
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        # each parameter array's columns of `theta`, and its shape
+        self._layout = list(zip([0, *ends], ends, shapes))
+        self.theta = np.zeros(grid + (ends[-1],))
+        for w, (m, n) in zip(self.weights, layers):
+            w[...] = np.stack([xavier_init(r, m, n) for r in rngs]).reshape(w.shape)
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Every parameter: W0, b0, W1, b1, ... flattened along the last axis."""
+        return self._theta
+
+    @theta.setter
+    def theta(self, block: np.ndarray) -> None:
+        self._theta = block
+        views = self.split(block)
+        self.weights, self.biases = views[0::2], views[1::2]
+
+    def split(self, block: np.ndarray) -> list:
+        """Views of a block of `theta`'s layout, one per parameter array in
+        `params()` order: W0, b0, W1, b1, ..."""
+        lead = block.shape[:-1]
+        return [block[..., lo:hi].reshape(*lead, *shape) for lo, hi, shape in self._layout]
+
+    def __deepcopy__(self, memo):
+        """A copy with its own block and its views rebuilt on it: a deep copy
+        of the views themselves would not share the copied block."""
+        twin = copy.copy(self)
+        twin.dropout = self.dropout.copy()
+        twin.theta = self.theta.copy()
+        return twin
 
     def _per_point(self, rng) -> list:
         """`rng` as one `Rng` per point of the stack."""
@@ -105,13 +142,13 @@ class Mlp:
         return rngs
 
     def params(self):
+        """The per-layer views of `theta`: W0, b0, W1, b1, ..."""
         return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def take(self, points) -> None:
         """Keep only the grid points `points` (an index or mask on the leading
-        axis) of a stack, in that order."""
-        self.weights = [w[points] for w in self.weights]
-        self.biases = [b[points] for b in self.biases]
+        axis) of a stack, in that order.  A slice keeps a view of `theta`."""
+        self.theta = self.theta[points]
         self.dropout = self.dropout[points]
 
     @staticmethod
@@ -119,10 +156,11 @@ class Mlp:
         """Inverted-dropout multipliers for an (n, width) layer input: one
         uniform draw in [0, 1) per point's `Rng` (`random`, the bits of
         `uniform(0.0, 1.0)` at less cost), compared with that point's keep
-        rate `1 - p`."""
+        rate `1 - p`; a kept unit's multiplier is `1 / keep`, one division
+        per point, not one per draw."""
         keep = 1.0 - np.asarray(p)[..., None, None]
         u = np.stack([r.random(shape) for r in rngs])
-        return (u.reshape(np.shape(p) + shape) < keep) / keep
+        return (u.reshape(np.shape(p) + shape) < keep) * (1.0 / keep)
 
     def forward(self, x: np.ndarray, rng=None):
         """Pre-activations of `x` ((..., n, features): one batch for every
@@ -151,18 +189,21 @@ class Mlp:
             h = by_column(np.add, h @ w, b[..., None, :])
         return h, ForwardTrace(layer_inputs, relu_masks, drop_mults)
 
-    def backward(self, trace: ForwardTrace, grad_preact: np.ndarray):
-        grads = [None] * (2 * len(self.weights))  # params() order: W0, b0, W1, ...
+    def backward(self, trace: ForwardTrace, grad_preact: np.ndarray) -> np.ndarray:
+        """The gradient of every parameter, in one block of `theta`'s
+        layout (`split` gives its per-layer views)."""
+        block = np.empty_like(self.theta)
+        grads = self.split(block)  # params() order: W0, b0, W1, ...
         g = grad_preact
         for i in range(len(self.weights) - 1, -1, -1):
-            grads[2 * i] = np.swapaxes(trace.layer_inputs[i], -1, -2) @ g
-            grads[2 * i + 1] = g.sum(axis=-2)
+            np.matmul(np.swapaxes(trace.layer_inputs[i], -1, -2), g, out=grads[2 * i])
+            grads[2 * i + 1][...] = sum_rows(g)
             if i > 0:
                 g = g @ np.swapaxes(self.weights[i], -1, -2)
                 if trace.drop_mults[i] is not None:
                     g = g * trace.drop_mults[i]
                 g = g * trace.relu_masks[i - 1]
-        return grads
+        return block
 
 
 class LogisticRegression(Mlp):

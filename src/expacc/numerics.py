@@ -10,7 +10,9 @@ that axis and in an elementwise op that broadcasts along it, so on a short
 axis (two classes) its fixed cost per row is most of the time.  Below
 `SHORT_AXIS` entries these loop over the columns instead, in the order numpy
 adds them, and return numpy's bits.  `softmax_rows`, the losses and the
-models' bias add use them.
+models' bias add use them.  `sum_rows`, the models' bias gradient, sums
+over the rows of a short class axis in one accumulate, again with numpy's
+bits.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "reduce_last",
     "sigmoid",
     "softmax_rows",
+    "sum_rows",
 ]
 
 # numpy's pairwise summation adds fewer than 8 values strictly in order (a
@@ -85,6 +88,23 @@ def by_column(ufunc: np.ufunc, a: np.ndarray, b: np.ndarray, out=None) -> np.nda
     for j in range(k):
         ufunc(a[..., j], b[..., j * step], out=out[..., j])
     return out
+
+
+def sum_rows(g: np.ndarray):
+    """`g.sum(axis=-2)`: the sum over the rows of each (n, k) matrix of `g`.
+
+    numpy reduces a C-ordered `g` row after row from its identity, with its
+    inner loop along the k columns, so for 2 <= k < `SHORT_AXIS` it pays its
+    per-row cost n times.  There this is the last row of one
+    `np.add.accumulate` along the rows plus 0.0 (the identity, so the sum
+    of [-0.0] is 0.0), which adds in numpy's order and returns its bits.
+    For k = 1 numpy sums the rows pairwise, and from `SHORT_AXIS` on its
+    per-row cost is small, so there, and for no rows or another layout, it
+    is numpy's own sum.
+    """
+    if g.shape[-2] < 1 or not 2 <= g.shape[-1] < SHORT_AXIS or not g.flags.c_contiguous:
+        return g.sum(axis=-2)
+    return 0.0 + np.add.accumulate(g, axis=-2)[..., -1, :]
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:

@@ -689,17 +689,44 @@ def test_a_bug_exits_1_with_its_traceback_and_bad_data_with_one_line(
         assert message in err
 
 
+def _fresh_interpreter(code: str, *args) -> str:
+    """The stdout of `code` run with `args` in a fresh interpreter, so
+    modules other tests imported do not count."""
+    src = str(Path(expacc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_import_and_curves_load_no_scipy(tmp_path):
-    # a fresh interpreter, so modules other tests imported do not count
     code = (
         "import sys\n"
         "import expacc, expacc.cli\n"
         "assert expacc.cli.main(['curves', sys.argv[1]]) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    src = str(Path(expacc.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c")], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = _fresh_interpreter(code, tmp_path / "c")
     assert out.splitlines()[-1] == "[]"
+
+
+def test_a_run_never_imports_numpy_ma(tmp_path):
+    # numpy 2's `np.unique` imports numpy.ma on its first call, about 14 ms a
+    # process; a run finds distinct values with `dict.fromkeys` instead
+    logreg = write_synthetic_experiment(
+        tmp_path / "logreg", train={"lr_grid": [0.01, 0.1], "batch_size": 32, "max_epochs": 2}
+    )
+    mlp = write_synthetic_experiment(
+        tmp_path / "mlp",
+        model={"kind": "mlp", "hidden": [4]},
+        train={"lr": 0.05, "dropout": 0.1, "batch_size": 32, "max_epochs": 2},
+        noise={"p": 0.1},
+    )
+    code = (
+        "import sys\n"
+        "import expacc.cli\n"
+        "for config in sys.argv[1:]:\n"
+        "    assert expacc.cli.main(['run', config]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code, logreg, mlp).splitlines()[-1] == "False"

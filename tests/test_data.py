@@ -48,6 +48,19 @@ def test_idx_golden_fixture_roundtrips(tmp_path):
     assert np.array_equal(ds.features([2, 0]), features[[2, 0]])
 
 
+def test_float_features_are_the_gathered_rows_and_never_the_pool():
+    x = Rng(5).normal(size=(6, 3))
+    ds = Dataset(x, np.zeros(6, dtype=np.int64), k=2, name="float")
+    for index in (None, [4, 1, 4], np.array([[0, 5], [2, 3]])):
+        want = x if index is None else x[np.asarray(index)]
+        got = ds.features(index)
+        assert (got.shape, got.dtype) == (want.shape, np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, ds.x)
+    halved = Dataset(x, np.zeros(6, dtype=np.int64), k=2, name="halved", scale=2.0)
+    assert np.array_equal(halved.features([1, 0]), x[[1, 0]] / 2.0)
+
+
 def test_idx_magic_number_mismatch(tmp_path):
     img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), np.uint8), [0])
     with pytest.raises(IdxMagicError, match="0x00000803"):

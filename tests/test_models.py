@@ -49,7 +49,7 @@ def test_logreg_bias_gradient_is_grad_preact_row():
     x = Rng(4).normal(size=(1, 5))
     preact, trace = model.forward(x)
     g = loss_grad_preact(LossSpec("neglog"), preact, [2]).grad_preact
-    grads = model.backward(trace, g)
+    grads = model.split(model.backward(trace, g))
     assert np.allclose(grads[1], g[0], atol=1e-15)
 
 
@@ -58,8 +58,9 @@ def test_backward_zero_upstream_gives_zero_grads():
         model = build_model(kind, Rng(5), 7, 3, **kw)
         x = Rng(6).normal(size=(4, 7))
         _, trace = model.forward(x)
-        grads = model.backward(trace, np.zeros((4, 3)))
-        assert all(np.all(g == 0) for g in grads)
+        grad = model.backward(trace, np.zeros((4, 3)))
+        assert grad.shape == model.theta.shape
+        assert all(np.all(g == 0) for g in model.split(grad))
 
 
 def test_mlp_dead_relu_blocks_incoming_weight_gradient():
@@ -71,7 +72,7 @@ def test_mlp_dead_relu_blocks_incoming_weight_gradient():
         model.biases[0][0] = -100.0
         preact, trace = model.forward(x)
         dead = ~trace.relu_masks[0][0]
-    grads = model.backward(trace, np.ones((1, 2)))
+    grads = model.split(model.backward(trace, np.ones((1, 2))))
     assert np.all(grads[0][:, dead] == 0.0)
 
 
@@ -85,8 +86,8 @@ def test_mlp_without_hidden_layers_is_logistic_regression():
     preact_l, trace_l = logreg.forward(x)
     assert np.array_equal(preact_m, preact_l)
     g = Rng(21).normal(size=(4, 3))
-    for a, b in zip(mlp.backward(trace_m, g), logreg.backward(trace_l, g), strict=True):
-        assert np.array_equal(a, b)
+    assert np.array_equal(mlp.theta, logreg.theta)
+    assert np.array_equal(mlp.backward(trace_m, g), logreg.backward(trace_l, g))
 
 
 def test_dropout_masks_are_drawn_only_with_an_rng():
@@ -142,11 +143,11 @@ def test_end_to_end_gradients_match_finite_differences(kind, kw):
         y = rng.integers(0, k, n)
         for spec in specs:
             preact, trace = model.forward(x)
-            analytic = model.backward(
-                trace, loss_grad_preact(spec, preact, y).grad_preact
+            analytic = model.split(
+                model.backward(trace, loss_grad_preact(spec, preact, y).grad_preact)
             )
             numeric = fd_param_grads(model, x, y, spec)
-            for a, b in zip(analytic, numeric):
+            for a, b in zip(analytic, numeric, strict=True):
                 assert rel_err(a, b) < 1e-5
 
 
@@ -174,14 +175,14 @@ def test_a_stack_of_networks_computes_each_network_bit_for_bit():
     x = Rng(31).normal(size=(7, 5))
     preact, trace = stack.forward(x, [Rng(s + 2) for s in seeds])
     g = Rng(33).normal(size=preact.shape)
-    grads = stack.backward(trace, g)
+    grads = stack.split(stack.backward(trace, g))
     assert preact.shape == (3, 7, 3) and all(p.shape[0] == 3 for p in grads)
     for j, (seed, dropout) in enumerate(zip(seeds, dropouts)):
         # its own init draw, and its own uniform draws compared with its keep rate
         single = build_model("mlp", Rng(seed), 5, 3, hidden=(6, 4), dropout=dropout)
         own, own_trace = single.forward(x, Rng(seed + 2) if dropout else None)
         assert np.array_equal(preact[j], own)
-        for a, b in zip(grads, single.backward(own_trace, g[j]), strict=True):
+        for a, b in zip(grads, single.split(single.backward(own_trace, g[j])), strict=True):
             assert np.array_equal(a[j], b)
     stack.take([2])
     assert stack.dropout.tolist() == [0.5]
@@ -215,3 +216,75 @@ def test_take_keeps_the_points_it_names():
             part.take(points)
             assert np.array_equal(part.dropout, dropout[points])
             assert all(np.array_equal(a, b[points]) for a, b in zip(part.params(), stack.params()))
+
+
+def test_params_are_views_of_one_block_in_params_order():
+    shapes = ((5, 6), (6,), (6, 4), (4,), (4, 3), (3,))
+    single = build_model("mlp", Rng(0), 5, 3, hidden=(6, 4))
+    stack = build_model("mlp", [Rng(j) for j in range(3)], 5, 3, hidden=(6, 4), dropout=[0.0] * 3)
+    for model, grid in ((single, ()), (stack, (3,))):
+        params = model.params()
+        assert [p.shape for p in params] == [grid + s for s in shapes]
+        assert all(np.shares_memory(p, model.theta) for p in params)
+        def flat():
+            return np.concatenate([p.reshape(grid + (-1,)) for p in params], axis=-1)
+
+        assert np.array_equal(flat(), model.theta)
+        model.theta += 1.0  # an update in place reaches every view
+        assert np.array_equal(flat(), model.theta)
+
+
+def test_take_and_a_deep_copy_view_their_own_block():
+    stack = build_model("mlp", [Rng(j) for j in range(4)], 5, 3, hidden=(6,), dropout=[0.1] * 4)
+    before = stack.theta.copy()
+    twin = copy.deepcopy(stack)  # the best-epoch copy of `train_run`
+    part = copy.copy(stack)
+    part.take([1, 3])
+    for model in (twin, part):
+        assert not np.shares_memory(model.theta, stack.theta)
+        assert all(np.shares_memory(p, model.theta) for p in model.params())
+    twin.weights[0][...] = 7.0
+    part.biases[1][...] = -7.0
+    assert np.array_equal(stack.theta, before)
+    assert np.all(twin.theta[:, :30] == 7.0) and np.all(part.theta[:, -3:] == -7.0)
+    stack.theta[...] = 0.0
+    assert np.all(twin.weights[0] == 7.0) and np.all(part.biases[1] == -7.0)
+    view = copy.copy(twin)
+    view.take(slice(1, 3))  # a slice keeps a view of the block
+    view.theta[...] = 5.0
+    assert np.all(twin.theta[1:3] == 5.0) and np.all(twin.theta[[0, 3]] != 5.0)
+
+
+def _reference_grads(model, trace, grad_preact):
+    """The per-layer gradients as separate arrays: `x.T @ g` and the row sum
+    of g per layer, then g back through the weights, dropout and ReLU."""
+    grads = [None] * (2 * len(model.weights))
+    g = grad_preact
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads[2 * i] = np.swapaxes(trace.layer_inputs[i], -1, -2) @ g
+        grads[2 * i + 1] = g.sum(axis=-2)
+        if i > 0:
+            g = g @ np.swapaxes(model.weights[i], -1, -2)
+            if trace.drop_mults[i] is not None:
+                g = g * trace.drop_mults[i]
+            g = g * trace.relu_masks[i - 1]
+    return grads
+
+
+@pytest.mark.parametrize(
+    "points,d,hidden,k,n",
+    [(90, 8, (), 2, 64), (9, 784, (), 10, 64), (2, 784, (300, 100), 10, 64), (1, 36, (16,), 6, 9)],
+)
+def test_the_split_gradient_block_is_the_per_layer_gradients_bit_for_bit(points, d, hidden, k, n):
+    # The weight gradients are matmuls written into strided views of one
+    # block; they must hold a plain matmul's bits at any BLAS thread count.
+    dropout = [0.2 * (j % 2) for j in range(points)] if hidden else [0.0] * points
+    kind = "mlp" if hidden else "logreg"
+    stack = build_model(kind, [Rng(j) for j in range(points)], d, k, hidden=hidden, dropout=dropout)
+    x = Rng(50).normal(size=(points, n, d))
+    preact, trace = stack.forward(x, [Rng(60 + j) for j in range(points)] if hidden else None)
+    g = Rng(51).normal(size=preact.shape)
+    block = stack.backward(trace, g)
+    assert block.shape == stack.theta.shape
+    for a, b in zip(stack.split(block), _reference_grads(stack, trace, g), strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)

@@ -13,6 +13,7 @@ from expacc.numerics import (
     reduce_last,
     sigmoid,
     softmax_rows,
+    sum_rows,
 )
 
 finite_rows = arrays(
@@ -210,3 +211,60 @@ def test_short_axis_is_where_numpys_sum_stops_adding_in_order():
         a = np.random.default_rng(k).normal(size=(2000, k)) * 10.0 ** np.arange(k)
         same = in_order(a) == a.sum(axis=-1)
         assert same.all() if k < SHORT_AXIS else not same.all(), k
+
+
+def row_sum_values(points, n, k, seed):
+    """(points, n, k) values spread over 16 decades, with one column of -0.0
+    only, one of subnormals, one of +-1e308 (sums that overflow) and one
+    with `SPECIAL` values as `class_axis_values` places them."""
+    draw = np.random.default_rng(seed)
+    shape = (points, n)
+    g = draw.normal(size=shape + (k,)) * 10.0 ** draw.integers(-8, 8, size=shape + (k,))
+    special = [
+        np.full(shape, -0.0),
+        draw.normal(size=shape) * 1e-310,
+        draw.choice([1e308, -1e308], size=shape),
+        class_axis_values(shape, seed),
+    ]
+    for j, column in enumerate(special[:k]):
+        g[..., j] = column
+    return g
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 384])
+@pytest.mark.parametrize("points", [1, 90])
+def test_sum_rows_is_numpys_row_sum(k, n, points):
+    # NaNs compare as values: with numpy's SIMD loops turned off, k = 5..7
+    # can give a NaN of another payload.  A NaN gradient comes from a point
+    # whose loss is not finite, and that point leaves the stack before the
+    # Adam step, so no NaN payload reaches a parameter.
+    for seed in range(2):
+        g = row_sum_values(points, n, k, seed)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ours, numpys = sum_rows(g), g.sum(axis=-2)
+        nan = np.isnan(numpys)
+        assert ours.shape == numpys.shape and np.array_equal(np.isnan(ours), nan)
+        assert ours[~nan].tobytes() == numpys[~nan].tobytes()
+        assert ours[..., 0].tobytes() == np.zeros(points).tobytes()  # 0.0, not -0.0
+
+
+def test_sum_rows_leaves_one_column_long_rows_and_other_layouts_to_numpy():
+    class Spy(np.ndarray):
+        def sum(self, *args, **kwargs):
+            summed.append(self.shape)
+            return np.asarray(self).sum(*args, **kwargs)
+
+    summed = []
+    for k in range(1, 13):
+        sum_rows(np.ones((3, 5, k)).view(Spy))
+    assert [shape[-1] for shape in summed] == [1, *range(SHORT_AXIS, 13)]
+    summed.clear()
+    sum_rows(np.ones((3, 2, 5)).swapaxes(-1, -2).view(Spy))  # not C-ordered
+    sum_rows(np.ones((3, 0, 2)).view(Spy))  # no rows
+    assert summed == [(3, 5, 2), (3, 0, 2)]
+    # one column is summed pairwise, which the accumulate would not match
+    draw = np.random.default_rng(0)
+    g = draw.normal(size=(384, 1)) * 10.0 ** draw.integers(-8, 8, size=(384, 1))
+    assert (0.0 + np.add.accumulate(g, axis=-2)[-1]).tobytes() != g.sum(axis=-2).tobytes()
+    assert sum_rows(g).tobytes() == g.sum(axis=-2).tobytes()
