@@ -3,32 +3,24 @@
 `train_run` trains one stack: grid points, each a (fold, loss, lr, dropout)
 of one train size, along a leading axis of one network, stepped in lockstep
 with one forward pass, loss call, backward pass and Adam step per minibatch.
-It takes the one form `replicate` builds: a `Folds` of train `Rows` and one
-dev and one test `Rows` per fold.  Each point is a run of its own: a point
-that stops early or diverges leaves the stack, and each returns its own
-outcome, bit-identical to training it alone.
-
-`replicate` runs every (fold, loss) cell of a cross-validated comparison, for
-`expacc run` and `expacc gradnorms`, with the pairing guarantees the analysis
-needs: each fold's noisy labels are drawn once and shared by every loss and
-candidate, and every candidate of a cell trains from one initialization seed
-per (master seed, fold, loss).  It is the one place that picks a cell's
-result from its candidates' outcomes.  Every split is a `Rows`: rows of
-the pool, or of the external test set, that become float features only to
-be evaluated.  The points of equal-sized folds fill balanced stacks of up
-to `STACK_PARAMS` parameters; where that leaves a worker idle, they split into
-up to one stack per worker while each stack still gathers `STACK_PARAMS`
-floats per step.  Two or more stacks train side by side, one worker thread
-per usable core, with numpy's OpenBLAS pinned to one thread.
+Each point is a run of its own and returns its own outcome, bit-identical
+to training it alone.  `replicate` runs every (fold, loss) cell of a
+cross-validated comparison, for `expacc run` and `expacc gradnorms`, and is
+the one place that picks a cell's result from its candidates' outcomes.
+The README's "Replication semantics" sets out the pairing the analysis
+needs, the splits as `Rows`, how points fill stacks and split over idle
+cores, the evaluation groups, and the stacks training side by side.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import copy
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +57,16 @@ STACK_PARAMS = 2**17
 class TrainingDiverged(RuntimeError):
     """A training step produced a non-finite loss: the `error` of that
     point's `RunResult`."""
+
+
+class _Stopped(Exception):
+    """A stack stopped because a stack beside it failed or the run was
+    interrupted."""
+
+
+# The event that stops the stacks `_train_stacks` trains side by side; None
+# where a stack trains in the calling thread.
+_stop = contextvars.ContextVar("expacc_stop", default=None)
 
 
 def should_stop(epoch: int, best_epoch: int, cfg: TrainConfig) -> bool:
@@ -294,22 +296,12 @@ def train_run(
     `points` lists the stack's TrainConfigs, by default `[cfg]`.  They share
     `cfg.batch_size`; each brings its own loss, lr, dropout, seed and
     stopping rule.  `folds` numbers each point's fold (default: all 0) in
-    non-decreasing order.  Every split is a `Rows`: `train` is the `Folds`
-    of the stack's folds, and `dev` and `test` are sequences with one `Rows`
-    per fold.  Each point draws the random streams a run of its own from its
-    seed draws: one initialization and one dropout draw per layer per step.
-    Points with the same fold and seed share their one minibatch permutation
-    per epoch.  Per step each point gathers its rows of the pool through its
-    fold's row index (`take`: no split is copied whole, and only these rows
-    become float features), and one forward pass, `loss_grad_preact` call,
-    backward pass and Adam step serve all the points, each slice getting the
-    bits of its own run.  The stack's parameters are one block
-    (`Mlp.theta`, a row per point), so the Adam step, dropping a point and
-    keeping a point's best parameters each touch one array.  Dev and test
-    accuracy is measured by evaluation group (`_Evaluation`): small
-    consecutive folds copy their rows once per stack and evaluate their live
-    points in one forward, and a larger fold copies its rows for each
-    evaluation.
+    non-decreasing order.  `train` is the `Folds` of the stack's folds, and
+    `dev` and `test` hold one `Rows` per fold.  Returns a `StackResult`
+    with each point's `RunResult`, bit-identical to training that point
+    alone.  The README's "Replication semantics" describes the stack: its
+    random streams and minibatch orders, its one parameter block and its
+    evaluation groups.
 
     Stopping, per point: always at `max_epochs` when set; additionally once
     at least `min_epochs` have run and `patience` epochs have passed without
@@ -320,7 +312,10 @@ def train_run(
     A non-finite loss ends that point's run with a `TrainingDiverged` as its
     `error`, and the point leaves the stack; every other point trains on.
     A point that diverged before completing an epoch has no best epoch, and
-    its test accuracy is NaN.
+    its test accuracy is NaN.  Points of another batch size or out of fold
+    order raise ValueError, and an empty split EmptyDataError.  A stack
+    that `_train_stacks` trains beside others ends at its next step once
+    one of them fails or the run is interrupted.
     """
     points = [cfg] if points is None else list(points)
     fold_of = np.zeros(len(points), dtype=np.intp) if folds is None else np.asarray(folds)
@@ -345,6 +340,7 @@ def train_run(
         [Rng(p.seed).child(_DROPOUT) for p in points] if any(p.dropout for p in points) else None
     )
     opt = Adam([p.lr for p in points])
+    stop = _stop.get()
     coefs = np.array([p.loss.coefficients for p in points])  # each live point's loss
     evaluation = _Evaluation(fold_of, dev, test, pool.d)
 
@@ -369,6 +365,8 @@ def train_run(
         hit_sum = np.zeros(live.size)
         norm_sum = np.zeros(live.size)
         for batch_no, lo in enumerate(range(0, n, batch_size)):
+            if stop is not None and stop.is_set():
+                raise _Stopped
             rows = order[ol, lo : lo + batch_size]
             xb = pool.features(rows)
             yb = targets[ol, lo : lo + batch_size]
@@ -395,7 +393,7 @@ def train_run(
                 if not live.size:
                     break
                 parts = evaluation.parts(model, live)
-            opt.step([model.theta], [grad])
+            opt.step(model.theta, grad)
         if not live.size:
             break
 
@@ -492,9 +490,11 @@ def _train_stacks(jobs: list) -> list:
     setter is found they train one at a time.
 
     Each worker runs in a copy of the caller's context, so numpy's error
-    state holds there too.  An exception in a stack cancels the stacks not
-    yet started and, once the running ones end, propagates with its
-    traceback (the first in stack order).
+    state holds there too.  When the wait for the stacks ends in an
+    exception or an interrupt, the stacks not yet started are cancelled and
+    the running ones stop at their next step.  An interrupt then
+    propagates; otherwise the first exception in stack order, not counting
+    the stops, propagates with its traceback.
     """
     if len(jobs) < 2:
         return [train_run(*job) for job in jobs]
@@ -502,19 +502,25 @@ def _train_stacks(jobs: list) -> list:
         workers = min(len(jobs), _workers())
         if workers == 1:
             return [train_run(*job) for job in jobs]
-        import contextvars
         from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
+        stop = threading.Event()
         pool = ThreadPoolExecutor(workers, thread_name_prefix="expacc-stack")
         try:
-            futures = [
-                pool.submit(contextvars.copy_context().run, train_run, *job) for job in jobs
-            ]
+            futures = []
+            for job in jobs:
+                context = contextvars.copy_context()
+                context.run(_stop.set, stop)
+                futures.append(pool.submit(context.run, train_run, *job))
             wait(futures, return_when=FIRST_EXCEPTION)
         finally:
+            stop.set()  # every stack has ended, one has failed, or an interrupt came
             pool.shutdown(cancel_futures=True)
-        # the workers take stacks in order: a cancelled one follows every one that ran
-        return [f.result() for f in futures]
+        for future in futures:
+            error = None if future.cancelled() else future.exception()
+            if error is not None and not isinstance(error, _Stopped):
+                raise error
+        return [future.result() for future in futures]
 
 
 @dataclass
@@ -545,34 +551,24 @@ def replicate(
     hidden=DEFAULT_HIDDEN,
     max_folds: int | None = None,
 ):
-    """Run every fold of `plan` for every loss in `cfgs`.
+    """Run every fold of `plan` for every loss in `cfgs`: one `FoldOutcome`
+    per (fold, loss), fold by fold.
 
     `cfgs` is the non-empty list of candidate TrainConfigs, sharing one
     `batch_size`.  A cell is a (fold, loss name): its candidates are that
     loss's configs in list order (one `LossSpec` per name), and the losses
-    come in the order of their first config.  Every (fold, loss, candidate)
-    is one point; a cell's candidates train from its one run seed, and the
-    cell keeps the one with the best dev accuracy, ties going to the
-    earliest.
-    `noise_p` is the label-noise level of the training/development pool:
-    the corrupted labels are drawn per fold from the master seed, so every
-    loss of a fold sees the same ones.  A candidate that diverges fails its
-    cell, and bad data (an empty split) fails its fold's cells, each
-    reported as a `FoldOutcome` with the error and the settings of the
-    candidate that failed (the first to diverge, in candidate order), while
-    the remaining cells still run; any other exception is a bug and
-    propagates.  The points of folds with equal train sizes fill, in
-    (fold, loss, candidate) order, as few `train_run` stacks of up to
-    `STACK_PARAMS` parameters as hold them, of sizes differing by at most
-    one, and `_train_stacks` trains those stacks.  When that gives fewer
-    stacks than `_train_stacks` has workers (`_workers`), each train size's
-    points split, in the same order, into up to one stack per worker, again
-    of sizes differing by at most one, as long as each stack's per-step
-    gather (points x `batch_size` x features floats) is at least
-    `STACK_PARAMS`: on two cores, 9 MNIST logreg points (784 features,
-    batch 64) train as stacks of 5 and 4, and a pima grid's 90 points (8
-    features) stay one stack.  Split stacks train at one BLAS thread, as
-    every multi-stack run does.
+    come in the order of their first config.  A cell keeps the candidate
+    with the best dev accuracy, ties going to the earliest.  `noise_p` is
+    the label-noise level of the training/development pool, drawn per fold
+    from `master_seed`.  A candidate that diverges fails its cell, and bad
+    data (an empty split) fails its fold's cells, each reported as a
+    `FoldOutcome` with the error and the settings of the candidate that
+    failed (the first to diverge, in candidate order), while the remaining
+    cells still run; any other exception is a bug and propagates.  An empty
+    or malformed `cfgs` or a `noise_p` outside [0, 1] raises ValueError.
+    The README's "Replication semantics" describes the seeds and noisy
+    labels a fold's cells share, how the points fill `train_run` stacks and
+    split over idle workers, and how `_train_stacks` trains the stacks.
     """
     by_loss = {}  # loss name -> its candidates, in list order
     for cfg in cfgs:

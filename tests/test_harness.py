@@ -308,9 +308,9 @@ def test_stopped_points_leave_the_stack(monkeypatch):
     sizes = []
     step = expacc.optim.Adam.step
 
-    def recording(opt, params, grads):
-        sizes.append(params[0].shape[0])
-        return step(opt, params, grads)
+    def recording(opt, theta, grad):
+        sizes.append(theta.shape[0])
+        return step(opt, theta, grad)
 
     monkeypatch.setattr(expacc.optim.Adam, "step", recording)
     train, dev, test = blob_splits()

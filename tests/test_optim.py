@@ -10,7 +10,7 @@ from expacc.optim import Adam, minibatches
 def test_zero_gradient_leaves_params_unchanged():
     opt = Adam(lr=1e-3)
     p = np.array([1.0, -2.0, 3.0])
-    opt.step([p], [np.zeros(3)])
+    opt.step(p, np.zeros(3))
     assert np.array_equal(p, [1.0, -2.0, 3.0])
 
 
@@ -18,7 +18,7 @@ def test_first_step_magnitude_is_learning_rate():
     # bias correction makes the first update lr * g / (|g| + eps)
     opt = Adam(lr=1e-4)
     p = np.array([0.0])
-    opt.step([p], [np.array([0.5])])
+    opt.step(p, np.array([0.5]))
     assert p[0] == pytest.approx(-1e-4, rel=1e-6)
 
 
@@ -29,7 +29,7 @@ def test_trajectories_are_deterministic():
         opt = Adam(lr=0.01)
         p = np.arange(5, dtype=np.float64)
         for g in grads:
-            opt.step([p], [g])
+            opt.step(p, g)
         return p
 
     assert np.array_equal(run(), run())
@@ -39,16 +39,16 @@ def test_quadratic_convergence_smoke():
     opt = Adam(lr=0.01)
     theta = np.array([1.0])
     for _ in range(2000):
-        opt.step([theta], [2.0 * theta])
+        opt.step(theta, 2.0 * theta)
     assert abs(theta[0]) < 0.1
 
 
 def test_shape_mismatch_rejected():
     opt = Adam(lr=0.01)
     p = np.zeros(3)
-    opt.step([p], [np.zeros(3)])
+    opt.step(p, np.zeros(3))
     with pytest.raises(ValueError, match="shape"):
-        opt.step([p], [np.zeros(4)])
+        opt.step(p, np.zeros(4))
 
 
 def test_minibatch_examples():
@@ -88,23 +88,23 @@ def test_minibatch_partition_property(n, batch_size, seed):
 
 
 def test_per_point_rates_step_each_slice_as_its_own_adam():
+    # each row of a (points, P) block steps as a (P,) block of its own
     rng = np.random.default_rng(3)
     lrs = (1e-3, 0.0, 0.5)
-    stacked = [rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 2))]
-    alone = [[p[j].copy() for p in stacked] for j in range(3)]
+    stacked = rng.normal(size=(3, 10))
+    alone = [row.copy() for row in stacked]
     opt, opts = Adam(lrs), [Adam(lr) for lr in lrs]
     for _ in range(4):
-        grads = [rng.normal(size=p.shape) for p in stacked]
-        opt.step(stacked, grads)
-        for j, (params, single) in enumerate(zip(alone, opts)):
-            single.step(params, [g[j] for g in grads])
-    for j, params in enumerate(alone):
-        for p, own in zip(stacked, params):
-            assert np.array_equal(p[j], own)
+        grad = rng.normal(size=stacked.shape)
+        opt.step(stacked, grad)
+        for j, (theta, single) in enumerate(zip(alone, opts)):
+            single.step(theta, grad[j])
+    for j, theta in enumerate(alone):
+        assert np.array_equal(stacked[j], theta)
     # a point taken out of the stack keeps nobody else's state
     opt.take([0, 2])
-    assert opt.lr.tolist() == [1e-3, 0.5]
-    assert all(m.shape[0] == 2 for m in opt.m + opt.v)
+    assert opt.lr.tolist() == [[1e-3], [0.5]]
+    assert all(m.shape[0] == 2 for m in (opt.m, opt.v))
 
 
 def reference_adam(lrs, params, grad_steps, take_after, keep):
@@ -133,23 +133,28 @@ def reference_adam(lrs, params, grad_steps, take_after, keep):
 
 def test_in_place_step_is_bit_identical_to_the_allocating_expression():
     rng = np.random.default_rng(11)
-    lrs = [1e-3, 0.3, 2e-2, 0.0]
-    shapes = [(4, 6, 5), (4, 5), (4, 5, 3), (4, 3)]
-    start = [rng.normal(size=s) for s in shapes]
-    grad_steps = [[rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
-                  for _ in range(9)]
     keep = np.array([True, False, True, True])
-    want = reference_adam(lrs, [p.copy() for p in start], grad_steps, 4, keep)
+    for lrs, shape, take_after in (
+        # a stack whose second point leaves after step 4, and a zero-lr point
+        ([1e-3, 0.3, 2e-2, 0.0], (4, 53), 4),
+        # a single network's block under one rate
+        (0.3, (53,), None),
+    ):
+        start = rng.normal(size=shape)
+        grad_steps = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+                      for _ in range(9)]
+        last = len(grad_steps) if take_after is None else take_after
+        want, = reference_adam(lrs, [start.copy()], [[g] for g in grad_steps], last, keep)
 
-    params, opt = [p.copy() for p in start], Adam(lrs)
-    for t, grads in enumerate(grad_steps, start=1):
-        if t == 5:
-            # a point leaves the stack: the scratch buffers follow the new shapes
-            opt.take(keep)
-            params = [p[keep] for p in params]
-        if t >= 5:
-            grads = [g[keep] for g in grads]
-        opt.step(params, grads)
-    for p, w in zip(params, want, strict=True):
-        assert p.shape[0] == 3
-        assert np.array_equal(p, w)
+        theta, opt = start.copy(), Adam(lrs)
+        for t, grad in enumerate(grad_steps, start=1):
+            if t == last + 1:
+                # a point leaves the stack: the scratch buffers follow the new shape
+                opt.take(keep)
+                theta = theta[keep]
+            if t > last:
+                grad = grad[keep]
+            opt.step(theta, grad)
+        assert theta.shape == want.shape
+        assert take_after is None or theta.shape[0] == 3
+        assert np.array_equal(theta, want)

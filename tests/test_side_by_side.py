@@ -5,9 +5,11 @@ OpenBLAS pinned to one thread while they run; one stack trains in the
 calling thread at the BLAS default, unless it gathers enough floats per step
 to split over idle cores.  The stacks of these replications are
 recorded from worker threads, so no test here depends on the order in
-which they start.
+which they start.  A failing stack or an interrupt stops the running
+stacks at their next step.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -27,7 +29,7 @@ from expacc.data import SplitPlan, make_folds
 from expacc.harness import TrainConfig, replicate
 from expacc.losses import LossSpec
 from expacc.numerics import Rng
-from helpers import blobs, two_gaussians, write_idx_pair
+from helpers import blobs, one_fold, two_gaussians, write_idx_pair
 
 NEGLOG, EERR = LossSpec("neglog"), LossSpec("eerr")
 BLAS = expacc.harness._openblas_threads()
@@ -281,3 +283,90 @@ def test_a_multi_stack_run_is_the_same_at_one_and_two_blas_threads(tmp_path):
                        env=env, check=True, capture_output=True)
         manifests.append((where / "out" / "manifest.json").read_bytes())
     assert manifests[0] == manifests[1]
+
+
+def long_stacks(first: int = 1):
+    """`_train_stacks` jobs of two logreg stacks of 2,000 steps each, of
+    `first` and 1 points."""
+    ds = blobs(61, 96, d=4, k=2)
+    train, dev, test = one_fold(ds, np.arange(64), np.arange(64, 80), np.arange(80, 96))
+    cfg = TrainConfig(loss=NEGLOG, lr=1e-3, batch_size=16, max_epochs=500)
+    return [("logreg", train, dev, test, cfg, (), [cfg] * size) for size in (first, 1)]
+
+
+INTERRUPTED_RUN = """
+import json, os, signal, sys, threading
+import expacc.harness
+from test_side_by_side import long_stacks
+
+at = int(sys.argv[1])
+lock, steps = threading.Lock(), []
+loss = expacc.harness.loss_grad_preact
+
+
+def counting(*args):
+    with lock:
+        steps.append(None)
+        step = len(steps)
+    if step == at:
+        os.kill(os.getpid(), signal.SIGINT)
+    stop = expacc.harness._stop.get()
+    if at <= step <= at + 2 and stop is not None:
+        # a worker's step past the interrupt waits until the run has seen
+        # it, so the count does not depend on when the main thread runs
+        stop.wait(10)
+    return loss(*args)
+
+
+expacc.harness.loss_grad_preact = counting
+running = min(2, expacc.harness._workers())
+try:
+    expacc.harness._train_stacks(long_stacks())
+    print(json.dumps({"steps": len(steps), "interrupted": False, "running": running}))
+except KeyboardInterrupt:
+    print(json.dumps({"steps": len(steps), "interrupted": True, "running": running}))
+"""
+
+
+def test_an_interrupt_stops_every_running_stack_within_one_step():
+    # on one usable core the stacks train one at a time in the calling
+    # thread, on two side by side; either way the interrupt ends the run
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(expacc.__file__).parents[1]), str(here), os.environ.get("PYTHONPATH")])))
+    at = 20
+    out = subprocess.run([sys.executable, "-c", INTERRUPTED_RUN, str(at)], env=env,
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert result["interrupted"]
+    assert at <= result["steps"] <= at + result["running"]
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failing_stack_stops_its_long_sibling_within_one_step(monkeypatch, failing):
+    if failing == 1 and expacc.harness._workers() < 2:
+        pytest.skip("one worker trains the stacks one at a time, in stack order")
+    failed, after = threading.Event(), []
+    loss = expacc.harness.loss_grad_preact
+
+    def buggy(coefs, preact, targets):
+        if len(coefs) == 2:  # the failing stack, at its first step
+            failed.set()
+            raise TypeError("bug at the first step")
+        if failed.is_set():
+            after.append(None)
+            stop = expacc.harness._stop.get()
+            if len(after) == 1 and stop is not None:
+                # wait until the run has seen the failure, so the count does
+                # not depend on when the main thread runs
+                stop.wait(10)
+        return loss(coefs, preact, targets)
+
+    monkeypatch.setattr(expacc.harness, "loss_grad_preact", buggy)
+    jobs = long_stacks(first=2)
+    if failing == 1:
+        jobs.reverse()
+    with pytest.raises(TypeError, match="bug at the first step") as excinfo:
+        expacc.harness._train_stacks(jobs)
+    assert excinfo.traceback[-1].name == "buggy"
+    assert failed.is_set() and len(after) <= 1
