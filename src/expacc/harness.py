@@ -183,16 +183,11 @@ class _Evaluation:
     """Dev and test accuracy of a stack's points, one evaluation group at a
     time.
 
-    The groups are fixed when the stack starts.  Consecutive folds with
-    equal dev and equal test sizes join one group while its points x eval
-    rows (the larger of the two sizes) x features stay within
-    `STACK_PARAMS`.  A group of several folds copies each fold's dev and
-    test rows once, into one float array per split (test rows that are the
-    dev rows share dev's copy), and evaluates its live points in one
-    forward of (points, rows, features), each point's rows gathered from
-    its fold's block.  A group of one fold copies its rows for
-    each evaluation and shares them across the fold's points, so a large
-    fold holds no copy between evaluations.
+    The groups are fixed when the stack starts, from its folds' dev and
+    test sizes; the README's "Replication semantics" gives the rule and
+    what each group copies.  `parts` cuts the live points into their
+    groups, and `accuracy` gives each point's accuracy on its own fold's
+    dev or test rows, in the order of `parts`.
     """
 
     def __init__(self, fold_of, dev, test, d):

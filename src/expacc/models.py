@@ -155,17 +155,23 @@ class Mlp:
     def _drop_mult(shape, p, rngs):
         """Inverted-dropout multipliers for an (n, width) layer input: one
         uniform draw in [0, 1) per point's `Rng` (`random`, the bits of
-        `uniform(0.0, 1.0)` at less cost), compared with that point's keep
-        rate `1 - p`; a kept unit's multiplier is `1 / keep`, one division
-        per point, not one per draw."""
+        `uniform(0.0, 1.0)` at less cost), all drawn into one array that
+        becomes the multipliers in place: `1 / keep` where a draw is below
+        its point's keep rate `1 - p` (one division per point), else 0."""
         keep = 1.0 - np.asarray(p)[..., None, None]
-        u = np.stack([r.random(shape) for r in rngs])
-        return (u.reshape(np.shape(p) + shape) < keep) * (1.0 / keep)
+        u = np.empty(np.shape(p) + shape)
+        for r, draws in zip(rngs, u.reshape(-1, *shape)):
+            r.random(shape, out=draws)
+        np.less(u, keep, out=u)  # 1.0 where kept, 0.0 where dropped
+        u *= 1.0 / keep
+        return u
 
     def forward(self, x: np.ndarray, rng=None):
         """Pre-activations of `x` ((..., n, features): one batch for every
         point, or one per point) and the trace `backward` needs; `rng` (one
-        `Rng` per point, or one for a single network) turns dropout on."""
+        `Rng` per point, or one for a single network) turns dropout on.
+        A hidden layer applies ReLU and dropout in place, into the fresh
+        pre-activations of the layer before; `x` is never written."""
         h = np.asarray(x)
         if h.dtype.kind in "biu":
             # raw codes (IDX pixels) are not features: `Dataset.features` scales them
@@ -180,10 +186,10 @@ class Mlp:
             if i > 0:
                 mask = h > 0
                 relu_masks.append(mask)
-                h = h * mask
+                h *= mask
             mult = self._drop_mult(h.shape[-2:], self.dropout, rngs) if drop else None
             if mult is not None:
-                h = h * mult
+                h = np.multiply(h, mult, out=h if i > 0 else None)
             drop_mults.append(mult)
             layer_inputs.append(h)
             h = by_column(np.add, h @ w, b[..., None, :])
@@ -199,10 +205,10 @@ class Mlp:
             np.matmul(np.swapaxes(trace.layer_inputs[i], -1, -2), g, out=grads[2 * i])
             grads[2 * i + 1][...] = sum_rows(g)
             if i > 0:
-                g = g @ np.swapaxes(self.weights[i], -1, -2)
+                g = g @ np.swapaxes(self.weights[i], -1, -2)  # fresh: scaled in place
                 if trace.drop_mults[i] is not None:
-                    g = g * trace.drop_mults[i]
-                g = g * trace.relu_masks[i - 1]
+                    g *= trace.drop_mults[i]
+                g *= trace.relu_masks[i - 1]
         return block
 
 

@@ -288,3 +288,76 @@ def test_the_split_gradient_block_is_the_per_layer_gradients_bit_for_bit(points,
     assert block.shape == stack.theta.shape
     for a, b in zip(stack.split(block), _reference_grads(stack, trace, g), strict=True):
         assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def _reference_forward(model, x, rngs):
+    """The allocating forward: every ReLU, dropout and bias step makes a new
+    array, and the masks come from the points' stacked uniform draws."""
+    h, layer_inputs, relu_masks, drop_mults = x, [], [], []
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if i > 0:
+            relu_masks.append(h > 0)
+            h = h * relu_masks[-1]
+        mult = None
+        if rngs is not None:
+            keep = 1.0 - model.dropout[..., None, None]
+            u = np.stack([r.random(h.shape[-2:]) for r in rngs])
+            mult = (u.reshape(model.dropout.shape + h.shape[-2:]) < keep) * (1.0 / keep)
+            h = h * mult
+        drop_mults.append(mult)
+        layer_inputs.append(h)
+        h = h @ w + b[..., None, :]
+    return h, layer_inputs, relu_masks, drop_mults
+
+
+def _stacks_and_inputs():
+    """A dropout stack and a single network, each with a batch shared by
+    every point and with one batch per point."""
+    dropouts = (0.0, 0.2, 0.5)
+    stack = build_model("mlp", [Rng(s) for s in (1, 2, 3)], 5, 3, hidden=(40, 6), dropout=dropouts)
+    single = build_model("mlp", Rng(4), 5, 12, hidden=(7,), dropout=0.3)
+    for model, streams in ((stack, (5, 6, 7)), (single, (8,))):
+        for x in (Rng(9).normal(size=(11, 5)), Rng(10).normal(size=model.dropout.shape + (11, 5))):
+            yield model, x, streams
+
+
+def test_forward_writes_neither_its_input_nor_across_calls():
+    for model, x, streams in _stacks_and_inputs():
+        before = x.copy()
+        for rngs in (lambda: [Rng(s) for s in streams], lambda: None):
+            first, _ = model.forward(x, rngs())
+            second, _ = model.forward(x, rngs())
+            assert np.array_equal(x, before)
+            assert np.array_equal(first, second)
+
+
+def test_the_in_place_forward_is_the_allocating_forward_bit_for_bit():
+    for model, x, streams in _stacks_and_inputs():
+        for with_dropout in (True, False):
+            def rngs():
+                return [Rng(s) for s in streams] if with_dropout else None
+
+            want = _reference_forward(model, x, rngs())
+            preact, trace = model.forward(x, rngs())
+            got = (preact, trace.layer_inputs, trace.relu_masks, trace.drop_mults)
+            assert np.array_equal(got[0], want[0])
+            for a_list, b_list in zip(got[1:], want[1:], strict=True):
+                assert len(a_list) == len(b_list)
+                for a, b in zip(a_list, b_list):
+                    assert (a is None and b is None) or (
+                        a.dtype == b.dtype and np.array_equal(a, b)
+                    )
+
+
+def test_backward_leaves_the_trace_as_it_was():
+    for model, x, streams in _stacks_and_inputs():
+        preact, trace = model.forward(x, [Rng(s) for s in streams])
+        held = [[a.copy() for a in arrays] for arrays in (trace.relu_masks, trace.drop_mults)]
+        inputs = [a.copy() for a in trace.layer_inputs]
+        g = Rng(12).normal(size=preact.shape)
+        g_before = g.copy()
+        model.backward(trace, g)
+        for arrays, copies in zip((trace.relu_masks, trace.drop_mults, trace.layer_inputs),
+                                  (*held, inputs)):
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, copies, strict=True))
+        assert np.array_equal(g, g_before)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expacc.numerics import Rng
-from expacc.optim import Adam, minibatches
+from expacc.optim import _PIECE, Adam, minibatches
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -133,12 +135,17 @@ def reference_adam(lrs, params, grad_steps, take_after, keep):
 
 def test_in_place_step_is_bit_identical_to_the_allocating_expression():
     rng = np.random.default_rng(11)
-    keep = np.array([True, False, True, True])
-    for lrs, shape, take_after in (
+    for lrs, shape, take_after, keep in (
         # a stack whose second point leaves after step 4, and a zero-lr point
-        ([1e-3, 0.3, 2e-2, 0.0], (4, 53), 4),
+        ([1e-3, 0.3, 2e-2, 0.0], (4, 53), 4, [True, False, True, True]),
         # a single network's block under one rate
-        (0.3, (53,), None),
+        (0.3, (53,), None, None),
+        # wider than one piece: a single network's block in column ranges
+        (0.3, (2 * _PIECE + 17,), None, None),
+        # column ranges of each long row, a zero-lr point and a point leaving
+        ([1e-3, 0.3, 0.0], (3, 2 * _PIECE + 5), 4, [True, False, True]),
+        # whole rows per piece: the shape of a wide MNIST logreg stack
+        (np.geomspace(1e-4, 0.5, 20), (20, 7850), None, None),
     ):
         start = rng.normal(size=shape)
         grad_steps = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
@@ -149,12 +156,31 @@ def test_in_place_step_is_bit_identical_to_the_allocating_expression():
         theta, opt = start.copy(), Adam(lrs)
         for t, grad in enumerate(grad_steps, start=1):
             if t == last + 1:
-                # a point leaves the stack: the scratch buffers follow the new shape
+                # a point leaves the stack: the pieces follow the new shape
                 opt.take(keep)
                 theta = theta[keep]
             if t > last:
                 grad = grad[keep]
             opt.step(theta, grad)
         assert theta.shape == want.shape
-        assert take_after is None or theta.shape[0] == 3
+        assert take_after is None or theta.shape[0] == sum(keep)
         assert np.array_equal(theta, want)
+
+
+def test_a_step_in_pieces_holds_one_piece_of_scratch():
+    # a four-piece block: the moments are block-sized, the scratch pair one piece
+    theta, grad = np.zeros(4 * _PIECE), np.ones(4 * _PIECE)
+    opt = Adam(1e-3)
+    tracemalloc.start()
+    try:
+        opt.step(theta, grad)
+        held, first = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        opt.step(theta, grad)
+        _, later = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    piece_bytes = _PIECE * theta.itemsize
+    # the first step: the two moments and a scratch pair, and a little for Python objects
+    assert held <= first <= 2 * theta.nbytes + 2 * piece_bytes + piece_bytes // 4
+    assert later - held <= 2 * piece_bytes
