@@ -53,11 +53,11 @@ class Adam:
     with `lr` one rate per point (`TrainConfig` checks the rates), or a
     single network's `(P,)` parameters with one number as `lr`.  A step
     writes the moments, a scratch pair and the block in place, in 14 numpy
-    calls, so steps allocate no arrays.  A block of more than `_PIECE`
-    values steps one piece at a time, whole rows where a row fits in a
-    piece and column ranges of each row where it does not, with the same
-    calls on each piece; the scratch pair holds one piece.  Each element
-    sees the same operations either way, so the pieces change no bit.
+    calls, so steps allocate no arrays.  A block whose rows are longer than
+    `_PIECE` values steps one column range of each row at a time, with the
+    same calls on each piece and a scratch pair of one piece; any other
+    block is one piece.  Each element sees the same operations either way,
+    so the pieces change no bit.
     """
 
     def __init__(self, lr):
@@ -65,7 +65,7 @@ class Adam:
         self.t = 0
         self.m = None
         self.v = None
-        self._scratch = None  # two flat buffers of up to `_PIECE` values
+        self._scratch = None  # two flat buffers of the largest piece's size
         self._pieces = None  # per piece: its index and its (m, v, lr, a, b) views
 
     def take(self, points) -> None:
@@ -80,15 +80,12 @@ class Adam:
         """The pieces of the moments' block, each as its index into the
         block and its views of the state."""
         *rows, width = self.m.shape
-        if self.m.size <= _PIECE:
+        if width <= _PIECE:  # rows that fit in a piece: the whole block
             indexes = [(...,)]
-        elif width <= _PIECE:  # whole rows
-            k = _PIECE // width
-            indexes = [(slice(r, r + k), slice(None)) for r in range(0, rows[0], k)]
-        else:  # column ranges of each row
+        else:  # column ranges of each long row
             cols = [slice(lo, lo + _PIECE) for lo in range(0, width, _PIECE)]
             indexes = [(*r, c) for r in np.ndindex(*rows) for c in cols]
-        n = min(self.m.size, _PIECE)
+        n = self.m.size if len(indexes) == 1 else _PIECE
         if self._scratch is None or self._scratch[0].size < n:
             self._scratch = np.empty(n), np.empty(n)
         pieces = []
@@ -110,9 +107,6 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
-        if len(self._pieces) == 1:  # the block itself: no views to take
-            _update(theta, grad, *self._pieces[0][1], bc1, bc2)
-            return
         for index, state in self._pieces:
             _update(theta[index], grad[index], *state, bc1, bc2)
 

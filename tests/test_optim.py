@@ -144,7 +144,8 @@ def test_in_place_step_is_bit_identical_to_the_allocating_expression():
         (0.3, (2 * _PIECE + 17,), None, None),
         # column ranges of each long row, a zero-lr point and a point leaving
         ([1e-3, 0.3, 0.0], (3, 2 * _PIECE + 5), 4, [True, False, True]),
-        # whole rows per piece: the shape of a wide MNIST logreg stack
+        # rows that fit in a piece, more than a piece in all: one piece, the
+        # shape of a wide MNIST logreg stack
         (np.geomspace(1e-4, 0.5, 20), (20, 7850), None, None),
     ):
         start = rng.normal(size=shape)
