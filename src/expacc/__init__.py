@@ -6,6 +6,9 @@ replication machinery: cross-validated folds, early stopping, label-noise
 injection, gradient-norm diagnostics, and paired significance tests.
 """
 
+# first: importing numerics ends numpy's idle OpenBLAS workers, which
+# spin on another core through every import before it
+from .numerics import Rng, sigmoid, softmax_rows
 from .data import (
     Dataset,
     Folds,
@@ -41,7 +44,6 @@ from .losses import (
     loss_value,
 )
 from .models import LogisticRegression, Mlp, build_model, xavier_init
-from .numerics import Rng, sigmoid, softmax_rows
 from .optim import Adam, minibatches
 from .stats import ComparisonReport, paired_t_test, render_report, summarize, t_cdf
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import copy
-import functools
 import math
 import os
 import threading
@@ -28,7 +27,7 @@ import numpy as np
 from .data import DataError, Dataset, EmptyDataError, Folds, Rows, SplitPlan, inject_label_noise
 from .losses import KINDS, LossSpec, loss_grad_preact
 from .models import DEFAULT_HIDDEN, build_model
-from .numerics import Rng, argmax_last
+from .numerics import Rng, _end_blas_workers, _openblas_threads, argmax_last
 from .optim import Adam, minibatches
 
 __all__ = [
@@ -420,46 +419,26 @@ def train_run(
     ])
 
 
-# numpy's bundled OpenBLAS thread-count functions, by build
-_OPENBLAS_THREADS = (
-    "scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"
-)
-
-
-@functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS,
-    or None where there is none; looked up once."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for name in _OPENBLAS_THREADS:
-            get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-            if get is not None and set_ is not None:
-                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-                return get, set_
-    return None
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Pin numpy's OpenBLAS to one thread for the block and restore its
     count afterwards, also on error; pins nothing where no setter is
-    found."""
+    found.  Each count change starts OpenBLAS's workers, which would spin
+    idle, so both end them again (`numerics._end_blas_workers`): the block
+    runs and leaves with none."""
     found = _openblas_threads()
     if found is None:
         yield
         return
-    get, set_ = found
+    get, set_, _ = found
     before = get()
     set_(1)
+    _end_blas_workers()
     try:
         yield
     finally:
         set_(before)
+        _end_blas_workers()
 
 
 def _usable_cores() -> int:
@@ -481,8 +460,9 @@ def _train_stacks(jobs: list) -> list:
     thread count.  Two or more train with numpy's OpenBLAS pinned to one
     thread, side by side on one worker thread per usable core (at most one
     per stack; a stack is never split), so a matmul's bits depend on
-    neither the core count nor the BLAS thread count.  Where no OpenBLAS
-    setter is found they train one at a time.
+    neither the core count nor the BLAS thread count.  No OpenBLAS worker
+    runs while they train, nor after (`_one_blas_thread`).  Where no
+    OpenBLAS setter is found they train one at a time.
 
     Each worker runs in a copy of the caller's context, so numpy's error
     state holds there too.  When the wait for the stacks ends in an

@@ -15,12 +15,13 @@ __all__ = ["Adam", "minibatches"]
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
-# Elements of one Adam piece (512 KiB of float64, so a piece's six arrays
-# stay in a 2 MiB L2).  Whole `mlp_mnist_dropout` bench runs on a 2-vCPU x86
-# host, pieced against unpieced Adam (three pairs each, CHANGES.md), read
-# wall/CPU ratios of 1.18/1.08 at 2^13 elements, 1.02/0.97 at 2^14,
-# 0.95/0.93 at 2^15, 0.92/0.91 at 2^16 and 0.94/0.94 at 2^17: smaller
-# pieces pay more per-call overhead than the cache saves.
+# Elements of one Adam piece: 512 KiB per float64 array, 3 MiB for a
+# piece's six.  The size is the fastest of a sweep, not one derived from a
+# cache size: whole `mlp_mnist_dropout` bench runs on a 2-vCPU x86 host with
+# 2 MiB of L2 per core, pieced against unpieced Adam (three pairs each,
+# CHANGES.md), read wall/CPU ratios of 1.18/1.08 at 2^13 elements,
+# 1.02/0.97 at 2^14, 0.95/0.93 at 2^15, 0.92/0.91 at 2^16 and 0.94/0.94 at
+# 2^17: smaller pieces pay more per-call overhead than they save.
 _PIECE = 2**16
 
 

@@ -6,7 +6,9 @@ calling thread at the BLAS default, unless it gathers enough floats per step
 to split over idle cores.  The stacks of these replications are
 recorded from worker threads, so no test here depends on the order in
 which they start.  A failing stack or an interrupt stops the running
-stacks at their next step.
+stacks at their next step.  Importing expacc, and pinning OpenBLAS for the
+stacks and restoring it, each leave no idle OpenBLAS worker running; those
+tests count threads in a fresh process.
 """
 
 import json
@@ -25,6 +27,7 @@ import yaml
 
 import expacc
 import expacc.harness
+import expacc.numerics
 from expacc.data import SplitPlan, make_folds
 from expacc.harness import TrainConfig, replicate
 from expacc.losses import LossSpec
@@ -32,8 +35,13 @@ from expacc.numerics import Rng
 from helpers import blobs, one_fold, two_gaussians, write_idx_pair
 
 NEGLOG, EERR = LossSpec("neglog"), LossSpec("eerr")
-BLAS = expacc.harness._openblas_threads()
+BLAS = expacc.numerics._openblas_threads()
 needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy bundles no OpenBLAS thread setter")
+needs_idle_workers = pytest.mark.skipif(
+    BLAS is None or BLAS[2] is None or expacc.harness._usable_cores() < 2
+    or not os.path.isdir("/proc/self/task"),
+    reason="needs OpenBLAS's blas_thread_shutdown_, two usable cores and /proc/self/task",
+)
 
 
 def experiment():
@@ -73,12 +81,14 @@ def recording(monkeypatch, record):
 
 @pytest.fixture
 def blas_at_two():
-    """OpenBLAS at two threads for the test, then at its count before."""
-    get, set_ = BLAS
+    """OpenBLAS at two threads for the test, then at its count before with
+    no worker running."""
+    get, set_, _ = BLAS
     before = get()
     set_(2)
     yield get
     set_(before)
+    expacc.numerics._end_blas_workers()
 
 
 def test_stacks_side_by_side_give_the_outcomes_of_one_at_a_time(monkeypatch):
@@ -133,6 +143,84 @@ def test_a_single_stack_starts_no_thread_and_leaves_blas_alone(monkeypatch):
     assert all(o.ok for o in out)
     assert seen == [(8, before)]
     assert count() == before
+
+
+def in_a_fresh_process(code: str):
+    """The JSON on the last line `code` prints, run in a new interpreter at
+    OpenBLAS's default thread count; `threads()` counts the process's
+    threads there."""
+    here = Path(__file__).parent
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(expacc.__file__).parents[1]), str(here), os.environ.get("PYTHONPATH")]))
+    code = "import json, os\nthreads = lambda: len(os.listdir('/proc/self/task'))\n" + code
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+@needs_idle_workers
+def test_importing_expacc_ends_the_workers_numpy_starts():
+    alone, imported = in_a_fresh_process(
+        "import numpy\nalone = threads()\nimport expacc\nprint(json.dumps([alone, threads()]))"
+    )
+    assert alone > 1  # numpy's OpenBLAS started its workers
+    assert imported == 1
+
+
+@needs_idle_workers
+def test_a_product_after_the_import_has_numpys_bits_and_threads():
+    product = """
+import hashlib
+import numpy as np
+a = np.random.default_rng(0).standard_normal((512, 512))
+digest = hashlib.sha256((a @ a).tobytes()).hexdigest()
+print(json.dumps([digest, threads()]))
+"""
+    alone = in_a_fresh_process(product)
+    after_expacc = in_a_fresh_process("import expacc\n" + product)
+    # the product starts the ended workers again and runs on as many threads
+    assert alone[1] > 1
+    assert after_expacc == alone
+
+
+@needs_idle_workers
+def test_one_blas_thread_restores_the_count_and_leaves_no_worker():
+    before, inside, after, after_error = in_a_fresh_process("""
+import expacc.harness
+get = expacc.harness._openblas_threads()[0]
+before = get()
+with expacc.harness._one_blas_thread():
+    inside = [get(), threads()]
+after = [get(), threads()]
+try:
+    with expacc.harness._one_blas_thread():
+        raise KeyError
+except KeyError:
+    pass
+print(json.dumps([before, inside, after, [get(), threads()]]))
+""")
+    assert before > 1
+    assert inside == [1, 1]
+    assert after == after_error == [before, 1]
+
+
+@needs_idle_workers
+def test_a_two_stack_replication_leaves_no_worker():
+    before, left, after = in_a_fresh_process("""
+import expacc.harness
+from test_side_by_side import experiment
+get = expacc.harness._openblas_threads()[0]
+before = get()
+ds, plan, cfgs = experiment()
+expacc.harness.STACK_PARAMS = 1  # each point a stack of its own
+out = expacc.harness.replicate("mlp", ds, plan, cfgs[:2], master_seed=4, hidden=(6, 4), max_folds=1)
+assert len(out) == 1 and out[0].ok
+print(json.dumps([before, threads(), get()]))
+""")
+    assert left == 1
+    assert after == before
 
 
 def test_a_bug_in_one_stack_propagates_and_cancels_the_stacks_not_started(monkeypatch):
