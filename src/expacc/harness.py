@@ -456,13 +456,13 @@ def _workers() -> int:
 def _train_stacks(jobs: list) -> list:
     """`train_run(*job)` of every stack, in stack order.
 
-    A single stack trains in the calling thread at the BLAS default
-    thread count.  Two or more train with numpy's OpenBLAS pinned to one
-    thread, side by side on one worker thread per usable core (at most one
-    per stack; a stack is never split), so a matmul's bits depend on
-    neither the core count nor the BLAS thread count.  No OpenBLAS worker
-    runs while they train, nor after (`_one_blas_thread`).  Where no
-    OpenBLAS setter is found they train one at a time.
+    Every stack trains with numpy's OpenBLAS pinned to one thread, so a
+    matmul's bits depend on neither the core count nor the BLAS thread
+    count.  They train side by side on one worker thread per usable core
+    (at most one per stack; a stack is never split), or in the calling
+    thread where that is one worker.  No OpenBLAS worker runs while they
+    train, nor after (`_one_blas_thread`).  Where no OpenBLAS setter is
+    found they train one at a time, at the BLAS default.
 
     Each worker runs in a copy of the caller's context, so numpy's error
     state holds there too.  When the wait for the stacks ends in an
@@ -471,11 +471,9 @@ def _train_stacks(jobs: list) -> list:
     propagates; otherwise the first exception in stack order, not counting
     the stops, propagates with its traceback.
     """
-    if len(jobs) < 2:
-        return [train_run(*job) for job in jobs]
     with _one_blas_thread():
         workers = min(len(jobs), _workers())
-        if workers == 1:
+        if workers < 2:
             return [train_run(*job) for job in jobs]
         from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 

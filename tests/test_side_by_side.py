@@ -1,16 +1,17 @@
 """Stacks of one replication training side by side.
 
-Two or more stacks train on one worker thread per usable core, with numpy's
-OpenBLAS pinned to one thread while they run; one stack trains in the
-calling thread at the BLAS default, unless it gathers enough floats per step
-to split over idle cores.  The stacks of these replications are
-recorded from worker threads, so no test here depends on the order in
-which they start.  A failing stack or an interrupt stops the running
-stacks at their next step.  Importing expacc, and pinning OpenBLAS for the
-stacks and restoring it, each leave no idle OpenBLAS worker running; those
-tests count threads in a fresh process.
+Every stack trains with numpy's OpenBLAS pinned to one thread.  Two or
+more stacks train on one worker thread per usable core; one stack trains in
+the calling thread, unless it gathers enough floats per step to split over
+idle cores, and so do all stacks on one core.  The stacks of these
+replications are recorded from worker threads, so no test here depends on
+the order in which they start.  A failing stack or an interrupt stops the
+running stacks at their next step.  Importing expacc, and pinning OpenBLAS
+for the stacks and restoring it, each leave no idle OpenBLAS worker
+running; those tests count threads in a fresh process.
 """
 
+import contextlib
 import json
 import os
 import shutil
@@ -107,42 +108,46 @@ def test_stacks_side_by_side_give_the_outcomes_of_one_at_a_time(monkeypatch):
     assert one == run(monkeypatch, 2, budget=expacc.harness.STACK_PARAMS)
 
 
+def check_blas_pinned(monkeypatch, get, size, budget):
+    """Stacks of `size` points (at `budget`) on 1 and 2 cores, with and
+    without a bug in a stack: every stack sees one BLAS thread, a
+    one-worker run starts no thread, and the count of two is restored."""
+    seen = []
+
+    def record(points):
+        seen.append((len(points), get()))
+        if bug:
+            raise TypeError("bug in a stack")
+
+    def no_thread(self):
+        raise AssertionError("a one-worker run started a thread")
+
+    recording(monkeypatch, record)
+    for cpus in (1, 2):
+        for bug in (False, True):
+            seen.clear()
+            with monkeypatch.context() as patch:
+                if cpus == 1 or size == 8:
+                    patch.setattr(threading.Thread, "start", no_thread)
+                with (pytest.raises(TypeError, match="bug in a stack") if bug
+                      else contextlib.nullcontext()):
+                    run(monkeypatch, cpus, budget)
+            assert seen and set(seen) == {(size, 1)}
+            assert bug or len(seen) == 8 // size
+            assert get() == 2
+
+
 @needs_blas
 def test_blas_runs_on_one_thread_while_two_or_more_stacks_train(monkeypatch, blas_at_two):
-    get = blas_at_two
-    seen = []
-    recording(monkeypatch, lambda points: seen.append(get()))
-    for cpus in (1, 2):
-        seen.clear()
-        run(monkeypatch, cpus)
-        assert seen == [1] * 8
-        assert get() == 2
-
-    def buggy_train_run(*args):
-        seen.append(get())
-        raise TypeError("bug in a stack")
-
-    monkeypatch.setattr(expacc.harness, "train_run", buggy_train_run)
-    seen.clear()
-    with pytest.raises(TypeError, match="bug in a stack"):
-        run(monkeypatch, 2)
-    assert seen and set(seen) == {1}
-    assert get() == 2
+    # eight one-point stacks
+    check_blas_pinned(monkeypatch, blas_at_two, 1, 1)
 
 
-def test_a_single_stack_starts_no_thread_and_leaves_blas_alone(monkeypatch):
-    def no_thread(self):
-        raise AssertionError("a single stack started a thread")
-
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
-    count = (lambda: None) if BLAS is None else BLAS[0]
-    before = count()
-    seen = []
-    recording(monkeypatch, lambda points: seen.append((len(points), count())))
-    out = run(monkeypatch, 2, budget=expacc.harness.STACK_PARAMS)
-    assert all(o.ok for o in out)
-    assert seen == [(8, before)]
-    assert count() == before
+@needs_blas
+def test_a_single_stack_starts_no_thread_and_leaves_blas_alone(monkeypatch, blas_at_two):
+    # all eight points in one stack: it trains at one BLAS thread in the
+    # calling thread, and BLAS is back at its count before once it is done
+    check_blas_pinned(monkeypatch, blas_at_two, 8, expacc.harness.STACK_PARAMS)
 
 
 def in_a_fresh_process(code: str):
@@ -210,6 +215,7 @@ print(json.dumps([before, inside, after, [get(), threads()]]))
 def test_a_two_stack_replication_leaves_no_worker():
     before, left, after = in_a_fresh_process("""
 import expacc.harness
+import time
 from test_side_by_side import experiment
 get = expacc.harness._openblas_threads()[0]
 before = get()
@@ -217,6 +223,11 @@ ds, plan, cfgs = experiment()
 expacc.harness.STACK_PARAMS = 1  # each point a stack of its own
 out = expacc.harness.replicate("mlp", ds, plan, cfgs[:2], master_seed=4, hidden=(6, 4), max_folds=1)
 assert len(out) == 1 and out[0].ok
+# a joined pool thread is still listed until the system has ended it;
+# a worker left running stays listed past the wait
+end = time.monotonic() + 5
+while threads() > 1 and time.monotonic() < end:
+    time.sleep(0.01)
 print(json.dumps([before, threads(), get()]))
 """)
     assert left == 1
@@ -330,9 +341,9 @@ def test_without_a_blas_thread_setter_a_wide_stack_stays_whole(monkeypatch):
     assert sizes == [9]
 
 
-def write_wide_experiment(root: Path) -> None:
-    """An IDX pool and a config whose two losses train as two stacks of a
-    784-300-10 MLP at batch 64."""
+def write_wide_experiment(root: Path, losses: list) -> None:
+    """An IDX pool and a config whose `losses` train as one stack each of
+    a 784-300-10 MLP at batch 64."""
     root.mkdir()
     rng = Rng(3)
     n = 256
@@ -345,7 +356,7 @@ def write_wide_experiment(root: Path) -> None:
             "train_labels": "labels-idx1-ubyte",
         },
         "model": {"kind": "mlp", "hidden": [300]},
-        "losses": ["neglog", "eerr"],
+        "losses": losses,
         "train": {"lr": 1e-3, "batch_size": 64, "max_epochs": 1},
         "replication": {"scheme": "kfold", "folds": 2, "max_folds": 1},
         "seed": 3,
@@ -354,10 +365,11 @@ def write_wide_experiment(root: Path) -> None:
     (root / "config.yaml").write_text(yaml.safe_dump(config, sort_keys=True))
 
 
-def test_a_multi_stack_run_is_the_same_at_one_and_two_blas_threads(tmp_path):
+@pytest.mark.parametrize("losses", [["neglog"], ["neglog", "eerr"]], ids=["one_stack", "two_stacks"])
+def test_a_run_is_the_same_at_one_and_two_blas_threads(tmp_path, losses):
     # the 64x784 @ 784x300 product changes bits with OpenBLAS's thread
-    # count; pinned to one thread while the stacks train, it does not
-    write_wide_experiment(tmp_path / "wide")
+    # count; pinned to one thread while any stack trains, it does not
+    write_wide_experiment(tmp_path / "wide", losses)
     src = str(Path(expacc.__file__).parents[1])
     manifests = []
     for threads in ("1", "2"):
