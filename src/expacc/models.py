@@ -3,15 +3,18 @@
 One network class, `Mlp`: a ReLU feedforward network with inverted dropout
 on the input and on every hidden layer.  Logistic regression is that network
 with no hidden layers (`LogisticRegression`).  The surface: `theta` (every
-parameter in one block), `params()` (its per-layer views, optimizer order),
+parameter in the one block `Adam` steps), `split` (a block's per-layer
+views, in the order `theta`'s layout defines: W0, b0, W1, b1, ...),
 `forward` returning pre-activations plus a backprop trace, and `backward`
-turning a pre-activation gradient into a gradient block of `theta`'s layout,
-which `split` cuts into per-layer views.  Given a sequence of dropout rates,
-the network is a stack of networks with a leading grid axis on every
-parameter, which one forward and one backward pass train together; `theta`
-holds one row per point.  Each point has its own
-random streams: its own initialization draw and its own dropout draw per
-layer per step, so its slice holds the bits of a network of its own.
+turning a pre-activation gradient into a gradient block of `theta`'s layout.
+`params()`, `split`'s views of `theta`, stays for `perfbench/tracer.py`'s
+`_weights`, which calls it.
+
+Given a sequence of dropout rates, the network is a stack of networks with
+a leading grid axis on every parameter, which one forward and one backward
+pass train together; `theta` holds one row per point.  Each point has its
+own random streams: its own initialization draw and its own dropout draw
+per layer per step, so its slice holds the bits of a network of its own.
 `take` keeps some points of a stack.
 A layer of fewer than `numerics.SHORT_AXIS` units (a two-class output) adds
 its bias column by column (`numerics.by_column`) and sums its bias gradient
@@ -121,8 +124,8 @@ class Mlp:
         self.weights, self.biases = views[0::2], views[1::2]
 
     def split(self, block: np.ndarray) -> list:
-        """Views of a block of `theta`'s layout, one per parameter array in
-        `params()` order: W0, b0, W1, b1, ..."""
+        """Views of a block of `theta`'s layout, one per parameter array, in
+        the layout's order: W0, b0, W1, b1, ..."""
         lead = block.shape[:-1]
         return [block[..., lo:hi].reshape(*lead, *shape) for lo, hi, shape in self._layout]
 
@@ -142,7 +145,7 @@ class Mlp:
         return rngs
 
     def params(self):
-        """The per-layer views of `theta`: W0, b0, W1, b1, ..."""
+        """`split`'s views of `theta`: W0, b0, W1, b1, ..."""
         return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def take(self, points) -> None:

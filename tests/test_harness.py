@@ -1,25 +1,21 @@
 import math
 import os
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import expacc.harness
 import expacc.optim
 from expacc.data import Dataset, Folds, Rows, SplitPlan, make_folds
-from expacc.harness import (
-    FoldOutcome,
-    TrainConfig,
-    TrainingDiverged,
-    replicate,
-    should_stop,
-    train_run,
-)
+from expacc.harness import TrainConfig, TrainingDiverged, replicate, should_stop, train_run
 from expacc.losses import LossSpec, loss_grad_preact
 from expacc.models import build_model
 from expacc.numerics import Rng
 from helpers import blobs, one_fold, two_gaussians
+from reference import replicate as reference
 
 NEGLOG, EERR, LEERR = LossSpec("neglog"), LossSpec("eerr"), LossSpec("leerr")
 
@@ -61,14 +57,6 @@ def test_stopping_rule_examples():
     assert should_stop(35, 5, cfg)
 
 
-def test_min_epochs_patience_integration():
-    train, dev, test = small_splits()
-    cfg = TrainConfig(loss=NEGLOG, lr=0.0, batch_size=64, min_epochs=100, patience=15)
-    result = train_run("logreg", train, dev, test, cfg)
-    assert len(result.records) == 115
-    assert result.best_epoch == 1
-
-
 def test_lr_zero_freezes_every_metric():
     train, dev, test = small_splits(1)
     cfg = TrainConfig(loss=LEERR, lr=0.0, batch_size=32, max_epochs=8)
@@ -79,23 +67,6 @@ def test_lr_zero_freezes_every_metric():
         assert rec.train_acc == first.train_acc
         assert rec.train_loss == pytest.approx(first.train_loss, abs=1e-12)
         assert rec.grad_norm_mean == pytest.approx(first.grad_norm_mean, abs=1e-12)
-
-
-def test_same_seed_reproduces_run_exactly():
-    train, dev, test = small_splits(2)
-    cfg = TrainConfig(
-        loss=EERR, lr=1e-2, batch_size=16, max_epochs=12, patience=None, seed=9
-    )
-    a = train_run("logreg", train, dev, test, cfg)
-    b = train_run("logreg", train, dev, test, cfg)
-    assert a.best_epoch == b.best_epoch
-    assert a.runs[0].test_acc == b.runs[0].test_acc
-    for ra, rb in zip(a.records, b.records):
-        assert (ra.train_loss, ra.dev_acc, ra.grad_norm_mean) == (
-            rb.train_loss,
-            rb.dev_acc,
-            rb.grad_norm_mean,
-        )
 
 
 def test_best_epoch_attains_max_dev_accuracy_and_model_reproduces_it():
@@ -173,55 +144,74 @@ def grid(cfg, pairs):
     return [replace(cfg, lr=lr, dropout=dropout) for lr, dropout in pairs]
 
 
-@pytest.mark.parametrize(
-    "kind, points",
-    [
-        ("logreg", [(lr, 0.0) for lr in (1e-3, 3e-2, 0.3)]),
-        ("mlp", [(lr, dropout) for lr in (1e-3, 2e-2) for dropout in (0.0, 0.3)]),
-    ],
-)
-def test_each_stacked_point_is_bit_identical_to_its_own_run(kind, points):
-    train, dev, test = blob_splits()
-    cfg = TrainConfig(loss=LEERR, batch_size=16, max_epochs=25, patience=3, seed=8)
-    points = grid(cfg, points)
-    cell = train_run(kind, train, dev, test, cfg, (16, 8), points)
-    assert len(cell.runs) == len(points)
-    for point, run in zip(points, cell.runs):
-        alone = train_run(kind, train, dev, test, point, (16, 8)).runs[0]
-        assert run.records == alone.records
-        assert (run.best_epoch, run.test_acc) == (alone.best_epoch, alone.test_acc)
-    # the points stop on their own rule at different epochs
-    assert len({len(run.records) for run in cell.runs}) > 1
-    assert all(run.error is None for run in cell.runs)
+SCHEMES = {"kfold": {"k": 3}, "five_by_two": {}, "fixed": {"train_size": 16, "dev_size": 8}}
+RULE = st.tuples(  # max_epochs, min_epochs, patience
+    st.none() | st.integers(1, 6), st.integers(0, 4), st.none() | st.integers(1, 3)
+).filter(lambda rule: rule[0] or rule[2])
 
 
-@pytest.mark.parametrize(
-    "kind, pairs",
-    [
-        ("logreg", [(lr, 0.0) for lr in (1e-3, 3e-2, 0.3)]),
-        ("mlp", [(lr, dropout) for lr in (1e-3, 2e-2) for dropout in (0.0, 0.3)]),
-    ],
-)
-def test_every_slice_of_a_mixed_loss_stack_is_its_own_run(kind, pairs):
-    # three losses, each with its own seed, interleaved in point order: each
-    # (loss, point) slice gets the bits of its own one-point run
-    train, dev, test = blob_splits()
-    cfg = TrainConfig(loss=LEERR, batch_size=16, max_epochs=25, patience=3)
-    specs = (NEGLOG, EERR, LossSpec("leerr", 0.2))
-    points = [
-        replace(cfg, loss=spec, lr=lr, dropout=dropout, seed=10 + i)
-        for lr, dropout in pairs
-        for i, spec in enumerate(specs)
-    ]
-    stack = train_run(kind, train, dev, test, cfg, (16, 8), points)
-    assert len(stack.runs) == len(points)
-    for point, run in zip(points, stack.runs):
-        alone = train_run(kind, train, dev, test, point, (16, 8)).runs[0]
-        assert run.records == alone.records
-        assert (run.best_epoch, run.test_acc) == (alone.best_epoch, alone.test_acc)
-    assert len({len(run.records) for run in stack.runs}) > 1
-    assert stack.records == [r for run in stack.runs for r in run.records]
-    assert stack.best_epoch == sum(run.best_epoch for run in stack.runs)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.tuples(
+    st.sampled_from(["logreg", "mlp"]), st.sampled_from([(), (3,)]),  # kind, hidden
+    st.integers(2, 4), st.integers(2, 4), st.integers(24, 40),  # k, d, n
+    st.sampled_from([1.7e308, 1.0, 1.2e308]),  # scale: the largest feature, some products overflow
+    st.sampled_from(list(SCHEMES)), st.integers(1, 3),  # scheme, max_folds
+    st.lists(st.sampled_from([NEGLOG, EERR, LEERR, LossSpec("leerr", 0.3)]),
+             min_size=1, max_size=3, unique_by=lambda spec: spec.kind),  # losses
+    st.lists(st.sampled_from([1e-3, 3e-2, 0.3]), min_size=1, max_size=2, unique=True),  # lrs
+    st.lists(st.sampled_from([0.3, 0.0]), min_size=1, max_size=2, unique=True),  # dropouts
+    st.integers(3, 16),  # batch size
+    st.lists(RULE, min_size=2, max_size=2),  # each lr's stopping rule
+    st.sampled_from([0.0, 0.2]), st.booleans(),  # noise_p, external
+), st.just(""))  # the cases an example is written to reach
+# a divergence in a stack of eight points on two stopping rules that splits in two; groups of two
+@example(("logreg", (), 2, 2, 26, 1.7e308, "five_by_two", 2, [NEGLOG, EERR], [1e-3, 0.3],
+         [0.0], 9, [(4, 0, None), (None, 2, 1)], 0.2, False), "diverge group split side")
+# three folds in one evaluation group; the better lr stops on patience after min_epochs
+@example(("logreg", (), 3, 3, 36, 1.0, "kfold", 3, [NEGLOG, LEERR], [1e-3, 3e-2], [0.0], 7,
+         [(2, 0, None), (8, 4, 1)], 0.0, True), "group side")
+# two eight-point dropout stacks (train sizes 20 and 21) side by side, each lr on its own rule
+@example(("mlp", (3,), 3, 3, 31, 1.0, "kfold", 2, [EERR, NEGLOG], [3e-2, 0.3], [0.0, 0.3], 5,
+         [(4, 1, 2), (6, 0, None)], 0.2, False), "side")
+def test_every_replicate_cell_is_the_reference_run(params, covers):
+    # whole stacks on one core; on three, a stack per train size (budget `whole`) that splits;
+    # one-point stacks side by side on two: every cell is the plain reference's run
+    (kind, hidden, k, d, n, scale, scheme, max_folds, losses, lrs, dropouts, batch, rules,
+     noise_p, external) = params
+    if kind == "logreg":
+        hidden, dropouts = (), (0.0,)
+    ds = blobs(n, n + 8, d, k, spread=2.0)
+    x = ds.x * (scale / np.abs(ds.x).max())
+    pool = Dataset(x[:n], ds.labels[:n], k, "pool")
+    plan = make_folds(Rng(n), n, scheme, **SCHEMES[scheme])
+    trains = [train.size for train, _ in plan.folds[:max_folds]]
+    assume(any(size % batch for size in trains))  # a short last batch
+    cfgs = [TrainConfig(loss=spec, lr=lr, dropout=dropout, batch_size=batch, patience=patience,
+                        max_epochs=max_epochs, min_epochs=min(min_epochs, max_epochs or 9))
+            for spec in losses for lr, (max_epochs, min_epochs, patience) in zip(lrs, rules)
+            for dropout in dropouts]
+    keywords = dict(test=Dataset(x[n:], ds.labels[n:], k, "test") if external else None,
+                    master_seed=n, noise_p=noise_p, hidden=hidden, max_folds=max_folds)
+    whole = sum((m + 1) * w for m, w in zip([d, *hidden], [*hidden, k])) * len(cfgs) * len(trains)
+    held, ways = expacc.harness._Evaluation._held, []  # each way's stacks and multi-fold groups
+    with np.errstate(all="ignore"):
+        expected = reference(kind, pool, plan, cfgs, **keywords)
+        for cpus, budget in ((1, expacc.harness.STACK_PARAMS), (3, whole), (2, 1)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                patch.setattr(expacc.harness, "STACK_PARAMS", budget)
+                stacks, groups = recording_stacks(patch), []
+                patch.setattr(expacc.harness._Evaluation, "_held",
+                              lambda ev, folds: groups.append(folds) or held(ev, folds))
+                cells = replicate(kind, pool, plan, cfgs, **keywords)
+            assert [(c.loss, c.fold, c.lr, c.dropout, c.result and (
+                [astuple(r) for r in c.result.records], c.result.best_epoch, c.result.test_acc
+            ), c.error) for c in cells] == expected
+            ways.append((stacks, groups))
+    (packed, groups), (split, _), (side, _) = ways
+    reached = {"group": groups != [], "split": len(split) > len(packed), "side": len(side) > 1,
+               "diverge": any(len(r.runs) > 1 and any(p.error for p in r.runs) for _, r in packed)}
+    assert [case for case in covers.split() if not reached[case]] == []
 
 
 def test_a_diverging_loss_fails_only_its_own_cells():
@@ -249,49 +239,6 @@ def test_a_diverging_loss_fails_only_its_own_cells():
     assert (neglog.ok, neglog.lr, neglog.error) == (False, 0.5, alone[0.5].error)
     assert "epoch 2" in neglog.error
     assert eerr.ok and eerr == eerr_alone
-
-
-def test_packed_and_one_fold_evaluation_agree_bit_for_bit(monkeypatch):
-    # three folds of one stack: the default budget evaluates them as one
-    # group, each point on rows gathered from its fold's one copy; a budget
-    # of one parameter gives each fold its own group, which copies the fold's
-    # rows per evaluation.  One row near the float64 limit lies in fold 1's
-    # train rows only, and overflows neglog at lr 1 there
-    ds = two_gaussians(37, 120, 4, delta=2.0)
-    blocks = Rng(38).permutation(ds.n).reshape(3, 40)
-    ds.x[blocks[1, 0], 0] = 1e308
-    train = Folds([Rows(ds, b[:24]) for b in blocks])
-    dev, test = [Rows(ds, b[24:32]) for b in blocks], [Rows(ds, b[32:]) for b in blocks]
-    cfg = TrainConfig(loss=NEGLOG, batch_size=8, max_epochs=20, patience=3)
-    points = [
-        replace(cfg, loss=spec, lr=lr, seed=fold)
-        for fold in range(3)
-        for spec, lrs in ((NEGLOG, (0.1, 1.0)), (EERR, (1e-3, 3e-2)), (LEERR, (1e-2,)))
-        for lr in lrs
-    ]
-    folds = [fold for fold in range(3) for _ in range(5)]
-    copies = []
-    subset = Dataset.subset
-
-    def counting_subset(ds, indices):
-        copies.append(len(indices))
-        return subset(ds, indices)
-
-    monkeypatch.setattr(Dataset, "subset", counting_subset)
-    with np.errstate(all="ignore"):
-        packed = train_run("logreg", train, dev, test, cfg, points=points, folds=folds)
-        assert copies == [8] * 6  # each fold's dev and test rows, once
-        monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)
-        one_fold = train_run("logreg", train, dev, test, cfg, points=points, folds=folds)
-    assert len(copies) > 6 + 2 * 3
-    for run, alone in zip(packed.runs, one_fold.runs, strict=True):
-        assert run.records == alone.records
-        assert run.best_epoch == alone.best_epoch
-        assert np.array_equal(run.test_acc, alone.test_acc, equal_nan=True)
-        assert repr(run.error) == repr(alone.error)
-    # points stop at different epochs, and exactly one diverges
-    assert len({len(run.records) for run in packed.runs}) > 2
-    assert [j for j, run in enumerate(packed.runs) if run.error] == [6]
 
 
 def test_a_stack_takes_its_points_fold_by_fold():
@@ -325,14 +272,7 @@ def test_stopped_points_leave_the_stack(monkeypatch):
 
 
 def test_dev_accuracy_ties_go_to_the_earliest_point(monkeypatch):
-    stacks = []
-    train_run = expacc.harness.train_run
-
-    def recording(*args):
-        stacks.append(train_run(*args))
-        return stacks[-1]
-
-    monkeypatch.setattr(expacc.harness, "train_run", recording)
+    stacks = recording_stacks(monkeypatch)
     ds = two_gaussians(6, 120, 4, delta=2.0)
     plan = make_folds(Rng(7), ds.n, "fixed", train_size=60, dev_size=30)
     # lr 0 and a vanishing lr leave the model where it started: equal dev
@@ -340,7 +280,7 @@ def test_dev_accuracy_ties_go_to_the_earliest_point(monkeypatch):
     for lrs in ((0.0, 1e-12), (1e-12, 0.0)):
         cfgs = [TrainConfig(loss=EERR, lr=lr, batch_size=16, max_epochs=4) for lr in lrs]
         (cell,) = replicate("logreg", ds, plan, cfgs, master_seed=2)
-        first, second = stacks[-1].runs
+        first, second = stacks[-1][1].runs
         assert first.best_dev_acc == second.best_dev_acc
         assert first.records != second.records
         assert (cell.lr, cell.result) == (lrs[0], first)
@@ -445,8 +385,8 @@ def test_replicate_pairing_and_order_independence():
 
 
 def test_candidates_may_differ_in_their_stopping_rule(monkeypatch):
-    # a loss's candidates share a stack, each training to its own stop: every
-    # cell equals the cell of its candidates trained one point per stack
+    # a loss's candidates share a stack, each training to its own stop; a budget
+    # of six 10-parameter points on one core trains each fold's six as one stack
     ds = two_gaussians(44, 120, 4, delta=2.0)
     plan = make_folds(Rng(45), ds.n, "kfold", k=3)
     cfgs = [
@@ -456,12 +396,13 @@ def test_candidates_may_differ_in_their_stopping_rule(monkeypatch):
     ]
     stacks = recording_stacks(monkeypatch)
     packed = replicate("logreg", ds, plan, cfgs, master_seed=6)
-    assert [list(folds) for folds in stacks] == [[0] * 6 + [1] * 6 + [2] * 6]
-    monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)
-    alone = replicate("logreg", ds, plan, cfgs, master_seed=6)
-    assert len(stacks) == 1 + 18
+    assert [list(folds) for folds, _ in stacks] == [[0] * 6 + [1] * 6 + [2] * 6]
+    monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 6 * 10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    by_fold = replicate("logreg", ds, plan, cfgs, master_seed=6)
+    assert [list(folds) for folds, _ in stacks[1:]] == [[0] * 6] * 3
     assert all(o.ok for o in packed)
-    assert packed == alone
+    assert packed == by_fold
     assert len({len(o.result.records) for o in packed}) > 1
 
 
@@ -540,80 +481,40 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
 
 
 def test_replicate_tests_every_fold_on_one_rows_of_the_external_test_set(monkeypatch):
-    tests = []
-    train_run = expacc.harness.train_run
-
-    def recording(model_kind, train, dev, test, cfg, hidden, points, folds):
-        tests.extend(test)
-        return train_run(model_kind, train, dev, test, cfg, hidden, points, folds)
-
-    monkeypatch.setattr(expacc.harness, "train_run", recording)
+    tests, train_run = [], expacc.harness.train_run  # its args[3]: each fold's test rows
+    monkeypatch.setattr(expacc.harness, "train_run",
+                        lambda *args: tests.extend(args[3]) or train_run(*args))
+    copies, subset = [], Dataset.subset
+    monkeypatch.setattr(Dataset, "subset",
+                        lambda ds, index: copies.append(len(index)) or subset(ds, index))
     ds = two_gaussians(41, 120, 3, delta=2.0)
     test = two_gaussians(42, 50, 3, delta=2.0, name="test")
     plan = make_folds(Rng(43), ds.n, "kfold", k=3)
     cfgs = [TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=2)]
     out = replicate("logreg", ds, plan, cfgs, test=test, noise_p=0.2)
     assert all(o.ok for o in out) and len(tests) == 3
+    assert copies == [40] * 3 + [50] * 3  # one group: each fold's dev and test rows, once
     # the test set is wrapped once, whole and under its own clean labels
     assert all(t is tests[0] for t in tests)
     assert tests[0].ds is test and tests[0].labels is test.labels
     assert np.array_equal(tests[0].index, np.arange(test.n))
+    monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)  # a group per fold copies per evaluation
+    replicate("logreg", ds, plan, cfgs, test=test, noise_p=0.2)
+    assert len(copies) > 12
 
 
 def recording_stacks(monkeypatch):
-    """Patch `train_run` to record each stack's points' folds."""
+    """Patch `train_run` to record each stack's points' folds and its result."""
     stacks = []
     train_run = expacc.harness.train_run
 
     def recording(model_kind, train, dev, test, cfg, hidden, points, folds):
-        stacks.append(folds)
-        return train_run(model_kind, train, dev, test, cfg, hidden, points, folds)
+        result = train_run(model_kind, train, dev, test, cfg, hidden, points, folds)
+        stacks.append((folds, result))
+        return result
 
     monkeypatch.setattr(expacc.harness, "train_run", recording)
     return stacks
-
-
-@pytest.mark.parametrize("kind", ["logreg", "mlp"])
-def test_every_cell_of_a_packed_replication_is_its_own_fold_run(kind, monkeypatch):
-    # 121 rows in three folds: fold 0 trains 80 rows, folds 1 and 2 train 81,
-    # so the default budget packs folds 1 and 2 into one stack; a budget of
-    # one fold's points trains each fold alone, and a budget of one
-    # parameter trains each point alone
-    ds = blobs(35, 121, d=4, k=3, spread=2.0)
-    plan = make_folds(Rng(36), ds.n, "kfold", k=3)
-    assert [len(train) for train, _ in plan.folds] == [80, 81, 81]
-    dropouts = (0.0, 0.3) if kind == "mlp" else (0.0,)
-    cfgs = [
-        TrainConfig(loss=spec, lr=lr, dropout=dropout, batch_size=16, max_epochs=12, patience=2)
-        for spec in (NEGLOG, EERR, LEERR)
-        for lr in (1e-2, 0.1)
-        for dropout in dropouts
-    ]
-    per_fold = 3 * 2 * len(dropouts)
-    sizes = [4, 6, 4, 3] if kind == "mlp" else [4, 3]
-    per_point = sum((m + 1) * n for m, n in zip(sizes, sizes[1:]))
-
-    def run(budget):
-        with monkeypatch.context() as patch:
-            patch.setattr(expacc.harness, "STACK_PARAMS", budget)
-            # on one core no stack splits over idle workers, so the budget
-            # alone sets the stacks
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            stacks = recording_stacks(patch)
-            out = replicate(kind, ds, plan, cfgs, master_seed=8, noise_p=0.1, hidden=(6, 4))
-        return out, stacks
-
-    packed, stacks = run(expacc.harness.STACK_PARAMS)
-    # the stacks train side by side, so they are recorded in any order
-    assert sorted((list(s) for s in stacks), key=len) == [
-        [0] * per_fold, [0] * per_fold + [1] * per_fold
-    ]
-    by_fold, stacks = run(per_point * per_fold)
-    assert [list(s) for s in stacks] == [[0] * per_fold] * 3
-    alone, stacks = run(1)
-    assert len(stacks) == 3 * per_fold
-    assert all(o.ok for o in packed)
-    assert packed == by_fold == alone
 
 
 def test_a_diverging_point_fails_only_its_own_fold_cell(monkeypatch):
@@ -635,7 +536,7 @@ def test_a_diverging_point_fails_only_its_own_fold_cell(monkeypatch):
         packed = replicate("logreg", ds, plan, cfgs, master_seed=3)
         monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)
         alone = replicate("logreg", ds, plan, cfgs, master_seed=3)
-    assert list(stacks[0]) == [0] * 4 + [1] * 4 + [2] * 4
+    assert list(stacks[0][0]) == [0] * 4 + [1] * 4 + [2] * 4
     assert [(o.fold, o.loss, o.ok) for o in packed] == [
         (0, "neglog", True), (0, "eerr", True), (1, "neglog", False), (1, "eerr", True),
         (2, "neglog", True), (2, "eerr", True),

@@ -92,30 +92,16 @@ def blas_at_two():
     expacc.numerics._end_blas_workers()
 
 
-def test_stacks_side_by_side_give_the_outcomes_of_one_at_a_time(monkeypatch):
-    threads = []
-    recording(monkeypatch, lambda points: threads.append(threading.current_thread()))
-    one = run(monkeypatch, 1)
-    on_one, threads[:] = set(threads), []
-    two = run(monkeypatch, 2)
-    assert len(threads) == 8
-    assert on_one == {threading.main_thread()}
-    if BLAS is not None:
-        assert threading.main_thread() not in threads and len(set(threads)) <= 2
-    assert len(one) == 4 and all(o.ok for o in one)
-    assert one == two
-    # and the same bits as all eight points in one stack
-    assert one == run(monkeypatch, 2, budget=expacc.harness.STACK_PARAMS)
-
-
 def check_blas_pinned(monkeypatch, get, size, budget):
     """Stacks of `size` points (at `budget`) on 1 and 2 cores, with and
-    without a bug in a stack: every stack sees one BLAS thread, a
-    one-worker run starts no thread, and the count of two is restored."""
-    seen = []
+    without a bug in a stack: every stack sees one BLAS thread, one worker
+    trains in the main thread and starts no thread, two train on at most
+    two threads of their own, and the count of two is restored."""
+    seen, threads = [], []
 
     def record(points):
         seen.append((len(points), get()))
+        threads.append(threading.current_thread())
         if bug:
             raise TypeError("bug in a stack")
 
@@ -123,17 +109,20 @@ def check_blas_pinned(monkeypatch, get, size, budget):
         raise AssertionError("a one-worker run started a thread")
 
     recording(monkeypatch, record)
+    main = threading.main_thread()
     for cpus in (1, 2):
+        one = cpus == 1 or size == 8  # one worker: the stacks train in the calling thread
         for bug in (False, True):
-            seen.clear()
+            del seen[:], threads[:]
             with monkeypatch.context() as patch:
-                if cpus == 1 or size == 8:
+                if one:
                     patch.setattr(threading.Thread, "start", no_thread)
                 with (pytest.raises(TypeError, match="bug in a stack") if bug
                       else contextlib.nullcontext()):
                     run(monkeypatch, cpus, budget)
             assert seen and set(seen) == {(size, 1)}
             assert bug or len(seen) == 8 // size
+            assert set(threads) == {main} if one else main not in threads and len(set(threads)) <= 2
             assert get() == 2
 
 
@@ -144,7 +133,7 @@ def test_blas_runs_on_one_thread_while_two_or_more_stacks_train(monkeypatch, bla
 
 
 @needs_blas
-def test_a_single_stack_starts_no_thread_and_leaves_blas_alone(monkeypatch, blas_at_two):
+def test_a_single_stack_trains_at_one_blas_thread_in_the_calling_thread(monkeypatch, blas_at_two):
     # all eight points in one stack: it trains at one BLAS thread in the
     # calling thread, and BLAS is back at its count before once it is done
     check_blas_pinned(monkeypatch, blas_at_two, 8, expacc.harness.STACK_PARAMS)
