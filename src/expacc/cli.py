@@ -9,16 +9,16 @@ Subcommands:
 Configs are YAML with a fixed key schema (see `validate_config`, which also
 expands the `train` grids into one flat list of candidate `TrainConfig`s,
 the same for every loss, so the comparison is paired and every setting is
-checked before any data loads); paths may use environment variables and are
-resolved relative to the config file.  `run` and `gradnorms` share one
-path: load the config, its data and its fold plan, then `replicate`;
-`gradnorms` stops after the first fold.  Each subcommand renders all of its
-artifacts in memory, then `_publish` replaces the previous run in the
-output directory (the files an earlier manifest there lists) with them and
-a manifest recording the config hash, the seed, and the SHA-256 of each
-emitted file, so a rerun with the same seed can be checked byte-for-byte.
-The replacement is crash-safe: the directory holds no manifest, or one
-whose hashes all match, at every point.
+checked before any data loads); paths may use environment variables, and
+dataset paths resolve relative to the config file, `out_dir` against the
+working directory.  `run` and `gradnorms` share one path: load the config,
+its data and its fold plan, then `replicate`; `gradnorms` stops after the
+first fold.  Each subcommand renders all of its artifacts in memory, then
+`_publish` replaces the previous run in the output directory (the files an
+earlier manifest there lists) with them and a manifest recording the config
+hash, the seed, and the SHA-256 of each emitted file, so a rerun with the
+same seed can be checked byte-for-byte.  The replacement is crash-safe: the
+directory holds no manifest, or one whose hashes all match, at every point.
 """
 
 from __future__ import annotations

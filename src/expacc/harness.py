@@ -54,8 +54,8 @@ STACK_PARAMS = 2**17
 
 
 class TrainingDiverged(RuntimeError):
-    """A training step produced a non-finite loss: the `error` of that
-    point's `RunResult`."""
+    """A point's loss or Adam second moment went non-finite: the `error`
+    of that point's `RunResult`."""
 
 
 class _Stopped(Exception):
@@ -133,9 +133,9 @@ class EpochRecord:
 @dataclass
 class RunResult:
     """One point's run: its epochs, its best one and the test accuracy
-    there, and `error` when its loss went non-finite, after the epochs it
-    completed.  A run that diverged in its first epoch has no best epoch
-    (0) and a NaN test accuracy."""
+    there, and `error` when it diverged, after the epochs it completed.  A
+    run that diverged in its first epoch has no best epoch (0) and a NaN
+    test accuracy."""
 
     records: list
     best_epoch: int
@@ -300,16 +300,19 @@ def train_run(
     Stopping, per point: always at `max_epochs` when set; additionally once
     at least `min_epochs` have run and `patience` epochs have passed without
     a dev improvement (the patience window starts counting at
-    `min_epochs`).  Ties in dev accuracy keep the earliest epoch.  A point
-    that stops leaves the stack and is no longer stepped.
+    `min_epochs`).  Ties in dev accuracy keep the earliest epoch.
 
-    A non-finite loss ends that point's run with a `TrainingDiverged` as its
-    `error`, and the point leaves the stack; every other point trains on.
-    A point that diverged before completing an epoch has no best epoch, and
-    its test accuracy is NaN.  Points of another batch size or out of fold
-    order raise ValueError, and an empty split EmptyDataError.  A stack
-    that `_train_stacks` trains beside others ends at its next step once
-    one of them fails or the run is interrupted.
+    A point fails, with a `TrainingDiverged` as its `error`, at its first
+    batch with a non-finite loss, or else when its Adam second moment is
+    not all finite after an epoch's batches.  Its row rides along to the
+    epoch's end, which comes at once when every live point has failed.
+    Points leave the stack at one exit, after the batches: those that
+    failed in the epoch, keeping the epochs they completed, and those that
+    stop.  Every other point trains on.  A point that failed in its first
+    epoch has no best epoch, and its test accuracy is NaN.  Points of
+    another batch size or out of fold order raise ValueError, and an empty
+    split EmptyDataError.  A stack that `_train_stacks` trains beside others
+    ends at its next step once one of them fails or the run is interrupted.
     """
     points = [cfg] if points is None else list(points)
     fold_of = np.zeros(len(points), dtype=np.intp) if folds is None else np.asarray(folds)
@@ -355,9 +358,8 @@ def train_run(
             fold = train[keys[o][0]]
             order[o] = fold.index.take(np.concatenate(minibatches(batch_rngs[o], n, batch_size)))
             targets[o] = fold.labels.take(order[o])
-        loss_sum = np.zeros(live.size)
-        hit_sum = np.zeros(live.size)
-        norm_sum = np.zeros(live.size)
+        loss_sum, hit_sum, norm_sum = np.zeros((3, live.size))
+        ok = np.ones(live.size, dtype=bool)  # each live point: no failure yet this epoch
         for batch_no, lo in enumerate(range(0, n, batch_size)):
             if stop is not None and stop.is_set():
                 raise _Stopped
@@ -367,54 +369,51 @@ def train_run(
             drops = None if dropout_rngs is None else [dropout_rngs[j] for j in live]
             preact, trace = model.forward(xb, drops)
             batch = loss_grad_preact(coefs, preact, yb)
+            finite = np.isfinite(batch.mean_loss)
+            if not finite.all():
+                # a diverged point's row rides along, its own slice, to the exit
+                for j in live[ok & ~finite]:
+                    errors[j] = f"non-finite loss at epoch {epoch}, batch {batch_no}"
+                ok &= finite
+                if not ok.any():
+                    break
             grad = model.backward(trace, batch.grad_preact)
             loss_sum += batch.mean_loss * rows.shape[-1]
             hit_sum += (argmax_last(preact) == yb).sum(axis=-1)
             norm_sum += batch.per_instance_norms.sum(axis=-1)
-            keep = np.isfinite(batch.mean_loss)
-            if not keep.all():
-                for j in live[~keep]:
-                    errors[j] = TrainingDiverged(
-                        f"{points[j].loss.name}: non-finite loss at epoch {epoch}, "
-                        f"batch {batch_no}"
-                    )
-                live, ol, coefs, loss_sum, hit_sum, norm_sum = (
-                    a[keep] for a in (live, ol, coefs, loss_sum, hit_sum, norm_sum)
-                )
-                grad = grad[keep]
-                model.take(keep)
-                opt.take(keep)
-                if not live.size:
-                    break
-                parts = evaluation.parts(model, live)
             opt.step(model.theta, grad)
-        if not live.size:
-            break
+        if opt.v is not None:  # None until the first step
+            moment = np.isfinite(opt.v).all(axis=-1)
+            for j in live[ok & ~moment]:
+                errors[j] = f"non-finite Adam second moment at epoch {epoch}"
+            ok &= moment
 
+        # the one exit: failed points leave, and so do those that stop
         dev_acc = evaluation.accuracy(parts, 0)
-        improved = dev_acc > best_dev[live]
+        improved = ok & (dev_acc > best_dev[live])
         if improved.any():
             better = live[improved]
             best_dev[better] = dev_acc[improved]
             best_epoch[better] = epoch
             best.theta[better] = model.theta[improved]
-        columns = (loss_sum / n, hit_sum / n, dev_acc, norm_sum / n)
-        for point, *record in zip(live.tolist(), *(c.tolist() for c in columns)):
-            records[point].append(EpochRecord(epoch, *record))
-        stopped = np.array([
-            should_stop(epoch, at, points[point])
-            for point, at in zip(live.tolist(), best_epoch[live].tolist())
-        ])
-        if stopped.any():
-            live, coefs = live[~stopped], coefs[~stopped]
-            model.take(~stopped)
-            opt.take(~stopped)
+        columns = (ok, best_epoch[live], loss_sum / n, hit_sum / n, dev_acc, norm_sum / n)
+        leaves = []
+        for point, good, at, *record in zip(live.tolist(), *(c.tolist() for c in columns)):
+            if good:
+                records[point].append(EpochRecord(epoch, *record))
+            leaves.append(not good or should_stop(epoch, at, points[point]))
+        stays = ~np.array(leaves)
+        if not stays.all():
+            live, coefs = live[stays], coefs[stays]
+            model.take(stays)
+            opt.take(stays)
             if live.size:
                 parts = evaluation.parts(model, live)
 
     test_acc = evaluation.accuracy(evaluation.parts(best, np.arange(len(points))), 1).tolist()
     return StackResult([
-        RunResult(records[j], at, test_acc[j] if at else math.nan, errors[j])
+        RunResult(records[j], at, test_acc[j] if at else math.nan,
+                  errors[j] and TrainingDiverged(f"{points[j].loss.name}: {errors[j]}"))
         for j, at in enumerate(best_epoch.tolist())
     ])
 

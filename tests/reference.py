@@ -69,6 +69,8 @@ def train(cfg, seed, widths, train_split, dev, test):
                 m[...] = B1 * m + (1.0 - B1) * dw
                 v[...] = B2 * v + (1.0 - B2) * (dw * dw)
                 w -= cfg.lr * (m / (1.0 - B1**t)) / (np.sqrt(v / (1.0 - B2**t)) + EPS)
+        if not all(np.isfinite(v).all() for v in moments[len(params):]):
+            return f"{cfg.loss.kind}: non-finite Adam second moment at epoch {epoch}"
         dev_acc = (forward(params, dev[0])[0].argmax(1) == dev[1]).mean()
         records.append((epoch, *sums[:2] / labels.size, dev_acc, sums[2] / labels.size))
         if dev_acc > best_dev:  # ties keep the earliest epoch

@@ -609,7 +609,9 @@ def test_failed_cell_row_reports_the_candidate_that_failed(tmp_path, monkeypatch
     # not the TrainConfig default lr that no candidate trained with.  One
     # pool row near the float64 limit overflows the pre-activations once
     # training has moved the weights far enough: with these data the first
-    # point in candidate order to diverge is (lr 0.2, dropout 0.0)
+    # point in candidate order to fail is (lr 0.2, dropout 0.0) for eerr and
+    # leerr, and for neglog (lr 0.01, dropout 0.0), whose Adam second moment
+    # overflows first
     load = expacc.cli.load_datasets
 
     def one_huge_feature(cfg):
@@ -629,9 +631,11 @@ def test_failed_cell_row_reports_the_candidate_that_failed(tmp_path, monkeypatch
     with np.errstate(all="ignore"):
         rows = read_rows(Path(cmd_run(str(config))) / "runs.csv")[1:]
     assert len(rows) == 3
-    for row in rows:
-        assert (row[2], row[3]) == ("0.2", "0.0")
-        assert "non-finite loss" in row[-1]
+    assert [(row[0], row[2], row[3]) for row in rows] == [
+        ("neglog", "0.01", "0.0"), ("eerr", "0.2", "0.0"), ("leerr", "0.2", "0.0")
+    ]
+    assert rows[0][-1] == "neglog: non-finite Adam second moment at epoch 1"
+    assert all("non-finite loss" in row[-1] for row in rows[1:])
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -95,18 +95,38 @@ def test_divergence_aborts_with_location():
     assert isinstance(error, TrainingDiverged) and "epoch" in str(error)
 
 
-def test_a_run_that_diverged_in_its_first_epoch_has_no_accuracy():
+def test_a_run_that_diverged_in_its_first_epoch_has_no_accuracy(monkeypatch):
     # every train row overflows at lr 10, so the loss is non-finite in the
-    # first epoch: no epoch completed, no weights were kept, nothing to test
+    # first epoch: no epoch completed, no weights were kept, nothing to test.
+    # With no live point left, the epoch ends at its bad batch
+    calls, loss = [], expacc.harness.loss_grad_preact
+    monkeypatch.setattr(expacc.harness, "loss_grad_preact",
+                        lambda *args: calls.append(1) or loss(*args))
     train, dev, test = small_splits(5)
     train[0].ds.x[train[0].index, 0] = 1e308
     cfg = TrainConfig(loss=NEGLOG, lr=10.0, batch_size=8, max_epochs=5, seed=1)
     with np.errstate(all="ignore"):
         run = train_run("logreg", train, dev, test, cfg).runs[0]
-    assert "epoch 1," in str(run.error)
+    batch = int(str(run.error).rpartition("epoch 1, batch ")[2])
+    assert 0 < batch < train.n // cfg.batch_size - 1 and len(calls) == batch + 1
     assert run.records == [] and run.best_epoch == 0
     assert math.isnan(run.best_dev_acc)
     assert math.isnan(run.test_acc) and math.isnan(run.test_error)
+
+
+@pytest.mark.bits
+def test_an_overflowing_adam_second_moment_fails_the_cell():
+    # features near 1e300 keep the loss finite, but their squared gradients
+    # overflow Adam's second moment: every later step of those weights would
+    # be 0, and the cell would read ok with weights that never moved
+    ds = two_gaussians(5, 120, 4, delta=2.0)
+    ds.x *= 1e300
+    plan = make_folds(Rng(6), ds.n, "fixed", train_size=60, dev_size=30)
+    cfgs = [TrainConfig(loss=NEGLOG, lr=0.1, batch_size=8, max_epochs=8)]
+    with np.errstate(all="ignore"):
+        (cell,) = replicate("logreg", ds, plan, cfgs, master_seed=3)
+    assert (cell.ok, cell.result) == (False, None)
+    assert cell.error == "neglog: non-finite Adam second moment at epoch 1"
 
 
 def test_mlp_trains_on_blobs():
@@ -150,6 +170,7 @@ RULE = st.tuples(  # max_epochs, min_epochs, patience
 ).filter(lambda rule: rule[0] or rule[2])
 
 
+@pytest.mark.bits
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(st.tuples(
     st.sampled_from(["logreg", "mlp"]), st.sampled_from([(), (3,)]),  # kind, hidden
@@ -173,6 +194,9 @@ RULE = st.tuples(  # max_epochs, min_epochs, patience
 # two eight-point dropout stacks (train sizes 20 and 21) side by side, each lr on its own rule
 @example(("mlp", (3,), 3, 3, 31, 1.0, "kfold", 2, [EERR, NEGLOG], [3e-2, 0.3], [0.0, 0.3], 5,
          [(4, 1, 2), (6, 0, None)], 0.2, False), "side")
+# features near 1e300 overflow neglog's squared gradients in Adam's second moment, not its loss
+@example(("logreg", (), 2, 4, 24, 1e300, "fixed", 1, [NEGLOG, EERR], [0.1, 1e-3], [0.0], 5,
+         [(8, 0, None), (8, 0, None)], 0.0, False), "moment diverge")
 def test_every_replicate_cell_is_the_reference_run(params, covers):
     # whole stacks on one core; on three, a stack per train size (budget `whole`) that splits;
     # one-point stacks side by side on two: every cell is the plain reference's run
@@ -210,14 +234,16 @@ def test_every_replicate_cell_is_the_reference_run(params, covers):
             ways.append((stacks, groups))
     (packed, groups), (split, _), (side, _) = ways
     reached = {"group": groups != [], "split": len(split) > len(packed), "side": len(side) > 1,
-               "diverge": any(len(r.runs) > 1 and any(p.error for p in r.runs) for _, r in packed)}
+               "diverge": any(len(r.runs) > 1 and any(p.error for p in r.runs) for _, r in packed),
+               "moment": any("second moment" in (cell[-1] or "") for cell in expected)}
     assert [case for case in covers.split() if not reached[case]] == []
 
 
 def test_a_diverging_loss_fails_only_its_own_cells():
-    # neglog at lr 1.0 diverges first, at epoch 1, but lr 0.5 comes before
-    # it in candidate order and diverges at epoch 2; eerr trains on as if
-    # alone, and the neglog row names lr 0.5 with the error of its own run
+    # neglog's loss at lr 1.0 goes non-finite at epoch 1, but lr 0.1 comes
+    # first in candidate order and overflows its Adam second moment there;
+    # eerr trains on as if alone, and the neglog row names lr 0.1 with the
+    # error of its own run
     ds = two_gaussians(5, 120, 4, delta=2.0)
     plan = make_folds(Rng(6), ds.n, "fixed", train_size=60, dev_size=30)
     ds.x[plan.folds[0][0][0], 0] = 1e308  # overflows once lr moves the weights far enough
@@ -233,11 +259,11 @@ def test_a_diverging_loss_fails_only_its_own_cells():
         eerr_alone = replicate("logreg", ds, plan, cfgs(EERR, (1e-3, 1e-2)), master_seed=3)[0]
         alone = {
             lr: replicate("logreg", ds, plan, cfgs(NEGLOG, (lr,)), master_seed=3)[0]
-            for lr in (0.5, 1.0)
+            for lr in (0.1, 1.0)
         }
     assert alone[1.0].error == "neglog: non-finite loss at epoch 1, batch 3"
-    assert (neglog.ok, neglog.lr, neglog.error) == (False, 0.5, alone[0.5].error)
-    assert "epoch 2" in neglog.error
+    assert (neglog.ok, neglog.lr, neglog.error) == (False, 0.1, alone[0.1].error)
+    assert neglog.error == "neglog: non-finite Adam second moment at epoch 1"
     assert eerr.ok and eerr == eerr_alone
 
 
@@ -307,23 +333,27 @@ def test_divergence_fails_the_cell_with_the_first_point_in_candidate_order():
 
 
 @pytest.mark.parametrize(
-    "kind, splits, big, batch_size, settings, diverged",
+    "kind, splits, big, batch_size, settings, failures",
     [
-        # logreg: lr 1.0 diverges in epoch 1
+        # logreg: lr 1.0's loss goes non-finite in epoch 1, and lr 3e-2's
+        # second moment overflows; lr 0.1 trains on past both
         ("logreg", lambda: small_splits(5), 1e308, 8,
-         [(1.0, 0.0, 1), (0.1, 0.0, 1), (3e-2, 0.0, 1)], "epoch 1, batch 6"),
-        # mlp: lr 1.0 with dropout diverges in epoch 2; the later points, the
-        # last of another cell (seed), keep drawing their own dropout masks
+         [(1.0, 0.0, 1), (0.1, 0.0, 1), (3e-2, 0.0, 1)],
+         ["loss at epoch 1, batch 6", None, "Adam second moment at epoch 1"]),
+        # mlp: lr 1.0 with dropout diverges in epoch 2, beside lr 0.3, whose
+        # second moment overflows in that epoch; the lr 1e-2 points, the last
+        # of another cell (seed), overflow theirs in epoch 1
         ("mlp", blob_splits, 1e306, 16,
          [(1.0, 0.3, 8), (0.3, 0.3, 8), (1e-2, 0.0, 8), (1e-2, 0.3, 8), (1e-2, 0.3, 9)],
-         "epoch 2, batch 6"),
+         ["loss at epoch 2, batch 6", "Adam second moment at epoch 2",
+          *["Adam second moment at epoch 1"] * 3]),
     ],
 )
 def test_a_diverged_point_leaves_the_later_points_of_its_cell_training(
-    kind, splits, big, batch_size, settings, diverged
+    kind, splits, big, batch_size, settings, failures
 ):
-    # the first point diverges, and the others train on to their own stop,
-    # each with the bits of its own run
+    # the first point diverges, and the others train on to their own stop or
+    # failure, each with the epochs, error and bits of its own run
     train, dev, test = splits()
     train[0].ds.x[train[0].index[0], 0] = big  # overflows once lr moves the weights far enough
     cfg = TrainConfig(loss=NEGLOG, batch_size=batch_size, max_epochs=12, patience=3)
@@ -331,11 +361,13 @@ def test_a_diverged_point_leaves_the_later_points_of_its_cell_training(
     with np.errstate(all="ignore"):
         alone = [train_run(kind, train, dev, test, point, (16, 8)).runs[0] for point in points]
         runs = train_run(kind, train, dev, test, cfg, (16, 8), points).runs
-    assert str(runs[0].error) == str(alone[0].error) == f"neglog: non-finite loss at {diverged}"
-    assert runs[0].records == alone[0].records
-    assert all(run.error is None for run in runs[1:])
-    assert runs[1:] == alone[1:]
-    assert max(len(run.records) for run in runs[1:]) > len(runs[0].records) + 1
+    assert [run.error and str(run.error) for run in alone] == [
+        failure and f"neglog: non-finite {failure}" for failure in failures
+    ]
+    assert [(run.records, str(run.error)) for run in runs] == [
+        (run.records, str(run.error)) for run in alone
+    ]
+    assert [run for run in runs if not run.error] == [run for run in alone if not run.error]
 
 
 def test_grad_norm_ordering_and_scale_at_init():
@@ -519,7 +551,8 @@ def recording_stacks(monkeypatch):
 
 def test_a_diverging_point_fails_only_its_own_fold_cell(monkeypatch):
     # three folds of equal train size in one stack; one row near the float64
-    # limit lies in fold 1's train split only, and overflows neglog at lr 1
+    # limit lies in fold 1's train split only, and overflows neglog's loss at
+    # lr 1 and its Adam second moment at lr 0.1
     ds = two_gaussians(37, 120, 4, delta=2.0)
     perm = Rng(38).permutation(ds.n)
     folds = [(perm[40 * i : 40 * i + 30], perm[40 * i + 30 : 40 * i + 40]) for i in range(3)]
@@ -541,7 +574,8 @@ def test_a_diverging_point_fails_only_its_own_fold_cell(monkeypatch):
         (0, "neglog", True), (0, "eerr", True), (1, "neglog", False), (1, "eerr", True),
         (2, "neglog", True), (2, "eerr", True),
     ]
-    assert packed[2].lr == 1.0 and "non-finite loss" in packed[2].error
+    assert packed[2].lr == 0.1
+    assert packed[2].error == "neglog: non-finite Adam second moment at epoch 1"
     assert packed == alone
     # the folds without the row keep the bits of the run without it
     assert [o for o in packed if o.fold != 1] == [o for o in clean if o.fold != 1]

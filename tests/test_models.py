@@ -271,6 +271,7 @@ def _reference_grads(model, trace, grad_preact):
     return grads
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize(
     "points,d,hidden,k,n",
     [(90, 8, (), 2, 64), (9, 784, (), 10, 64), (2, 784, (300, 100), 10, 64), (1, 36, (16,), 6, 9)],
@@ -321,6 +322,7 @@ def _stacks_and_inputs():
             yield model, x, streams
 
 
+@pytest.mark.bits
 def test_forward_writes_neither_its_input_nor_across_calls():
     for model, x, streams in _stacks_and_inputs():
         before = x.copy()
@@ -331,6 +333,7 @@ def test_forward_writes_neither_its_input_nor_across_calls():
             assert np.array_equal(first, second)
 
 
+@pytest.mark.bits
 def test_the_in_place_forward_is_the_allocating_forward_bit_for_bit():
     for model, x, streams in _stacks_and_inputs():
         for with_dropout in (True, False):
@@ -349,6 +352,7 @@ def test_the_in_place_forward_is_the_allocating_forward_bit_for_bit():
                     )
 
 
+@pytest.mark.bits
 def test_backward_leaves_the_trace_as_it_was():
     for model, x, streams in _stacks_and_inputs():
         preact, trace = model.forward(x, [Rng(s) for s in streams])

@@ -133,6 +133,7 @@ def reference_adam(lrs, params, grad_steps, take_after, keep):
     return params
 
 
+@pytest.mark.bits
 def test_in_place_step_is_bit_identical_to_the_allocating_expression():
     rng = np.random.default_rng(11)
     for lrs, shape, take_after, keep in (
@@ -168,6 +169,7 @@ def test_in_place_step_is_bit_identical_to_the_allocating_expression():
         assert np.array_equal(theta, want)
 
 
+@pytest.mark.bits
 def test_a_step_in_pieces_holds_one_piece_of_scratch():
     # a four-piece block: the moments are block-sized, the scratch pair one piece
     theta, grad = np.zeros(4 * _PIECE), np.ones(4 * _PIECE)

@@ -27,6 +27,8 @@ import yaml
 from expacc.cli import main
 from expacc.numerics import Rng
 
+pytestmark = pytest.mark.bits
+
 CONFIGS = {
     "logreg": {
         "model": {"kind": "logreg"},

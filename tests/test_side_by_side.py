@@ -251,7 +251,8 @@ def test_a_bug_in_one_stack_propagates_and_cancels_the_stacks_not_started(monkey
 
 def test_a_diverging_stack_fails_only_its_own_cell(monkeypatch):
     # one row near the float64 limit in fold 1's train split overflows
-    # neglog at lr 1; each point trains as its own stack, side by side
+    # neglog's loss at lr 1 and its Adam second moment at lr 0.1, which comes
+    # first in candidate order; each point trains as its own stack, side by side
     ds = two_gaussians(37, 120, 4, delta=2.0)
     perm = Rng(38).permutation(ds.n)
     plan = SplitPlan([(perm[40 * i : 40 * i + 30], perm[40 * i + 30 : 40 * i + 40]) for i in range(3)])
@@ -270,7 +271,8 @@ def test_a_diverging_stack_fails_only_its_own_cell(monkeypatch):
         monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)
         alone = replicate("logreg", ds, plan, cfgs, master_seed=3)
     assert [(o.fold, o.loss) for o in alone if not o.ok] == [(1, "neglog")]
-    assert "non-finite loss" in alone[2].error
+    assert alone[2].lr == 0.1
+    assert alone[2].error == "neglog: non-finite Adam second moment at epoch 1"
     assert alone == packed
 
 
@@ -417,6 +419,7 @@ except KeyboardInterrupt:
 """
 
 
+@pytest.mark.bits
 def test_an_interrupt_stops_every_running_stack_within_one_step():
     # on one usable core the stacks train one at a time in the calling
     # thread, on two side by side; either way the interrupt ends the run
@@ -431,6 +434,7 @@ def test_an_interrupt_stops_every_running_stack_within_one_step():
     assert at <= result["steps"] <= at + result["running"]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("failing", [0, 1])
 def test_a_failing_stack_stops_its_long_sibling_within_one_step(monkeypatch, failing):
     if failing == 1 and expacc.harness._workers() < 2:
