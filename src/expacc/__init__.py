@@ -27,7 +27,6 @@ from .harness import (
     RunResult,
     StackResult,
     TrainConfig,
-    TrainingDiverged,
     accuracy,
     replicate,
     train_run,
@@ -69,7 +68,6 @@ __all__ = [
     "SplitPlan",
     "StackResult",
     "TrainConfig",
-    "TrainingDiverged",
     "UciSchema",
     "accuracy",
     "bayes_optimal",

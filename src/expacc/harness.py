@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, EmptyDataError, Folds, Rows, SplitPlan, inject_label_noise
+from .data import (CountMismatchError, DataError, Dataset, EmptyDataError, Folds, Rows,
+                   SplitPlan, inject_label_noise)
 from .losses import KINDS, LossSpec, loss_grad_preact
 from .models import DEFAULT_HIDDEN, build_model
 from .numerics import Rng, _end_blas_workers, _openblas_threads, argmax_last
@@ -36,7 +37,6 @@ __all__ = [
     "RunResult",
     "StackResult",
     "TrainConfig",
-    "TrainingDiverged",
     "accuracy",
     "replicate",
     "should_stop",
@@ -51,11 +51,6 @@ _NOISE_KEY, _RUN_KEY, _PLAN_KEY = 0, 1, 2
 # point trains alone), the fewest floats a stack split over idle workers
 # gathers per step, and the eval rows x features of an evaluation group.
 STACK_PARAMS = 2**17
-
-
-class TrainingDiverged(RuntimeError):
-    """A point's loss or Adam second moment went non-finite: the `error`
-    of that point's `RunResult`."""
 
 
 class _Stopped(Exception):
@@ -133,14 +128,14 @@ class EpochRecord:
 @dataclass
 class RunResult:
     """One point's run: its epochs, its best one and the test accuracy
-    there, and `error` when it diverged, after the epochs it completed.  A
-    run that diverged in its first epoch has no best epoch (0) and a NaN
-    test accuracy."""
+    there, and `error`, the message of its failure, when it failed after
+    the epochs it completed.  A run that failed in its first epoch has no
+    best epoch (0) and a NaN test accuracy."""
 
     records: list
     best_epoch: int
     test_acc: float
-    error: TrainingDiverged | None = None
+    error: str | None = None
 
     @property
     def test_error(self) -> float:
@@ -302,10 +297,10 @@ def train_run(
     a dev improvement (the patience window starts counting at
     `min_epochs`).  Ties in dev accuracy keep the earliest epoch.
 
-    A point fails, with a `TrainingDiverged` as its `error`, at its first
-    batch with a non-finite loss, or else when its Adam second moment is
-    not all finite after an epoch's batches.  Its row rides along to the
-    epoch's end, which comes at once when every live point has failed.
+    A point fails, with a message as its `error`, at its first batch with
+    a non-finite loss, or else when its Adam second moment is not all
+    finite after an epoch's batches.  Its row rides along to the epoch's
+    end, which comes at once when every live point has failed.
     Points leave the stack at one exit, after the batches: those that
     failed in the epoch, keeping the epochs they completed, and those that
     stop.  Every other point trains on.  A point that failed in its first
@@ -413,7 +408,7 @@ def train_run(
     test_acc = evaluation.accuracy(evaluation.parts(best, np.arange(len(points))), 1).tolist()
     return StackResult([
         RunResult(records[j], at, test_acc[j] if at else math.nan,
-                  errors[j] and TrainingDiverged(f"{points[j].loss.name}: {errors[j]}"))
+                  errors[j] and f"{points[j].loss.name}: {errors[j]}")
         for j, at in enumerate(best_epoch.tolist())
     ])
 
@@ -534,10 +529,13 @@ def replicate(
     the label-noise level of the training/development pool, drawn per fold
     from `master_seed`.  A candidate that diverges fails its cell, and bad
     data (an empty split) fails its fold's cells, each reported as a
-    `FoldOutcome` with the error and the settings of the candidate that
-    failed (the first to diverge, in candidate order), while the remaining
-    cells still run; any other exception is a bug and propagates.  An empty
-    or malformed `cfgs` or a `noise_p` outside [0, 1] raises ValueError.
+    `FoldOutcome` with the failure's message and the settings of the
+    candidate that failed (the first to diverge, in candidate order), while
+    the remaining cells still run; any other exception is a bug and
+    propagates.  Before any training, an empty or malformed `cfgs`, a
+    candidate with a seed (each trains from its cell's seed) or a `noise_p`
+    outside [0, 1] raises ValueError, and a `test` whose features or
+    classes differ from `pool`'s CountMismatchError.
     The README's "Replication semantics" describes the seeds and noisy
     labels a fold's cells share, how the points fill `train_run` stacks and
     split over idle workers, and how `_train_stacks` trains the stacks.
@@ -552,14 +550,19 @@ def replicate(
         raise ValueError(f"two losses share one name in {specs}")
     if len({cfg.batch_size for cfg in cfgs}) > 1:
         raise ValueError("candidates differ in batch_size: they train together in stacks")
+    if any(cfg.seed for cfg in cfgs):
+        raise ValueError("a candidate trains from its cell's seed: leave TrainConfig.seed at 0")
     if not 0.0 <= noise_p <= 1.0:
         raise ValueError(f"noise_p must lie in [0, 1], got {noise_p}")
+    if test is not None and (test.d, test.k) != (pool.d, pool.k):
+        raise CountMismatchError(f"test set {test.name!r} has {test.d} features and {test.k} "
+                                 f"classes, but pool {pool.name!r} has {pool.d} and {pool.k}")
 
     n_folds = len(plan.folds) if max_folds is None else min(max_folds, len(plan.folds))
     master = Rng(master_seed)
     test_rows = None if test is None else Rows(test, np.arange(test.n))
     splits = {}  # fold -> its (train, dev, test) rows
-    pieces = {}  # cell -> (candidate, its run or expected failure), in candidate order
+    pieces = {}  # cell -> (candidate, its run), in candidate order
     for fold in range(n_folds):
         train_idx, dev_idx = plan.folds[fold]
         labels = inject_label_noise(master.child(_NOISE_KEY, fold), pool, noise_p)
@@ -573,7 +576,8 @@ def replicate(
             _check_nonempty(*fold_splits)
             splits[fold] = fold_splits
         except DataError as exc:  # fails each cell of the fold, named by its first candidate
-            pieces.update({(fold, name): [(c[0], exc)] for name, c in by_loss.items()})
+            failed = RunResult([], 0, math.nan, str(exc))
+            pieces.update({(fold, name): [(c[0], failed)] for name, c in by_loss.items()})
     # Every candidate of a (fold, loss) cell trains from the cell's one run
     # seed, keyed by the loss's canonical index, not list position, so the
     # order of the losses in cfgs cannot change any run.
@@ -612,17 +616,17 @@ def replicate(
         ))
     for stack, result in zip(stacks, _train_stacks(jobs)):
         for (fold, name, candidate), run in zip(stack, result.runs):
-            pieces.setdefault((fold, name), []).append((candidate, run.error or run))
+            pieces.setdefault((fold, name), []).append((candidate, run))
 
     outcomes = []
     for fold in range(n_folds):
         for name in by_loss:
-            # the first failure in candidate order fails the cell (expected
-            # failures are data: the row names that candidate); otherwise the
-            # best dev accuracy wins, ties going to the earliest candidate
+            # the first failure in candidate order fails the cell (the row
+            # names that candidate); otherwise the best dev accuracy wins,
+            # ties going to the earliest candidate
             cell = pieces[fold, name]
-            failed = [p for p in cell if isinstance(p[1], Exception)]
+            failed = [p for p in cell if p[1].error]
             point, run = failed[0] if failed else max(cell, key=lambda p: p[1].best_dev_acc)
-            result, error = (None, str(run)) if failed else (run, None)
-            outcomes.append(FoldOutcome(name, fold, point.lr, point.dropout, result, error))
+            outcomes.append(FoldOutcome(name, fold, point.lr, point.dropout,
+                                        None if run.error else run, run.error))
     return outcomes

@@ -54,11 +54,12 @@ class Adam:
     with `lr` one rate per point (`TrainConfig` checks the rates), or a
     single network's `(P,)` parameters with one number as `lr`.  A step
     writes the moments, a scratch pair and the block in place, in 14 numpy
-    calls, so steps allocate no arrays.  A block whose rows are longer than
-    `_PIECE` values steps one column range of each row at a time, with the
-    same calls on each piece and a scratch pair of one piece; any other
-    block is one piece.  Each element sees the same operations either way,
-    so the pieces change no bit.
+    calls, so steps allocate no arrays.  The block steps in pieces: column
+    ranges of at most `_PIECE` values across all its rows, with the same
+    calls on each piece and a scratch pair of one piece, rows x `_PIECE`
+    values when the rows are longer than `_PIECE` (one row under
+    `replicate`, where such a point trains alone).  Each element sees the
+    same operations in any piece, so the pieces change no bit.
     """
 
     def __init__(self, lr):
@@ -80,21 +81,15 @@ class Adam:
     def _cut(self) -> list:
         """The pieces of the moments' block, each as its index into the
         block and its views of the state."""
-        *rows, width = self.m.shape
-        if width <= _PIECE:  # rows that fit in a piece: the whole block
-            indexes = [(...,)]
-        else:  # column ranges of each long row
-            cols = [slice(lo, lo + _PIECE) for lo in range(0, width, _PIECE)]
-            indexes = [(*r, c) for r in np.ndindex(*rows) for c in cols]
-        n = self.m.size if len(indexes) == 1 else _PIECE
+        indexes = [(..., slice(lo, lo + _PIECE)) for lo in range(0, self.m.shape[-1], _PIECE)]
+        n = self.m[indexes[0]].size
         if self._scratch is None or self._scratch[0].size < n:
             self._scratch = np.empty(n), np.empty(n)
         pieces = []
         for index in indexes:
             m, v = self.m[index], self.v[index]
-            lr = self.lr[index[:-1]]  # the rows' rates: `lr` has one column
             a, b = (s[: m.size].reshape(m.shape) for s in self._scratch)
-            pieces.append((index, (m, v, lr, a, b)))
+            pieces.append((index, (m, v, self.lr, a, b)))
         return pieces
 
     def step(self, theta, grad) -> None:

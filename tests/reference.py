@@ -6,6 +6,7 @@ From `expacc` it takes only `Rng`, which defines the streams."""
 
 import itertools
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -29,16 +30,17 @@ def forward(params, x, mults=None):
     return h, inputs, relus
 
 
-def train(cfg, seed, widths, train_split, dev, test):
-    """One point alone: (records, best epoch, test accuracy), or its error message."""
-    init, order, drop = (Rng(seed).child(key) for key in (INIT, ORDER, DROPOUT))
+def train(cfg, widths, train_split, dev, test):
+    """One point alone, from its own seed: (records, best epoch, test accuracy at that epoch
+    or NaN with none, error message or None); a failed point keeps the epochs it completed."""
+    init, order, drop = (Rng(cfg.seed).child(key) for key in (INIT, ORDER, DROPOUT))
     params = []
     for m, n in zip(widths, widths[1:]):
         bound = math.sqrt(6.0 / (m + n))
         params += [init.uniform(-bound, bound, size=(m, n)), np.zeros(n)]
     moments = [np.zeros_like(p) for p in params + params]
     (x, labels), keep, alpha, t = train_split, 1.0 - cfg.dropout, cfg.loss.alpha, 0
-    best, best_dev, best_epoch, records = params, -math.inf, 0, []
+    best, best_dev, best_epoch, records, error = params, -math.inf, 0, [], None
     for epoch in itertools.count(1):
         perm = order.permutation(labels.size)
         sums = np.zeros(3)  # of the losses, the hits and the gradient norms
@@ -55,7 +57,8 @@ def train(cfg, seed, widths, train_split, dev, test):
             loss, scale = {"neglog": (-log_p, 1.0), "eerr": (-p_r, p_r),
                            "leerr": (-(p_r + alpha * log_p), p_r + alpha)}[cfg.loss.kind]
             if not np.isfinite(loss.mean()):
-                return f"{cfg.loss.kind}: non-finite loss at epoch {epoch}, batch {batch}"
+                error = f"{cfg.loss.kind}: non-finite loss at epoch {epoch}, batch {batch}"
+                break
             g = (p - (np.arange(p.shape[1]) == y[:, None])) * np.reshape(scale, (-1, 1))
             sums += [loss.mean() * n, (a.argmax(1) == y).sum(), np.sqrt((g * g).sum(1)).sum()]
             g, grads = g / n, []
@@ -69,8 +72,10 @@ def train(cfg, seed, widths, train_split, dev, test):
                 m[...] = B1 * m + (1.0 - B1) * dw
                 v[...] = B2 * v + (1.0 - B2) * (dw * dw)
                 w -= cfg.lr * (m / (1.0 - B1**t)) / (np.sqrt(v / (1.0 - B2**t)) + EPS)
-        if not all(np.isfinite(v).all() for v in moments[len(params):]):
-            return f"{cfg.loss.kind}: non-finite Adam second moment at epoch {epoch}"
+        if not (error or all(np.isfinite(v).all() for v in moments[len(params):])):
+            error = f"{cfg.loss.kind}: non-finite Adam second moment at epoch {epoch}"
+        if error:
+            break
         dev_acc = (forward(params, dev[0])[0].argmax(1) == dev[1]).mean()
         records.append((epoch, *sums[:2] / labels.size, dev_acc, sums[2] / labels.size))
         if dev_acc > best_dev:  # ties keep the earliest epoch
@@ -80,16 +85,18 @@ def train(cfg, seed, widths, train_split, dev, test):
             cfg.patience is not None and epoch >= cfg.min_epochs
             and epoch - max(best_epoch, cfg.min_epochs) >= cfg.patience
         ):
-            return records, best_epoch, (forward(best, test[0])[0].argmax(1) == test[1]).mean()
+            break
+    test_acc = (forward(best, test[0])[0].argmax(1) == test[1]).mean() if best_epoch else math.nan
+    return records, best_epoch, test_acc, error
 
 
 def replicate(kind, pool, plan, cfgs, test=None, master_seed=0, noise_p=0.0, hidden=(),
               max_folds=None):
-    """`harness.replicate`'s cells as (loss, fold, lr, dropout, (records,
-    best epoch, test accuracy) or None, error or None); splits are non-empty."""
+    """`harness.replicate`'s cells as (loss, fold, lr, dropout, the run that wins or None, error
+    or None), and every point's run by `astuple` of its seeded config; splits are non-empty."""
     master, x = Rng(master_seed), pool.x / pool.scale
     widths = [pool.d, *(hidden if kind == "mlp" else ()), pool.k]
-    cells = []
+    cells, runs = [], {}
     for fold, (train_idx, dev_idx) in enumerate(plan.folds[:max_folds]):
         labels, rng = pool.labels.copy(), master.child(NOISE, fold)
         if noise_p:  # each label redrawn uniformly over the classes w.p. noise_p
@@ -101,9 +108,11 @@ def replicate(kind, pool, plan, cfgs, test=None, master_seed=0, noise_p=0.0, hid
                       (test.x / test.scale, test.labels))
         for name in dict.fromkeys(cfg.loss.kind for cfg in cfgs):
             seed = master.child(RUN, fold, KINDS.index(name)).seed
-            runs = [(c, train(c, seed, widths, *splits)) for c in cfgs if c.loss.kind == name]
-            failed = [(c, run) for c, run in runs if isinstance(run, str)]
+            cell = [replace(c, seed=seed) for c in cfgs if c.loss.kind == name]
+            cell = [(c, train(c, widths, *splits)) for c in cell]
+            runs.update((astuple(c), run) for c, run in cell)
+            failed = [(c, run) for c, run in cell if run[3]]
             # the first failure fails the cell, else the best dev_acc at its best epoch, earliest
-            c, run = failed[0] if failed else max(runs, key=lambda r: r[1][0][r[1][1] - 1][3])
-            cells.append((name, fold, c.lr, c.dropout, *((None, run) if failed else (run, None))))
-    return cells
+            c, run = failed[0] if failed else max(cell, key=lambda r: r[1][0][r[1][1] - 1][3])
+            cells.append((name, fold, c.lr, c.dropout, None if run[3] else run, run[3]))
+    return cells, runs

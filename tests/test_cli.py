@@ -592,9 +592,7 @@ def test_gradnorms_fails_when_a_cell_fails(tmp_path, monkeypatch, capsys):
 
     def diverge_eerr(*args, **kwargs):
         stack = train_run(*args, **kwargs)
-        stack.runs[1].error = expacc.harness.TrainingDiverged(
-            "eerr: non-finite loss at epoch 1, batch 0"
-        )
+        stack.runs[1].error = "eerr: non-finite loss at epoch 1, batch 0"
         return stack
 
     monkeypatch.setattr(expacc.harness, "train_run", diverge_eerr)
@@ -666,7 +664,9 @@ def test_a_bug_exits_1_with_its_traceback_and_bad_data_with_one_line(
     assert "Traceback" in err and "buggy_train_run" in err
     assert err.splitlines()[-1] == "error: bug in a stack"
     # expected failures, a missing file and bad data, keep their one line:
-    # a pool too small for its plan, an IDX label outside 0..9 and a nan cell
+    # a pool too small for its plan, an IDX label outside 0..9, a test set of
+    # 1x1 images for a pool of 2x2 ones (before any training, so no manifest)
+    # and a nan cell
     monkeypatch.undo()
     few = write_synthetic_experiment(
         tmp_path / "few", replication={"scheme": "kfold", "folds": 200}
@@ -679,18 +679,26 @@ def test_a_bug_exits_1_with_its_traceback_and_bad_data_with_one_line(
             "train_labels": str(tmp_path / "labels-idx1-ubyte"),
         }
     )
+    pool_images, pool_labels = write_idx_pair(tmp_path, np.zeros((12, 2, 2)), [0, 1] * 6, "pool-")
+    test_images, test_labels = write_idx_pair(tmp_path, np.zeros((4, 1, 1)), [0, 1] * 2, "test-")
+    unlike = write_synthetic_experiment(tmp_path / "unlike", dataset={
+        "name": "digits", "train_images": str(pool_images), "train_labels": str(pool_labels),
+        "test_images": str(test_images), "test_labels": str(test_labels),
+    })
     data = tmp_path / "synth.csv"
     text = data.read_text()
     data.write_text("nan" + text[text.index(","):])  # the first row's first cell
     expected = [
         "missing.yaml", "needs at least 200 instances, got 160",
-        "digits: labels outside 0..9", "synth.csv:1: non-numeric or non-finite cell 'nan'",
+        "digits: labels outside 0..9", "'digits-test' has 1 features and 10 classes",
+        "synth.csv:1: non-numeric or non-finite cell 'nan'",
     ]
-    for path, message in zip((tmp_path / "missing.yaml", few, idx, config), expected):
+    for path, message in zip((tmp_path / "missing.yaml", few, idx, unlike, config), expected):
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
+    assert not (tmp_path / "unlike" / "out").exists()
 
 
 def _fresh_interpreter(code: str, *args) -> str:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import expacc.harness
 import expacc.optim
-from expacc.data import Dataset, Folds, Rows, SplitPlan, make_folds
-from expacc.harness import TrainConfig, TrainingDiverged, replicate, should_stop, train_run
+from expacc.data import CountMismatchError, Dataset, Folds, SplitPlan, make_folds
+from expacc.harness import TrainConfig, replicate, should_stop, train_run
 from expacc.losses import LossSpec, loss_grad_preact
 from expacc.models import build_model
 from expacc.numerics import Rng
@@ -69,32 +69,6 @@ def test_lr_zero_freezes_every_metric():
         assert rec.grad_norm_mean == pytest.approx(first.grad_norm_mean, abs=1e-12)
 
 
-def test_best_epoch_attains_max_dev_accuracy_and_model_reproduces_it():
-    train, dev, _ = small_splits(3)
-    cfg = TrainConfig(loss=NEGLOG, lr=5e-2, batch_size=32, max_epochs=25, seed=4)
-    # dev doubles as test, so the test measurement is the restored model's
-    # dev accuracy
-    result = train_run("logreg", train, dev, dev, cfg).runs[0]
-    dev_curve = [r.dev_acc for r in result.records]
-    assert result.records[result.best_epoch - 1].dev_acc == max(dev_curve)
-    # ties break to the earliest epoch
-    assert dev_curve.index(max(dev_curve)) + 1 == result.best_epoch
-    assert result.test_acc == result.best_dev_acc
-    assert result.test_error == pytest.approx(1.0 - result.test_acc, abs=1e-15)
-
-
-def test_divergence_aborts_with_location():
-    train, dev, test = small_splits(5)
-    # overflows the pre-activations once lr moves weights
-    train[0].ds.x[train[0].index[0], 0] = 1e308
-    cfg = TrainConfig(loss=NEGLOG, lr=10.0, batch_size=8, max_epochs=50, seed=1)
-    with np.errstate(all="ignore"):
-        result = train_run("logreg", train, dev, test, cfg)
-    # the stack returns; its only run ends with the divergence
-    error = result.runs[0].error
-    assert isinstance(error, TrainingDiverged) and "epoch" in str(error)
-
-
 def test_a_run_that_diverged_in_its_first_epoch_has_no_accuracy(monkeypatch):
     # every train row overflows at lr 10, so the loss is non-finite in the
     # first epoch: no epoch completed, no weights were kept, nothing to test.
@@ -137,31 +111,15 @@ def test_mlp_trains_on_blobs():
     assert result.runs[0].test_acc > 0.8
 
 
-@pytest.mark.parametrize("kind, dropout", [("logreg", 0.0), ("mlp", 0.25)])
-def test_training_on_pool_rows_matches_training_on_a_copied_split(kind, dropout):
-    # a minibatch gathered through the row index is the one the copy gave
-    ds = blobs(31, 300, d=6, k=3, spread=2.0)
-    plan = make_folds(Rng(32), ds.n, "fixed", train_size=200, dev_size=50)
-    train_idx, dev_idx = plan.folds[0]
-    train, dev, test = one_fold(ds, train_idx, dev_idx, plan.test)
-    cfg = TrainConfig(loss=LEERR, lr=1e-2, batch_size=16, max_epochs=6, dropout=dropout, seed=7)
-    rows = train_run(kind, train, dev, test, cfg, hidden=(16, 8))
-    copied = ds.subset(train_idx)
-    copy = train_run(kind, Folds([Rows(copied, np.arange(copied.n))]), dev, test, cfg,
-                     hidden=(16, 8))
-    assert rows.records == copy.records
-    assert (rows.best_epoch, rows.runs[0].test_acc) == (copy.best_epoch, copy.runs[0].test_acc)
+def comparable(records, best_epoch, test_acc, error):
+    """A point's run, with a NaN test accuracy (no best epoch) as None so that runs that agree
+    compare equal."""
+    return records, best_epoch, None if math.isnan(test_acc) else test_acc, error
 
 
-def blob_splits():
-    ds = blobs(33, 300, d=6, k=3, spread=2.0)
-    plan = make_folds(Rng(34), ds.n, "fixed", train_size=200, dev_size=50)
-    return one_fold(ds, *plan.folds[0], plan.test)
-
-
-def grid(cfg, pairs):
-    """The stack points of `cfg` at each (lr, dropout) pair."""
-    return [replace(cfg, lr=lr, dropout=dropout) for lr, dropout in pairs]
+def as_reference(run):
+    """A `RunResult` in the reference's form, comparable."""
+    return comparable([astuple(r) for r in run.records], run.best_epoch, run.test_acc, run.error)
 
 
 SCHEMES = {"kfold": {"k": 3}, "five_by_two": {}, "fixed": {"train_size": 16, "dev_size": 8}}
@@ -176,6 +134,7 @@ RULE = st.tuples(  # max_epochs, min_epochs, patience
     st.sampled_from(["logreg", "mlp"]), st.sampled_from([(), (3,)]),  # kind, hidden
     st.integers(2, 4), st.integers(2, 4), st.integers(24, 40),  # k, d, n
     st.sampled_from([1.7e308, 1.0, 1.2e308]),  # scale: the largest feature, some products overflow
+    st.sampled_from([None, 1e306, 1e308]),  # spike: one pool value, overflowing once weights move
     st.sampled_from(list(SCHEMES)), st.integers(1, 3),  # scheme, max_folds
     st.lists(st.sampled_from([NEGLOG, EERR, LEERR, LossSpec("leerr", 0.3)]),
              min_size=1, max_size=3, unique_by=lambda spec: spec.kind),  # losses
@@ -186,26 +145,36 @@ RULE = st.tuples(  # max_epochs, min_epochs, patience
     st.sampled_from([0.0, 0.2]), st.booleans(),  # noise_p, external
 ), st.just(""))  # the cases an example is written to reach
 # a divergence in a stack of eight points on two stopping rules that splits in two; groups of two
-@example(("logreg", (), 2, 2, 26, 1.7e308, "five_by_two", 2, [NEGLOG, EERR], [1e-3, 0.3],
+@example(("logreg", (), 2, 2, 26, 1.7e308, None, "five_by_two", 2, [NEGLOG, EERR], [1e-3, 0.3],
          [0.0], 9, [(4, 0, None), (None, 2, 1)], 0.2, False), "diverge group split side")
 # three folds in one evaluation group; the better lr stops on patience after min_epochs
-@example(("logreg", (), 3, 3, 36, 1.0, "kfold", 3, [NEGLOG, LEERR], [1e-3, 3e-2], [0.0], 7,
+@example(("logreg", (), 3, 3, 36, 1.0, None, "kfold", 3, [NEGLOG, LEERR], [1e-3, 3e-2], [0.0], 7,
          [(2, 0, None), (8, 4, 1)], 0.0, True), "group side")
 # two eight-point dropout stacks (train sizes 20 and 21) side by side, each lr on its own rule
-@example(("mlp", (3,), 3, 3, 31, 1.0, "kfold", 2, [EERR, NEGLOG], [3e-2, 0.3], [0.0, 0.3], 5,
+@example(("mlp", (3,), 3, 3, 31, 1.0, None, "kfold", 2, [EERR, NEGLOG], [3e-2, 0.3], [0.0, 0.3], 5,
          [(4, 1, 2), (6, 0, None)], 0.2, False), "side")
 # features near 1e300 overflow neglog's squared gradients in Adam's second moment, not its loss
-@example(("logreg", (), 2, 4, 24, 1e300, "fixed", 1, [NEGLOG, EERR], [0.1, 1e-3], [0.0], 5,
+@example(("logreg", (), 2, 4, 24, 1e300, None, "fixed", 1, [NEGLOG, EERR], [0.1, 1e-3], [0.0], 5,
          [(8, 0, None), (8, 0, None)], 0.0, False), "moment diverge")
+# a spike fails lr 0.3 on its Adam second moment at epoch 3; lr 1e-3, later in its cell, trains on
+@example(("logreg", (), 2, 3, 33, 1.0, 1e308, "five_by_two", 1, [NEGLOG], [0.3, 1e-3], [0.0], 13,
+         [(4, 1, 2), (None, 4, 2)], 0.2, True), "late later")
+# a dropout MLP stack on a spike of 1e306: neglog lr 0.3 fails in epoch 1, and lr 1e-3 trains
+# on to its own failure at epoch 3
+@example(("mlp", (3,), 4, 2, 27, 1.0, 1e306, "fixed", 1, [EERR, NEGLOG], [0.3, 1e-3], [0.3], 9,
+         [(4, 3, 3), (6, 3, 3)], 0.2, False), "late later")
 def test_every_replicate_cell_is_the_reference_run(params, covers):
     # whole stacks on one core; on three, a stack per train size (budget `whole`) that splits;
-    # one-point stacks side by side on two: every cell is the plain reference's run
-    (kind, hidden, k, d, n, scale, scheme, max_folds, losses, lrs, dropouts, batch, rules,
+    # one-point stacks side by side on two: every point's run, failed or not, and every cell
+    # are the plain reference's
+    (kind, hidden, k, d, n, scale, spike, scheme, max_folds, losses, lrs, dropouts, batch, rules,
      noise_p, external) = params
     if kind == "logreg":
         hidden, dropouts = (), (0.0,)
     ds = blobs(n, n + 8, d, k, spread=2.0)
     x = ds.x * (scale / np.abs(ds.x).max())
+    if spike is not None:
+        x[0, 0] = spike
     pool = Dataset(x[:n], ds.labels[:n], k, "pool")
     plan = make_folds(Rng(n), n, scheme, **SCHEMES[scheme])
     trains = [train.size for train, _ in plan.folds[:max_folds]]
@@ -219,7 +188,8 @@ def test_every_replicate_cell_is_the_reference_run(params, covers):
     whole = sum((m + 1) * w for m, w in zip([d, *hidden], [*hidden, k])) * len(cfgs) * len(trains)
     held, ways = expacc.harness._Evaluation._held, []  # each way's stacks and multi-fold groups
     with np.errstate(all="ignore"):
-        expected = reference(kind, pool, plan, cfgs, **keywords)
+        expected, runs = reference(kind, pool, plan, cfgs, **keywords)
+        runs = {key: comparable(*run) for key, run in runs.items()}
         for cpus, budget in ((1, expacc.harness.STACK_PARAMS), (3, whole), (2, 1)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -228,14 +198,24 @@ def test_every_replicate_cell_is_the_reference_run(params, covers):
                 patch.setattr(expacc.harness._Evaluation, "_held",
                               lambda ev, folds: groups.append(folds) or held(ev, folds))
                 cells = replicate(kind, pool, plan, cfgs, **keywords)
-            assert [(c.loss, c.fold, c.lr, c.dropout, c.result and (
-                [astuple(r) for r in c.result.records], c.result.best_epoch, c.result.test_acc
-            ), c.error) for c in cells] == expected
+            ours = [(astuple(p), as_reference(run))
+                    for _, result, points in stacks for p, run in zip(points, result.runs)]
+            assert len(ours) == len(runs) and dict(ours) == runs
+            assert [(c.loss, c.fold, c.lr, c.dropout, c.result and as_reference(c.result), c.error)
+                    for c in cells] == expected
             ways.append((stacks, groups))
     (packed, groups), (split, _), (side, _) = ways
+    later = [  # a later candidate of a failed point's cell that trains past the failure
+        q for _, result, points in packed for i, (p, run) in enumerate(zip(points, result.runs))
+        if run.error for q, other in zip(points[i + 1 :], result.runs[i + 1 :])
+        if (q.seed, q.loss) == (p.seed, p.loss) and len(other.records) > len(run.records)
+    ]
     reached = {"group": groups != [], "split": len(split) > len(packed), "side": len(side) > 1,
-               "diverge": any(len(r.runs) > 1 and any(p.error for p in r.runs) for _, r in packed),
-               "moment": any("second moment" in (cell[-1] or "") for cell in expected)}
+               "diverge": any(len(r.runs) > 1 and any(p.error for p in r.runs)
+                              for _, r, _ in packed),
+               "moment": any("second moment" in (cell[-1] or "") for cell in expected),
+               "late": any(run[0] and run[3] for run in runs.values()),
+               "later": any(kind == "logreg" or q.dropout for q in later)}
     assert [case for case in covers.split() if not reached[case]] == []
 
 
@@ -286,9 +266,11 @@ def test_stopped_points_leave_the_stack(monkeypatch):
         return step(opt, theta, grad)
 
     monkeypatch.setattr(expacc.optim.Adam, "step", recording)
-    train, dev, test = blob_splits()
+    ds = blobs(33, 300, d=6, k=3, spread=2.0)
+    plan = make_folds(Rng(34), ds.n, "fixed", train_size=200, dev_size=50)
+    train, dev, test = one_fold(ds, *plan.folds[0], plan.test)
     cfg = TrainConfig(loss=LEERR, batch_size=16, max_epochs=25, patience=3, seed=8)
-    points = grid(cfg, [(1e-3, 0.0), (3e-2, 0.0), (0.3, 0.0)])
+    points = [replace(cfg, lr=lr) for lr in (1e-3, 3e-2, 0.3)]
     cell = train_run("logreg", train, dev, test, cfg, points=points)
     batches = -(-train.n // cfg.batch_size)
     epochs = [len(run.records) for run in cell.runs]
@@ -310,64 +292,6 @@ def test_dev_accuracy_ties_go_to_the_earliest_point(monkeypatch):
         assert first.best_dev_acc == second.best_dev_acc
         assert first.records != second.records
         assert (cell.lr, cell.result) == (lrs[0], first)
-
-
-def test_divergence_fails_the_cell_with_the_first_point_in_candidate_order():
-    # every point of a stack ends with its own run's outcome: lr 1.0 diverges
-    # first, lr 0.5 later, and lr 0.1 never; `replicate` then fails the cell
-    # with lr 0.5's error (test_a_diverging_loss_fails_only_its_own_cells)
-    train, dev, test = small_splits(5)
-    train[0].ds.x[train[0].index[0], 0] = 1e308  # overflows once lr moves the weights far enough
-    cfg = TrainConfig(loss=NEGLOG, batch_size=8, max_epochs=30, seed=1)
-    points = grid(cfg, [(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)])
-    with np.errstate(all="ignore"):
-        alone = [train_run("logreg", train, dev, test, point).runs[0] for point in points]
-        runs = train_run("logreg", train, dev, test, cfg, points=points).runs
-    assert alone[0].error is None
-    assert str(alone[1].error) == "neglog: non-finite loss at epoch 2, batch 6"
-    assert str(alone[2].error) == "neglog: non-finite loss at epoch 1, batch 6"
-    assert runs[0] == alone[0]
-    for run, own in zip(runs[1:], alone[1:]):
-        assert isinstance(run.error, TrainingDiverged)
-        assert (run.records, str(run.error)) == (own.records, str(own.error))
-
-
-@pytest.mark.parametrize(
-    "kind, splits, big, batch_size, settings, failures",
-    [
-        # logreg: lr 1.0's loss goes non-finite in epoch 1, and lr 3e-2's
-        # second moment overflows; lr 0.1 trains on past both
-        ("logreg", lambda: small_splits(5), 1e308, 8,
-         [(1.0, 0.0, 1), (0.1, 0.0, 1), (3e-2, 0.0, 1)],
-         ["loss at epoch 1, batch 6", None, "Adam second moment at epoch 1"]),
-        # mlp: lr 1.0 with dropout diverges in epoch 2, beside lr 0.3, whose
-        # second moment overflows in that epoch; the lr 1e-2 points, the last
-        # of another cell (seed), overflow theirs in epoch 1
-        ("mlp", blob_splits, 1e306, 16,
-         [(1.0, 0.3, 8), (0.3, 0.3, 8), (1e-2, 0.0, 8), (1e-2, 0.3, 8), (1e-2, 0.3, 9)],
-         ["loss at epoch 2, batch 6", "Adam second moment at epoch 2",
-          *["Adam second moment at epoch 1"] * 3]),
-    ],
-)
-def test_a_diverged_point_leaves_the_later_points_of_its_cell_training(
-    kind, splits, big, batch_size, settings, failures
-):
-    # the first point diverges, and the others train on to their own stop or
-    # failure, each with the epochs, error and bits of its own run
-    train, dev, test = splits()
-    train[0].ds.x[train[0].index[0], 0] = big  # overflows once lr moves the weights far enough
-    cfg = TrainConfig(loss=NEGLOG, batch_size=batch_size, max_epochs=12, patience=3)
-    points = [replace(cfg, lr=lr, dropout=dropout, seed=seed) for lr, dropout, seed in settings]
-    with np.errstate(all="ignore"):
-        alone = [train_run(kind, train, dev, test, point, (16, 8)).runs[0] for point in points]
-        runs = train_run(kind, train, dev, test, cfg, (16, 8), points).runs
-    assert [run.error and str(run.error) for run in alone] == [
-        failure and f"neglog: non-finite {failure}" for failure in failures
-    ]
-    assert [(run.records, str(run.error)) for run in runs] == [
-        (run.records, str(run.error)) for run in alone
-    ]
-    assert [run for run in runs if not run.error] == [run for run in alone if not run.error]
 
 
 def test_grad_norm_ordering_and_scale_at_init():
@@ -428,11 +352,11 @@ def test_candidates_may_differ_in_their_stopping_rule(monkeypatch):
     ]
     stacks = recording_stacks(monkeypatch)
     packed = replicate("logreg", ds, plan, cfgs, master_seed=6)
-    assert [list(folds) for folds, _ in stacks] == [[0] * 6 + [1] * 6 + [2] * 6]
+    assert [list(folds) for folds, *_ in stacks] == [[0] * 6 + [1] * 6 + [2] * 6]
     monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 6 * 10)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     by_fold = replicate("logreg", ds, plan, cfgs, master_seed=6)
-    assert [list(folds) for folds, _ in stacks[1:]] == [[0] * 6] * 3
+    assert [list(folds) for folds, *_ in stacks[1:]] == [[0] * 6] * 3
     assert all(o.ok for o in packed)
     assert packed == by_fold
     assert len({len(o.result.records) for o in packed}) > 1
@@ -536,13 +460,13 @@ def test_replicate_tests_every_fold_on_one_rows_of_the_external_test_set(monkeyp
 
 
 def recording_stacks(monkeypatch):
-    """Patch `train_run` to record each stack's points' folds and its result."""
+    """Patch `train_run` to record each stack's points' folds, its result and its points."""
     stacks = []
     train_run = expacc.harness.train_run
 
     def recording(model_kind, train, dev, test, cfg, hidden, points, folds):
         result = train_run(model_kind, train, dev, test, cfg, hidden, points, folds)
-        stacks.append((folds, result))
+        stacks.append((folds, result, points))
         return result
 
     monkeypatch.setattr(expacc.harness, "train_run", recording)
@@ -615,6 +539,23 @@ def test_replicate_rejects_malformed_candidate_lists():
                                                                  batch_size=32)]
     with pytest.raises(ValueError, match="batch_size"):
         replicate("logreg", ds, plan, sizes)
+    # a candidate trains from its cell's seed: a seed of its own would be ignored
+    with pytest.raises(ValueError, match="seed"):
+        replicate("logreg", ds, plan, [TrainConfig(loss=NEGLOG, max_epochs=1, seed=7)])
+
+
+def test_a_test_set_unlike_its_pool_fails_before_any_training(monkeypatch):
+    calls = []
+    monkeypatch.setattr(expacc.harness, "train_run", lambda *args: calls.append(args))
+    ds = two_gaussians(28, 60, 3, delta=1.0)
+    plan = make_folds(Rng(29), ds.n, "kfold", k=2)
+    cfgs = [TrainConfig(loss=NEGLOG, max_epochs=1)]
+    for test, counts in ((two_gaussians(30, 20, 2, delta=1.0, name="narrow"), "2 features and 2"),
+                         (blobs(31, 20, 3, 3, name="wide"), "3 features and 3")):
+        with pytest.raises(CountMismatchError, match=f"'{test.name}' has {counts} classes, "
+                                                      "but pool 'gauss2' has 3 and 2"):
+            replicate("logreg", ds, plan, cfgs, test=test)
+    assert calls == []
 
 
 def test_replicate_continues_past_failing_fold():

@@ -89,26 +89,6 @@ def test_minibatch_partition_property(n, batch_size, seed):
         assert 1 <= len(batches[-1]) <= batch_size
 
 
-def test_per_point_rates_step_each_slice_as_its_own_adam():
-    # each row of a (points, P) block steps as a (P,) block of its own
-    rng = np.random.default_rng(3)
-    lrs = (1e-3, 0.0, 0.5)
-    stacked = rng.normal(size=(3, 10))
-    alone = [row.copy() for row in stacked]
-    opt, opts = Adam(lrs), [Adam(lr) for lr in lrs]
-    for _ in range(4):
-        grad = rng.normal(size=stacked.shape)
-        opt.step(stacked, grad)
-        for j, (theta, single) in enumerate(zip(alone, opts)):
-            single.step(theta, grad[j])
-    for j, theta in enumerate(alone):
-        assert np.array_equal(stacked[j], theta)
-    # a point taken out of the stack keeps nobody else's state
-    opt.take([0, 2])
-    assert opt.lr.tolist() == [[1e-3], [0.5]]
-    assert all(m.shape[0] == 2 for m in (opt.m, opt.v))
-
-
 def reference_adam(lrs, params, grad_steps, take_after, keep):
     """The allocating update `lr * (m / bc1) / (sqrt(v / bc2) + eps)`, with
     `keep` taken out of the stack after step `take_after`."""
