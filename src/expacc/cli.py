@@ -300,7 +300,7 @@ def validate_config(raw: dict, source_path: str = "<config>") -> ExperimentConfi
         max_folds=max_folds,
         noise_p=noise_p,
         seed=seed,
-        out_dir=os.path.expandvars(out_dir),
+        out_dir=os.path.expanduser(os.path.expandvars(out_dir)),
         source_path=source_path,
     )
 

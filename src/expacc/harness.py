@@ -9,7 +9,8 @@ cross-validated comparison, for `expacc run` and `expacc gradnorms`, and is
 the one place that picks a cell's result from its candidates' outcomes.
 The README's "Replication semantics" sets out the pairing the analysis
 needs, the splits as `Rows`, how points fill stacks and split over idle
-cores, the evaluation groups, and the stacks training side by side.
+cores, how a stack evaluates fold by fold, and the stacks training side by
+side.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _INIT, _BATCH, _DROPOUT = 0, 1, 2
 _NOISE_KEY, _RUN_KEY, _PLAN_KEY = 0, 1, 2
 # Float64 values (1 MiB): the parameters of a stack of `replicate` (a larger
 # point trains alone), the fewest floats a stack split over idle workers
-# gathers per step, and the eval rows x features of an evaluation group.
+# gathers per step, and the dev or test rows x features a stack holds.
 STACK_PARAMS = 2**17
 
 
@@ -174,37 +175,22 @@ def accuracy(model, x, labels):
 
 
 class _Evaluation:
-    """Dev and test accuracy of a stack's points, one evaluation group at a
-    time.
+    """Dev and test accuracy of a stack's points, one fold at a time.
 
-    The groups are fixed when the stack starts, from its folds' dev and
-    test sizes; the README's "Replication semantics" gives the rule and
-    what each group copies.  `parts` cuts the live points into their
-    groups, and `accuracy` gives each point's accuracy on its own fold's
-    dev or test rows, in the order of `parts`.
+    Points come fold by fold, so each fold's live points are one slice of
+    the stack, and each slice runs one forward on its fold's rows, which
+    all its points share.  The stack holds one copy of its folds' dev and
+    test rows for its whole life when, summed over its folds, the larger
+    split's rows x features fit in `STACK_PARAMS`; otherwise each fold
+    copies its rows for each evaluation.  `parts` cuts the live points into
+    their folds, and `accuracy` gives each point's accuracy on its own
+    fold's dev or test rows, in the order of `parts`.
     """
 
-    def __init__(self, fold_of, dev, test, d):
+    def __init__(self, folds, dev, test, d):
         self.splits = (dev, test)
-        counts = np.bincount(fold_of)
-        groups = []  # the folds of each group
-        for f in np.flatnonzero(counts):
-            rows = max(dev[f].n, test[f].n)
-            last = groups[-1] if groups else None
-            if (
-                last is not None
-                and (dev[last[0]].n, test[last[0]].n) == (dev[f].n, test[f].n)
-                and (counts[last].sum() + counts[f]) * rows * d <= STACK_PARAMS
-            ):
-                last.append(f)
-            else:
-                groups.append([f])
-        group, place = np.zeros(counts.size, np.intp), np.zeros(counts.size, np.intp)
-        for g, folds in enumerate(groups):
-            group[folds], place[folds] = g, np.arange(len(folds))
-        self.group_of, self.place_of = group[fold_of], place[fold_of]
-        self.folds = groups
-        self.held = [self._held(folds) if len(folds) > 1 else None for folds in groups]
+        fits = max(sum(split[f].n for f in folds) for split in self.splits) * d <= STACK_PARAMS
+        self.held = {f: self._held(f) for f in folds} if fits else None
 
     @staticmethod
     def _copy(rows: Rows):
@@ -212,55 +198,41 @@ class _Evaluation:
         `Dataset.subset`."""
         return rows.ds.subset(rows.index).features(), rows.labels.take(rows.index)
 
-    def _held(self, folds) -> list:
-        """The dev and the test features and labels of `folds`.  Test rows
+    def _held(self, fold) -> tuple:
+        """The dev and the test features and labels of `fold`.  Test rows
         that are the dev rows of the same pool (a plan with no test set)
         share dev's features and keep their own labels."""
-        dev, test = ([split[f] for f in folds] for split in self.splits)
-        held = [self._block(dev)]
-        if all(t.ds is r.ds and np.array_equal(t.index, r.index) for t, r in zip(test, dev)):
-            held.append((held[0][0], np.stack([t.labels.take(t.index) for t in test])))
-        else:
-            held.append(self._block(test))
-        return held
+        dev, test = (split[fold] for split in self.splits)
+        held = self._copy(dev)
+        if test.ds is dev.ds and np.array_equal(test.index, dev.index):
+            return held, (held[0], test.labels.take(test.index))
+        return held, self._copy(test)
 
-    def _block(self, rows):
-        """The features and labels of `rows`, one row block per `Rows`."""
-        x = np.empty((len(rows), rows[0].n, rows[0].ds.d))
-        labels = np.empty(x.shape[:2], dtype=np.int64)
-        for i, r in enumerate(rows):
-            x[i], labels[i] = self._copy(r)
-        return x, labels
-
-    def parts(self, model, live) -> list:
-        """The points `live` of `model`'s stack by group: (group, a network
-        of its points that views their parameters, each point's fold in the
-        group).  Valid until the stack's parameters are replaced."""
-        group = self.group_of[live]
-        cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), live.size]
+    @staticmethod
+    def parts(model, fold_of) -> list:
+        """The live points of `model`'s stack, of folds `fold_of`, by fold:
+        (fold, a network of its points that views their parameters).  Valid
+        until the stack's parameters are replaced."""
+        cuts = [0, *(np.flatnonzero(np.diff(fold_of)) + 1).tolist(), fold_of.size]
         parts = []
         for lo, hi in zip(cuts, cuts[1:]):
             part = model
-            if hi - lo < live.size:
+            if hi - lo < fold_of.size:
                 part = copy.copy(model)
                 part.take(slice(lo, hi))
-            parts.append((group[lo], part, self.place_of[live[lo:hi]]))
+            parts.append((fold_of[lo], part))
         return parts
 
     def accuracy(self, parts, split: int) -> np.ndarray:
         """Each point's accuracy on its fold's dev (`split` 0) or test (1)
-        rows, in the order of `parts`."""
-        acc = []
-        for g, part, place in parts:
-            held = self.held[g]
-            if held is None:
-                # one fold: its rows, copied for this evaluation only (no
-                # name holds the copy, so it is freed before the next one)
-                acc.append(accuracy(part, *self._copy(self.splits[split][self.folds[g][0]])))
-            else:
-                x, labels = held[split]
-                acc.append(accuracy(part, x.take(place, axis=0), labels.take(place, axis=0)))
-        return np.concatenate(acc)
+        rows, in the order of `parts`.  Rows the stack does not hold are
+        copied for this evaluation only (no name keeps the copy, so it is
+        freed before the next one)."""
+        return np.concatenate([
+            accuracy(part, *(self._copy(self.splits[split][fold]) if self.held is None
+                             else self.held[fold][split]))
+            for fold, part in parts
+        ])
 
 
 def _check_nonempty(*splits) -> None:
@@ -290,7 +262,7 @@ def train_run(
     with each point's `RunResult`, bit-identical to training that point
     alone.  The README's "Replication semantics" describes the stack: its
     random streams and minibatch orders, its one parameter block and its
-    evaluation groups.
+    evaluation, fold by fold.
 
     Stopping, per point: always at `max_epochs` when set; additionally once
     at least `min_epochs` have run and `patience` epochs have passed without
@@ -316,7 +288,8 @@ def train_run(
     if (np.diff(fold_of) < 0).any():
         raise ValueError("the points of a stack come fold by fold")
     # distinct values in order by `dict.fromkeys`: `np.unique` imports numpy.ma
-    for f in dict.fromkeys(fold_of.tolist()):
+    stack_folds = list(dict.fromkeys(fold_of.tolist()))
+    for f in stack_folds:
         _check_nonempty(train[f], dev[f], test[f])
     pool, n, batch_size = train[0].ds, train.n, cfg.batch_size
     model = build_model(
@@ -334,10 +307,10 @@ def train_run(
     opt = Adam([p.lr for p in points])
     stop = _stop.get()
     coefs = np.array([p.loss.coefficients for p in points])  # each live point's loss
-    evaluation = _Evaluation(fold_of, dev, test, pool.d)
+    evaluation = _Evaluation(stack_folds, dev, test, pool.d)
 
     live = np.arange(len(points))  # point index of each point in the stack
-    parts = evaluation.parts(model, live)
+    parts = evaluation.parts(model, fold_of)
     records = [[] for _ in points]
     best_epoch = np.zeros(len(points), dtype=np.intp)
     best_dev = np.full(len(points), -math.inf)
@@ -403,9 +376,9 @@ def train_run(
             model.take(stays)
             opt.take(stays)
             if live.size:
-                parts = evaluation.parts(model, live)
+                parts = evaluation.parts(model, fold_of[live])
 
-    test_acc = evaluation.accuracy(evaluation.parts(best, np.arange(len(points))), 1).tolist()
+    test_acc = evaluation.accuracy(evaluation.parts(best, fold_of), 1).tolist()
     return StackResult([
         RunResult(records[j], at, test_acc[j] if at else math.nan,
                   errors[j] and f"{points[j].loss.name}: {errors[j]}")

@@ -304,6 +304,14 @@ def test_config_null_unsets_max_epochs_patience_and_the_grids():
     assert [replace(c, loss=None) for c in cfgs] == [TrainConfig(loss=None, patience=3)] * 2
 
 
+def test_out_dir_expands_home_and_variables_as_dataset_paths_do(monkeypatch):
+    # variables first, then `~`, so a variable may hold a `~` path
+    monkeypatch.setenv("HOME", "/home/someone")
+    monkeypatch.setenv("RUNS", "~/runs")
+    for out_dir in ("~/runs/x", "$RUNS/x", "$HOME/runs/x"):
+        assert validate_config(dict(CONFIG_BASE, out_dir=out_dir)).out_dir == "/home/someone/runs/x"
+
+
 @pytest.mark.parametrize(
     "path", sorted(Path(__file__).parent.parent.joinpath("configs").glob("*.yaml")),
     ids=lambda path: path.name,

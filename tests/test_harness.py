@@ -144,12 +144,13 @@ RULE = st.tuples(  # max_epochs, min_epochs, patience
     st.lists(RULE, min_size=2, max_size=2),  # each lr's stopping rule
     st.sampled_from([0.0, 0.2]), st.booleans(),  # noise_p, external
 ), st.just(""))  # the cases an example is written to reach
-# a divergence in a stack of eight points on two stopping rules that splits in two; groups of two
+# a divergence in a stack of eight points on two stopping rules that splits in two
 @example(("logreg", (), 2, 2, 26, 1.7e308, None, "five_by_two", 2, [NEGLOG, EERR], [1e-3, 0.3],
-         [0.0], 9, [(4, 0, None), (None, 2, 1)], 0.2, False), "diverge group split side")
-# three folds in one evaluation group; the better lr stops on patience after min_epochs
+         [0.0], 9, [(4, 0, None), (None, 2, 1)], 0.2, False), "diverge split side")
+# a stack of three folds holds their dev rows and the external test set's rows; the better lr
+# stops on patience after min_epochs
 @example(("logreg", (), 3, 3, 36, 1.0, None, "kfold", 3, [NEGLOG, LEERR], [1e-3, 3e-2], [0.0], 7,
-         [(2, 0, None), (8, 4, 1)], 0.0, True), "group side")
+         [(2, 0, None), (8, 4, 1)], 0.0, True), "held side")
 # two eight-point dropout stacks (train sizes 20 and 21) side by side, each lr on its own rule
 @example(("mlp", (3,), 3, 3, 31, 1.0, None, "kfold", 2, [EERR, NEGLOG], [3e-2, 0.3], [0.0, 0.3], 5,
          [(4, 1, 2), (6, 0, None)], 0.2, False), "side")
@@ -186,7 +187,7 @@ def test_every_replicate_cell_is_the_reference_run(params, covers):
     keywords = dict(test=Dataset(x[n:], ds.labels[n:], k, "test") if external else None,
                     master_seed=n, noise_p=noise_p, hidden=hidden, max_folds=max_folds)
     whole = sum((m + 1) * w for m, w in zip([d, *hidden], [*hidden, k])) * len(cfgs) * len(trains)
-    held, ways = expacc.harness._Evaluation._held, []  # each way's stacks and multi-fold groups
+    held, ways = expacc.harness._Evaluation._held, []  # each way's stacks and held folds
     with np.errstate(all="ignore"):
         expected, runs = reference(kind, pool, plan, cfgs, **keywords)
         runs = {key: comparable(*run) for key, run in runs.items()}
@@ -194,23 +195,24 @@ def test_every_replicate_cell_is_the_reference_run(params, covers):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
                 patch.setattr(expacc.harness, "STACK_PARAMS", budget)
-                stacks, groups = recording_stacks(patch), []
+                stacks, folds = recording_stacks(patch), []
                 patch.setattr(expacc.harness._Evaluation, "_held",
-                              lambda ev, folds: groups.append(folds) or held(ev, folds))
+                              lambda ev, fold: folds.append(fold) or held(ev, fold))
                 cells = replicate(kind, pool, plan, cfgs, **keywords)
             ours = [(astuple(p), as_reference(run))
                     for _, result, points in stacks for p, run in zip(points, result.runs)]
             assert len(ours) == len(runs) and dict(ours) == runs
             assert [(c.loss, c.fold, c.lr, c.dropout, c.result and as_reference(c.result), c.error)
                     for c in cells] == expected
-            ways.append((stacks, groups))
-    (packed, groups), (split, _), (side, _) = ways
+            ways.append((stacks, folds))
+    (packed, folds), (split, _), (side, nothing) = ways
+    assert nothing == []  # a budget of one float holds no rows
     later = [  # a later candidate of a failed point's cell that trains past the failure
         q for _, result, points in packed for i, (p, run) in enumerate(zip(points, result.runs))
         if run.error for q, other in zip(points[i + 1 :], result.runs[i + 1 :])
         if (q.seed, q.loss) == (p.seed, p.loss) and len(other.records) > len(run.records)
     ]
-    reached = {"group": groups != [], "split": len(split) > len(packed), "side": len(side) > 1,
+    reached = {"held": folds != [], "split": len(split) > len(packed), "side": len(side) > 1,
                "diverge": any(len(r.runs) > 1 and any(p.error for p in r.runs)
                               for _, r, _ in packed),
                "moment": any("second moment" in (cell[-1] or "") for cell in expected),
@@ -449,14 +451,22 @@ def test_replicate_tests_every_fold_on_one_rows_of_the_external_test_set(monkeyp
     cfgs = [TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=2)]
     out = replicate("logreg", ds, plan, cfgs, test=test, noise_p=0.2)
     assert all(o.ok for o in out) and len(tests) == 3
-    assert copies == [40] * 3 + [50] * 3  # one group: each fold's dev and test rows, once
+    assert copies == [40, 50] * 3  # one stack: each fold's dev and test rows, once
     # the test set is wrapped once, whole and under its own clean labels
     assert all(t is tests[0] for t in tests)
     assert tests[0].ds is test and tests[0].labels is test.labels
     assert np.array_equal(tests[0].index, np.arange(test.n))
-    monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)  # a group per fold copies per evaluation
+    # a one-fold stack tested on its pool's test part copies its dev and test rows once, not
+    # its dev rows at each of its three epochs
+    copies.clear()
+    fixed = make_folds(Rng(44), ds.n, "fixed", train_size=60, dev_size=30)
+    replicate("logreg", ds, fixed, [replace(cfgs[0], max_epochs=3)])
+    assert copies == [30, 30]
+    copies.clear()
+    monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 1)  # rows beyond it: copied per evaluation
     replicate("logreg", ds, plan, cfgs, test=test, noise_p=0.2)
-    assert len(copies) > 12
+    # a one-point stack per fold, side by side where cores allow: dev at each epoch, then test
+    assert sorted(copies) == [40] * 6 + [50] * 3
 
 
 def recording_stacks(monkeypatch):
