@@ -54,7 +54,7 @@ def main():
     for spec in LOSSES:
         cfg = TrainConfig(loss=spec, lr=1e-4, batch_size=64, max_epochs=8, seed=3)
         result = train_run("logreg", train, dev, dev, cfg)
-        columns[spec.name] = [r.grad_norm_mean for r in result.records]
+        columns[spec.name] = result.records[:, 3]  # one row per epoch; column 3: grad_norm_mean
     for e in range(8):
         print(f"{e + 1:>5}" + "".join(f"{columns[s.name][e]:>12.4f}" for s in LOSSES))
     print("\nthe leaky loss tracks eerr's shape but never loses the alpha "

@@ -22,7 +22,6 @@ from .data import (
     make_folds,
 )
 from .harness import (
-    EpochRecord,
     FoldOutcome,
     RunResult,
     StackResult,
@@ -53,7 +52,6 @@ __all__ = [
     "ComparisonReport",
     "Dataset",
     "EERR",
-    "EpochRecord",
     "FoldOutcome",
     "Folds",
     "LEERR",

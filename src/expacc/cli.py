@@ -33,6 +33,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import yaml
 
@@ -491,8 +492,7 @@ def cmd_run(config_path: str, seed_override: int | None = None) -> str:
         if o.ok:
             files[f"metrics/{o.loss}_fold{o.fold:02d}.csv"] = _csv(
                 ["epoch", "train_loss", "train_acc", "dev_acc", "grad_norm_mean"],
-                ([r.epoch, _fmt(r.train_loss), _fmt(r.train_acc), _fmt(r.dev_acc),
-                  _fmt(r.grad_norm_mean)] for r in o.result.records),
+                ([e, *map(_fmt, row)] for e, row in enumerate(o.result.records.tolist(), 1)),
             )
 
     dropped = sorted({o.fold for o in outcomes if not o.ok})
@@ -548,16 +548,18 @@ def cmd_gradnorms(config_path: str, seed_override: int | None = None) -> str:
     failed = [f"fold 0 / {o.loss}: {o.error}" for o in outcomes if not o.ok]
     if failed:  # an expected failure (divergence, bad data), reported without a traceback
         raise DataError("; ".join(failed))
-    columns = {o.loss: [r.grad_norm_mean for r in o.result.records] for o in outcomes}
-
-    n_epochs = max(len(v) for v in columns.values())
-    table = _csv(
-        ["epoch", *(f"{name}_norm" for name in columns)],
-        ([e + 1, *(_fmt(v[e]) if e < len(v) else "" for v in columns.values())]
-         for e in range(n_epochs)),
-    )
+    columns = [map(_fmt, o.result.records[:, 3].tolist()) for o in outcomes]
+    table = _csv(["epoch", *(f"{o.loss}_norm" for o in outcomes)],
+                 ([e, *row] for e, row in enumerate(zip_longest(*columns, fillvalue=""), 1)))
     _publish(cfg.out_dir, {"gradnorms.csv": table}, seed=seed, config_bytes=cfg.raw_bytes)
     return os.path.join(cfg.out_dir, "gradnorms.csv")
+
+
+def _seed(text: str) -> int:
+    """A `--seed` value: an integer >= 0, as the config's `seed` key."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return int(text)
 
 
 def main(argv=None) -> int:
@@ -569,14 +571,14 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a replicated experiment from a config")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="override the config seed")
 
     p_curves = sub.add_parser("curves", help="emit the loss-curve tables")
     p_curves.add_argument("out_dir")
 
     p_grad = sub.add_parser("gradnorms", help="emit per-epoch gradient norms, one fold")
     p_grad.add_argument("config")
-    p_grad.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_grad.add_argument("--seed", type=_seed, default=None, help="override the config seed")
 
     args = parser.parse_args(argv)
     try:

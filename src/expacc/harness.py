@@ -21,7 +21,7 @@ import copy
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .numerics import Rng, _end_blas_workers, _openblas_threads, argmax_last
 from .optim import Adam, minibatches
 
 __all__ = [
-    "EpochRecord",
     "FoldOutcome",
     "RunResult",
     "StackResult",
@@ -64,20 +63,17 @@ class _Stopped(Exception):
 _stop = contextvars.ContextVar("expacc_stop", default=None)
 
 
-def should_stop(epoch: int, best_epoch: int, cfg: TrainConfig) -> bool:
-    """Early-stopping decision after `epoch` has completed.
+def should_stop(epoch: int, best_epoch, max_epochs, min_epochs, patience):
+    """Early-stopping decision of each point after `epoch` has completed,
+    from (arrays of) its best epoch and its rule, an unset one `inf`.
 
     Hard stop at `max_epochs`.  The patience rule only arms once
     `min_epochs` have run, and its window is measured from the later of the
     best epoch and `min_epochs`, so a run with no improvement after epoch 1
     and min_epochs=100, patience=15 stops at epoch 115.
     """
-    if cfg.max_epochs is not None and epoch >= cfg.max_epochs:
-        return True
-    return (
-        cfg.patience is not None
-        and epoch >= cfg.min_epochs
-        and epoch - max(best_epoch, cfg.min_epochs) >= cfg.patience
+    return (epoch >= max_epochs) | (
+        (epoch >= min_epochs) & (epoch - np.maximum(best_epoch, min_epochs) >= patience)
     )
 
 
@@ -117,26 +113,24 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(slots=True)
-class EpochRecord:
-    epoch: int
-    train_loss: float
-    train_acc: float
-    dev_acc: float
-    grad_norm_mean: float
-
-
 @dataclass
 class RunResult:
     """One point's run: its epochs, its best one and the test accuracy
     there, and `error`, the message of its failure, when it failed after
-    the epochs it completed.  A run that failed in its first epoch has no
-    best epoch (0) and a NaN test accuracy."""
+    the epochs it completed.  `records` has a float64 row per epoch, row
+    `e - 1` for epoch `e`: train loss, train accuracy, dev accuracy and
+    mean gradient norm.  A run that failed in its first epoch has no
+    records, no best epoch (0) and a NaN test accuracy."""
 
-    records: list
+    records: np.ndarray
     best_epoch: int
     test_acc: float
     error: str | None = None
+
+    def __eq__(self, other):
+        return (type(other) is RunResult and np.array_equal(self.records, other.records)
+                and (self.best_epoch, self.test_acc, self.error)
+                == (other.best_epoch, other.test_acc, other.error))
 
     @property
     def test_error(self) -> float:
@@ -146,24 +140,18 @@ class RunResult:
     def best_dev_acc(self) -> float:
         """Dev accuracy at the best epoch; NaN for a run that completed no
         epoch."""
-        return self.records[self.best_epoch - 1].dev_acc if self.best_epoch else math.nan
+        return self.records[self.best_epoch - 1, 2] if self.best_epoch else math.nan
 
 
 @dataclass
 class StackResult:
-    """What one `train_run` returns: every point's run, in point order.
-    `records` and `best_epoch` add up over the stack: every epoch of every
-    point, point-major, and every point's best epoch."""
+    """What one `train_run` returns: every point's run, in point order;
+    `records`, the one block of every point's epochs, point-major, whose
+    rows each run's `records` views; and the sum of their best epochs."""
 
     runs: list
-
-    @property
-    def records(self) -> list:
-        return [r for run in self.runs for r in run.records]
-
-    @property
-    def best_epoch(self) -> int:
-        return sum(run.best_epoch for run in self.runs)
+    records: np.ndarray = field(compare=False)
+    best_epoch: int
 
 
 def accuracy(model, x, labels):
@@ -181,16 +169,19 @@ class _Evaluation:
     the stack, and each slice runs one forward on its fold's rows, which
     all its points share.  The stack holds one copy of its folds' dev and
     test rows for its whole life when, summed over its folds, the larger
-    split's rows x features fit in `STACK_PARAMS`; otherwise each fold
-    copies its rows for each evaluation.  `parts` cuts the live points into
-    their folds, and `accuracy` gives each point's accuracy on its own
-    fold's dev or test rows, in the order of `parts`.
+    split's rows x features fit in `STACK_PARAMS`; otherwise each
+    evaluation copies its folds' rows.  A test set its folds share (one
+    `Rows`) is copied once, not once per fold.  `parts` cuts the live
+    points into their folds, and `accuracy` gives each point's accuracy on
+    its own fold's dev or test rows, in the order of `parts`.
     """
 
     def __init__(self, folds, dev, test, d):
         self.splits = (dev, test)
         fits = max(sum(split[f].n for f in folds) for split in self.splits) * d <= STACK_PARAMS
-        self.held = {f: self._held(f) for f in folds} if fits else None
+        self.held = {} if fits else None
+        for f in folds if fits else ():
+            self.held[f] = self._held(f)
 
     @staticmethod
     def _copy(rows: Rows):
@@ -201,12 +192,14 @@ class _Evaluation:
     def _held(self, fold) -> tuple:
         """The dev and the test features and labels of `fold`.  Test rows
         that are the dev rows of the same pool (a plan with no test set)
-        share dev's features and keep their own labels."""
+        share dev's features and keep their own labels, and test rows an
+        earlier fold holds (a shared test set) are that fold's copy."""
         dev, test = (split[fold] for split in self.splits)
         held = self._copy(dev)
         if test.ds is dev.ds and np.array_equal(test.index, dev.index):
             return held, (held[0], test.labels.take(test.index))
-        return held, self._copy(test)
+        earlier = [h for f, (_, h) in self.held.items() if self.splits[1][f] is test]
+        return held, earlier[0] if earlier else self._copy(test)
 
     @staticmethod
     def parts(model, fold_of) -> list:
@@ -226,13 +219,17 @@ class _Evaluation:
     def accuracy(self, parts, split: int) -> np.ndarray:
         """Each point's accuracy on its fold's dev (`split` 0) or test (1)
         rows, in the order of `parts`.  Rows the stack does not hold are
-        copied for this evaluation only (no name keeps the copy, so it is
-        freed before the next one)."""
-        return np.concatenate([
-            accuracy(part, *(self._copy(self.splits[split][fold]) if self.held is None
-                             else self.held[fold][split]))
-            for fold, part in parts
-        ])
+        copied for this evaluation only, once for folds that share them,
+        and each copy is freed before the next is made."""
+        accs, rows, held = [], None, None
+        for fold, part in parts:
+            if self.held is not None:
+                held = self.held[fold][split]
+            elif self.splits[split][fold] is not rows:
+                rows, held = self.splits[split][fold], None
+                held = self._copy(rows)
+            accs.append(accuracy(part, *held))
+        return np.concatenate(accs)
 
 
 def _check_nonempty(*splits) -> None:
@@ -264,22 +261,22 @@ def train_run(
     random streams and minibatch orders, its one parameter block and its
     evaluation, fold by fold.
 
-    Stopping, per point: always at `max_epochs` when set; additionally once
-    at least `min_epochs` have run and `patience` epochs have passed without
-    a dev improvement (the patience window starts counting at
-    `min_epochs`).  Ties in dev accuracy keep the earliest epoch.
+    Stopping, per point, is `should_stop`'s rule on the point's own
+    `max_epochs`, `min_epochs` and `patience`.  Ties in dev accuracy keep
+    the earliest epoch.
 
     A point fails, with a message as its `error`, at its first batch with
     a non-finite loss, or else when its Adam second moment is not all
     finite after an epoch's batches.  Its row rides along to the epoch's
-    end, which comes at once when every live point has failed.
-    Points leave the stack at one exit, after the batches: those that
-    failed in the epoch, keeping the epochs they completed, and those that
-    stop.  Every other point trains on.  A point that failed in its first
-    epoch has no best epoch, and its test accuracy is NaN.  Points of
-    another batch size or out of fold order raise ValueError, and an empty
-    split EmptyDataError.  A stack that `_train_stacks` trains beside others
-    ends at its next step once one of them fails or the run is interrupted.
+    end, which comes at once when every live point has failed.  At the one
+    exit after the batches, the points that did not fail record the epoch,
+    one row each of the stack's block, and points leave: those that failed,
+    keeping the epochs they completed, and those that stop.  A point that
+    failed in its first epoch has no best epoch, and its test accuracy is
+    NaN.  Points of another batch size or out of fold order raise
+    ValueError, and an empty split EmptyDataError.  A stack that
+    `_train_stacks` trains beside others ends at its next step once one of
+    them fails or the run is interrupted.
     """
     points = [cfg] if points is None else list(points)
     fold_of = np.zeros(len(points), dtype=np.intp) if folds is None else np.asarray(folds)
@@ -307,11 +304,14 @@ def train_run(
     opt = Adam([p.lr for p in points])
     stop = _stop.get()
     coefs = np.array([p.loss.coefficients for p in points])  # each live point's loss
+    # each point's max_epochs, min_epochs and patience, an unset one inf
+    rules = np.array([(p.max_epochs or math.inf, p.min_epochs, p.patience or math.inf)
+                      for p in points]).T
     evaluation = _Evaluation(stack_folds, dev, test, pool.d)
 
     live = np.arange(len(points))  # point index of each point in the stack
     parts = evaluation.parts(model, fold_of)
-    records = [[] for _ in points]
+    recorded = []  # each epoch's (points still ok, their records)
     best_epoch = np.zeros(len(points), dtype=np.intp)
     best_dev = np.full(len(points), -math.inf)
     errors = [None] * len(points)
@@ -364,13 +364,9 @@ def train_run(
             best_dev[better] = dev_acc[improved]
             best_epoch[better] = epoch
             best.theta[better] = model.theta[improved]
-        columns = (ok, best_epoch[live], loss_sum / n, hit_sum / n, dev_acc, norm_sum / n)
-        leaves = []
-        for point, good, at, *record in zip(live.tolist(), *(c.tolist() for c in columns)):
-            if good:
-                records[point].append(EpochRecord(epoch, *record))
-            leaves.append(not good or should_stop(epoch, at, points[point]))
-        stays = ~np.array(leaves)
+        recorded.append((live[ok], np.column_stack(
+            (loss_sum / n, hit_sum / n, dev_acc, norm_sum / n))[ok]))
+        stays = ok & ~should_stop(epoch, best_epoch[live], *rules[:, live])
         if not stays.all():
             live, coefs = live[stays], coefs[stays]
             model.take(stays)
@@ -379,11 +375,15 @@ def train_run(
                 parts = evaluation.parts(model, fold_of[live])
 
     test_acc = evaluation.accuracy(evaluation.parts(best, fold_of), 1).tolist()
+    # every point's epochs, point-major: a stable sort keeps each point's in order
+    owner, records = (np.concatenate(c) for c in zip(*recorded))
+    records = records[np.argsort(owner, kind="stable")]
+    ends = np.cumsum(np.bincount(owner, minlength=len(points))).tolist()
     return StackResult([
-        RunResult(records[j], at, test_acc[j] if at else math.nan,
+        RunResult(records[lo:hi], at, test_acc[j] if at else math.nan,
                   errors[j] and f"{points[j].loss.name}: {errors[j]}")
-        for j, at in enumerate(best_epoch.tolist())
-    ])
+        for j, (at, lo, hi) in enumerate(zip(best_epoch.tolist(), [0, *ends], ends))
+    ], records, int(best_epoch.sum()))
 
 
 @contextlib.contextmanager
@@ -549,7 +549,7 @@ def replicate(
             _check_nonempty(*fold_splits)
             splits[fold] = fold_splits
         except DataError as exc:  # fails each cell of the fold, named by its first candidate
-            failed = RunResult([], 0, math.nan, str(exc))
+            failed = RunResult(np.empty((0, 4)), 0, math.nan, str(exc))
             pieces.update({(fold, name): [(c[0], failed)] for name, c in by_loss.items()})
     # Every candidate of a (fold, loss) cell trains from the cell's one run
     # seed, keyed by the loss's canonical index, not list position, so the

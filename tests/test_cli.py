@@ -656,6 +656,13 @@ def test_main_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(config), "--jobs", "2"])
     assert exc.value.code == 2
+    for command in ("run", "gradnorms"):  # a negative seed fails as the config's would
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(config), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "Traceback" not in err
+        assert err.endswith("--seed: expected a non-negative integer, got -1\n")
 
 
 def test_a_bug_exits_1_with_its_traceback_and_bad_data_with_one_line(

@@ -41,32 +41,34 @@ def test_config_validation():
 
 
 def test_stopping_rule_examples():
+    # each rule is max_epochs, min_epochs, patience, an unset one inf
+    inf = math.inf
     # dev improves every epoch: patience never fires, max_epochs ends the run
-    cfg = TrainConfig(loss=NEGLOG, patience=15, max_epochs=20)
-    assert not any(should_stop(e, e, cfg) for e in range(1, 20))
-    assert should_stop(20, 20, cfg)
+    assert not any(should_stop(e, e, 20, 0, 15) for e in range(1, 20))
+    assert should_stop(20, 20, 20, 0, 15)
 
     # no improvement after epoch 1 with a 100-epoch minimum: stop at 115
-    cfg = TrainConfig(loss=NEGLOG, min_epochs=100, patience=15)
-    assert not any(should_stop(e, 1, cfg) for e in range(1, 115))
-    assert should_stop(115, 1, cfg)
+    assert not any(should_stop(e, 1, inf, 100, 15) for e in range(1, 115))
+    assert should_stop(115, 1, inf, 100, 15)
 
     # plain patience with no minimum
-    cfg = TrainConfig(loss=NEGLOG, patience=30)
-    assert not should_stop(34, 5, cfg)
-    assert should_stop(35, 5, cfg)
+    assert not should_stop(34, 5, inf, 0, 30)
+    assert should_stop(35, 5, inf, 0, 30)
+
+    # the three rules as a stack's arrays, one point each
+    rules = np.array([(20, 0, 15), (inf, 100, 15), (inf, 0, 30)]).T
+    assert should_stop(35, np.array([35, 1, 5]), *rules).tolist() == [True, False, True]
 
 
 def test_lr_zero_freezes_every_metric():
     train, dev, test = small_splits(1)
     cfg = TrainConfig(loss=LEERR, lr=0.0, batch_size=32, max_epochs=8)
     result = train_run("logreg", train, dev, test, cfg)
-    first = result.records[0]
-    for rec in result.records[1:]:
-        assert rec.dev_acc == first.dev_acc
-        assert rec.train_acc == first.train_acc
-        assert rec.train_loss == pytest.approx(first.train_loss, abs=1e-12)
-        assert rec.grad_norm_mean == pytest.approx(first.grad_norm_mean, abs=1e-12)
+    train_loss, train_acc, dev_acc, grad_norm_mean = result.records.T
+    assert result.records.shape == (8, 4)
+    assert (dev_acc == dev_acc[0]).all() and (train_acc == train_acc[0]).all()
+    np.testing.assert_allclose(train_loss, train_loss[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad_norm_mean, grad_norm_mean[0], rtol=0, atol=1e-12)
 
 
 def test_a_run_that_diverged_in_its_first_epoch_has_no_accuracy(monkeypatch):
@@ -83,7 +85,7 @@ def test_a_run_that_diverged_in_its_first_epoch_has_no_accuracy(monkeypatch):
         run = train_run("logreg", train, dev, test, cfg).runs[0]
     batch = int(str(run.error).rpartition("epoch 1, batch ")[2])
     assert 0 < batch < train.n // cfg.batch_size - 1 and len(calls) == batch + 1
-    assert run.records == [] and run.best_epoch == 0
+    assert run.records.shape == (0, 4) and run.best_epoch == 0
     assert math.isnan(run.best_dev_acc)
     assert math.isnan(run.test_acc) and math.isnan(run.test_error)
 
@@ -119,7 +121,8 @@ def comparable(records, best_epoch, test_acc, error):
 
 def as_reference(run):
     """A `RunResult` in the reference's form, comparable."""
-    return comparable([astuple(r) for r in run.records], run.best_epoch, run.test_acc, run.error)
+    records = [(epoch, *row) for epoch, row in enumerate(run.records.tolist(), 1)]
+    return comparable(records, run.best_epoch, run.test_acc, run.error)
 
 
 SCHEMES = {"kfold": {"k": 3}, "five_by_two": {}, "fixed": {"train_size": 16, "dev_size": 8}}
@@ -292,7 +295,7 @@ def test_dev_accuracy_ties_go_to_the_earliest_point(monkeypatch):
         (cell,) = replicate("logreg", ds, plan, cfgs, master_seed=2)
         first, second = stacks[-1][1].runs
         assert first.best_dev_acc == second.best_dev_acc
-        assert first.records != second.records
+        assert not np.array_equal(first.records, second.records)
         assert (cell.lr, cell.result) == (lrs[0], first)
 
 
@@ -451,7 +454,7 @@ def test_replicate_tests_every_fold_on_one_rows_of_the_external_test_set(monkeyp
     cfgs = [TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=2)]
     out = replicate("logreg", ds, plan, cfgs, test=test, noise_p=0.2)
     assert all(o.ok for o in out) and len(tests) == 3
-    assert copies == [40, 50] * 3  # one stack: each fold's dev and test rows, once
+    assert copies == [40, 50, 40, 40]  # one stack: each fold's dev rows and the test set, once
     # the test set is wrapped once, whole and under its own clean labels
     assert all(t is tests[0] for t in tests)
     assert tests[0].ds is test and tests[0].labels is test.labels
@@ -467,6 +470,11 @@ def test_replicate_tests_every_fold_on_one_rows_of_the_external_test_set(monkeyp
     replicate("logreg", ds, plan, cfgs, test=test, noise_p=0.2)
     # a one-point stack per fold, side by side where cores allow: dev at each epoch, then test
     assert sorted(copies) == [40] * 6 + [50] * 3
+    copies.clear()
+    monkeypatch.setattr(expacc.harness, "STACK_PARAMS", 100)  # one stack that holds no rows
+    replicate("logreg", ds, plan, cfgs, test=test, noise_p=0.2)
+    # each fold's dev rows at each epoch, then the test set once for all three folds
+    assert copies == [40] * 6 + [50]
 
 
 def recording_stacks(monkeypatch):

@@ -8,16 +8,17 @@ features.
 
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import expacc.harness
 from expacc.data import Dataset, load_mnist, make_folds
-from expacc.harness import TrainConfig, replicate
+from expacc.harness import TrainConfig, replicate, train_run
 from expacc.losses import LossSpec
 from expacc.numerics import Rng
-from helpers import write_idx_pair
+from helpers import one_fold, two_gaussians, write_idx_pair
 
 CFGS = [TrainConfig(loss=LossSpec("neglog"), lr=1e-3, max_epochs=1)]
 
@@ -63,6 +64,26 @@ def test_replicate_trains_on_rows_of_the_pool(monkeypatch):
     for fold, train in enumerate(seen[0]):
         assert np.shares_memory(train.ds.x, pool.x)
         assert train.n == len(plan.folds[fold][0])
+
+
+def test_a_stack_keeps_its_epochs_in_one_float_block():
+    # 60 points of 100 epochs each: a run keeps its four per-epoch values as
+    # a row of the stack's one float64 block (32 bytes), with no object per
+    # epoch, and each point adds a few objects of its own
+    ds = two_gaussians(0, 90, 4, delta=2.0)
+    plan = make_folds(Rng(1), ds.n, "fixed", train_size=60, dev_size=15)
+    cfg = TrainConfig(loss=LossSpec("leerr"), lr=1e-3, batch_size=60, max_epochs=100)
+    points = [replace(cfg, seed=seed) for seed in range(60)]
+    splits = one_fold(ds, *plan.folds[0], plan.test)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = train_run("logreg", *splits, cfg, points=points)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 60 * 100
+    assert kept / len(result.records) < 64
 
 
 def test_idx_pool_keeps_one_byte_per_pixel(tmp_path):
