@@ -194,9 +194,12 @@ def _train_cfgs(losses, raw: dict) -> list:
 
 
 def _check_dataset(dataset: dict) -> None:
-    """The section names one format's files: an IDX train pair and an
-    optional test pair (both or neither), or a CSV `path` with its
-    optional `schema`; a key of the other format is an error, not ignored."""
+    """The section's `name` and one format's files, each a non-empty
+    string: an IDX train pair and an optional test pair (both or neither),
+    or a CSV `path` and its optional `schema`; another format's key fails."""
+    for key, value in dataset.items():
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"dataset.{key}", f"expected a non-empty string, got {value!r}")
     train, test = ("train_images", "train_labels"), ("test_images", "test_labels")
     if not any(key in dataset for key in train):
         for key in test:
@@ -557,9 +560,13 @@ def cmd_gradnorms(config_path: str, seed_override: int | None = None) -> str:
 
 def _seed(text: str) -> int:
     """A `--seed` value: an integer >= 0, as the config's `seed` key."""
-    if int(text) < 0:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return int(text)
+    return seed
 
 
 def main(argv=None) -> int:

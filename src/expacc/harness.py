@@ -49,7 +49,8 @@ _INIT, _BATCH, _DROPOUT = 0, 1, 2
 _NOISE_KEY, _RUN_KEY, _PLAN_KEY = 0, 1, 2
 # Float64 values (1 MiB): the parameters of a stack of `replicate` (a larger
 # point trains alone), the fewest floats a stack split over idle workers
-# gathers per step, and the dev or test rows x features a stack holds.
+# gathers per step, and the most dev or test rows x features, summed over
+# its folds, whose copies a stack keeps for its life.
 STACK_PARAMS = 2**17
 
 
@@ -155,9 +156,8 @@ class StackResult:
 
 
 def accuracy(model, x, labels):
-    """Argmax accuracy without dropout of features `x` against `labels`: a
-    float, or one per grid point of a stacked model.  `x` and `labels` hold
-    one set of rows for every point, or one per point."""
+    """Argmax accuracy without dropout of features `x` against `labels`,
+    rows all points share: a float, or one per point of a stacked model."""
     preact, _ = model.forward(x)
     return (argmax_last(preact) == labels).mean(axis=-1)
 
@@ -167,39 +167,32 @@ class _Evaluation:
 
     Points come fold by fold, so each fold's live points are one slice of
     the stack, and each slice runs one forward on its fold's rows, which
-    all its points share.  The stack holds one copy of its folds' dev and
-    test rows for its whole life when, summed over its folds, the larger
-    split's rows x features fit in `STACK_PARAMS`; otherwise each
-    evaluation copies its folds' rows.  A test set its folds share (one
-    `Rows`) is copied once, not once per fold.  `parts` cuts the live
-    points into their folds, and `accuracy` gives each point's accuracy on
-    its own fold's dev or test rows, in the order of `parts`.
+    all its points share.  `rows` finds or makes the copy of a fold's rows.
+    The stack keeps every copy for its whole life when, summed over its
+    folds, the larger split's rows x features fit in `STACK_PARAMS`;
+    otherwise it drops its copies before it makes the next and at the end
+    of each evaluation.  `parts` cuts the live points into their folds, and
+    `accuracy` gives each point's accuracy on its own fold's dev or test
+    rows, in the order of `parts`.
     """
 
     def __init__(self, folds, dev, test, d):
         self.splits = (dev, test)
-        fits = max(sum(split[f].n for f in folds) for split in self.splits) * d <= STACK_PARAMS
-        self.held = {} if fits else None
-        for f in folds if fits else ():
-            self.held[f] = self._held(f)
+        self.keep = max(sum(split[f].n for f in folds) for split in self.splits) * d <= STACK_PARAMS
+        self.copies = {}  # id of each `Rows` copied -> (it, its features, its labels)
 
-    @staticmethod
-    def _copy(rows: Rows):
-        """The float features and labels of `rows`, copied through
-        `Dataset.subset`."""
-        return rows.ds.subset(rows.index).features(), rows.labels.take(rows.index)
-
-    def _held(self, fold) -> tuple:
-        """The dev and the test features and labels of `fold`.  Test rows
-        that are the dev rows of the same pool (a plan with no test set)
-        share dev's features and keep their own labels, and test rows an
-        earlier fold holds (a shared test set) are that fold's copy."""
-        dev, test = (split[fold] for split in self.splits)
-        held = self._copy(dev)
-        if test.ds is dev.ds and np.array_equal(test.index, dev.index):
-            return held, (held[0], test.labels.take(test.index))
-        earlier = [h for f, (_, h) in self.held.items() if self.splits[1][f] is test]
-        return held, earlier[0] if earlier else self._copy(test)
+    def rows(self, rows: Rows) -> tuple:
+        """The float features and labels of `rows`: the stack's copy of
+        them, or of the same pool rows under other labels, or else a new
+        copy through `Dataset.subset`."""
+        if (held := self.copies.get(id(rows))) is None:
+            same = [x for r, x, _ in self.copies.values()
+                    if r.ds is rows.ds and np.array_equal(r.index, rows.index)]
+            if not (same or self.keep):
+                self.copies.clear()
+            x = same[0] if same else rows.ds.subset(rows.index).features()
+            held = self.copies[id(rows)] = rows, x, rows.labels.take(rows.index)
+        return held[1:]
 
     @staticmethod
     def parts(model, fold_of) -> list:
@@ -209,26 +202,16 @@ class _Evaluation:
         cuts = [0, *(np.flatnonzero(np.diff(fold_of)) + 1).tolist(), fold_of.size]
         parts = []
         for lo, hi in zip(cuts, cuts[1:]):
-            part = model
-            if hi - lo < fold_of.size:
-                part = copy.copy(model)
-                part.take(slice(lo, hi))
+            part = copy.copy(model)
+            part.take(slice(lo, hi))
             parts.append((fold_of[lo], part))
         return parts
 
     def accuracy(self, parts, split: int) -> np.ndarray:
-        """Each point's accuracy on its fold's dev (`split` 0) or test (1)
-        rows, in the order of `parts`.  Rows the stack does not hold are
-        copied for this evaluation only, once for folds that share them,
-        and each copy is freed before the next is made."""
-        accs, rows, held = [], None, None
-        for fold, part in parts:
-            if self.held is not None:
-                held = self.held[fold][split]
-            elif self.splits[split][fold] is not rows:
-                rows, held = self.splits[split][fold], None
-                held = self._copy(rows)
-            accs.append(accuracy(part, *held))
+        """Each point's accuracy on its fold's rows of `split`: 0 dev, 1 test."""
+        accs = [accuracy(part, *self.rows(self.splits[split][fold])) for fold, part in parts]
+        if not self.keep:
+            self.copies.clear()
         return np.concatenate(accs)
 
 
@@ -440,6 +423,8 @@ def _train_stacks(jobs: list) -> list:
     """
     with _one_blas_thread():
         workers = min(len(jobs), _workers())
+        # in the calling thread: on a 2-vCPU host a pool thread raised the
+        # one-stack logreg_uci_grid bench's peak RSS by 1.6-2.1 MB (10/10 pairs)
         if workers < 2:
             return [train_run(*job) for job in jobs]
         from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait

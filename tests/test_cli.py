@@ -252,6 +252,11 @@ def test_config_non_finite_number_names_its_key_before_data_loads(
         ({"train": {"min_epochs": 3, "max_epochs": 5}}, "train.min_epochs"),
         # null unsets only max_epochs, patience and the grids
         ({"train": {"lr": None, "max_epochs": 5}}, "train.lr"),
+        # a dataset file is a path, checked before any data loads
+        ({"dataset": {"name": "synth", "path": 5}}, "dataset.path"),
+        ({"dataset": {"name": "synth", "path": "synth.csv", "schema": 7}}, "dataset.schema"),
+        ({"dataset": {"name": "synth", "train_images": 5, "train_labels": "labels"}},
+         "dataset.train_images"),
     ],
 )
 def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, overrides, field):
@@ -656,13 +661,14 @@ def test_main_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(config), "--jobs", "2"])
     assert exc.value.code == 2
-    for command in ("run", "gradnorms"):  # a negative seed fails as the config's would
+    # a negative or non-integer seed fails as the config's would
+    for command, seed in [(c, s) for c in ("run", "gradnorms") for s in ("-1", "abc", "1.5")]:
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            main([command, str(config), "--seed", "-1"])
+            main([command, str(config), "--seed", seed])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and "Traceback" not in err
-        assert err.endswith("--seed: expected a non-negative integer, got -1\n")
+        assert err.endswith(f"--seed: expected a non-negative integer, got {seed}\n")
 
 
 def test_a_bug_exits_1_with_its_traceback_and_bad_data_with_one_line(

@@ -190,7 +190,7 @@ def test_every_replicate_cell_is_the_reference_run(params, covers):
     keywords = dict(test=Dataset(x[n:], ds.labels[n:], k, "test") if external else None,
                     master_seed=n, noise_p=noise_p, hidden=hidden, max_folds=max_folds)
     whole = sum((m + 1) * w for m, w in zip([d, *hidden], [*hidden, k])) * len(cfgs) * len(trains)
-    held, ways = expacc.harness._Evaluation._held, []  # each way's stacks and held folds
+    rows, ways = expacc.harness._Evaluation.rows, []  # each way's stacks and whether they keep
     with np.errstate(all="ignore"):
         expected, runs = reference(kind, pool, plan, cfgs, **keywords)
         runs = {key: comparable(*run) for key, run in runs.items()}
@@ -198,24 +198,24 @@ def test_every_replicate_cell_is_the_reference_run(params, covers):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
                 patch.setattr(expacc.harness, "STACK_PARAMS", budget)
-                stacks, folds = recording_stacks(patch), []
-                patch.setattr(expacc.harness._Evaluation, "_held",
-                              lambda ev, fold: folds.append(fold) or held(ev, fold))
+                stacks, keeps = recording_stacks(patch), []
+                patch.setattr(expacc.harness._Evaluation, "rows",
+                              lambda ev, r: keeps.append(ev.keep) or rows(ev, r))
                 cells = replicate(kind, pool, plan, cfgs, **keywords)
             ours = [(astuple(p), as_reference(run))
                     for _, result, points in stacks for p, run in zip(points, result.runs)]
             assert len(ours) == len(runs) and dict(ours) == runs
             assert [(c.loss, c.fold, c.lr, c.dropout, c.result and as_reference(c.result), c.error)
                     for c in cells] == expected
-            ways.append((stacks, folds))
-    (packed, folds), (split, _), (side, nothing) = ways
-    assert nothing == []  # a budget of one float holds no rows
+            ways.append((stacks, keeps))
+    (packed, keeps), (split, _), (side, nothing) = ways
+    assert nothing and not any(nothing)  # a budget of one float keeps no rows
     later = [  # a later candidate of a failed point's cell that trains past the failure
         q for _, result, points in packed for i, (p, run) in enumerate(zip(points, result.runs))
         if run.error for q, other in zip(points[i + 1 :], result.runs[i + 1 :])
         if (q.seed, q.loss) == (p.seed, p.loss) and len(other.records) > len(run.records)
     ]
-    reached = {"held": folds != [], "split": len(split) > len(packed), "side": len(side) > 1,
+    reached = {"held": any(keeps), "split": len(split) > len(packed), "side": len(side) > 1,
                "diverge": any(len(r.runs) > 1 and any(p.error for p in r.runs)
                               for _, r, _ in packed),
                "moment": any("second moment" in (cell[-1] or "") for cell in expected),
@@ -415,9 +415,9 @@ def test_replicate_builds_each_fold_once_for_every_loss_and_candidate(monkeypatc
         (0, "neglog"), (0, "eerr"), (1, "neglog"), (1, "eerr")
     ]
     assert len(noisy) == 2
-    # dev and test name pool rows; the two small folds evaluate as one group,
-    # which copies each fold's 40 dev rows once per stack, and with no test
-    # set, test is those rows under clean labels, sharing the copy
+    # dev and test name pool rows; the stack keeps one copy of each fold's
+    # 40 dev rows, and with no test set, test is those rows under clean
+    # labels, sharing the copy
     assert copies == [40] * 2
     # both folds train 80 rows, so one train_run stacks both losses and both
     # lrs of both folds, fold by fold
@@ -454,7 +454,8 @@ def test_replicate_tests_every_fold_on_one_rows_of_the_external_test_set(monkeyp
     cfgs = [TrainConfig(loss=NEGLOG, lr=1e-2, batch_size=16, max_epochs=2)]
     out = replicate("logreg", ds, plan, cfgs, test=test, noise_p=0.2)
     assert all(o.ok for o in out) and len(tests) == 3
-    assert copies == [40, 50, 40, 40]  # one stack: each fold's dev rows and the test set, once
+    # one stack: each fold's dev rows at the first evaluation, then the test set, once
+    assert copies == [40, 40, 40, 50]
     # the test set is wrapped once, whole and under its own clean labels
     assert all(t is tests[0] for t in tests)
     assert tests[0].ds is test and tests[0].labels is test.labels
